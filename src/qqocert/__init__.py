@@ -9,8 +9,8 @@ from .pauli import (
     NonHermitianInput,
     PauliCoeffs,
     cross_product,
-    jacobi_eigh,
-    jacobi_eigvalsh_batch,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     min_eigenvalue_hermitian,
     pauli_compose,
     pauli_decompose,

@@ -8,13 +8,14 @@ one fails, 2 on input errors (bad files, out-of-domain parameters).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import core, dynamics, epsilon, files, ks
-from .pauli import jacobi_eigh
+from .pauli import POSITIVITY_EIG_TOL, hermitian_eigh
 
 
 def _complex_list(values) -> dict:
@@ -24,6 +25,17 @@ def _complex_list(values) -> dict:
 
 def _float_list(values) -> list:
     return [float(v) for v in np.asarray(values, dtype=float).ravel()]
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_init(text: str) -> np.ndarray:
@@ -37,11 +49,11 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     def kw(default):
         return {"default": argparse.SUPPRESS} if suppress else {"default": default}
 
-    parser.add_argument("--epsilon", type=float, help="coupling of the one-parameter family", **kw(None))
+    parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family", **kw(None))
     parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file", **kw(None))
     parser.add_argument("--samples", type=int, help="scan budget (module defaults if omitted)", **kw(None))
     parser.add_argument("--seed", type=int, help="seed for the deterministic scans", **kw(0))
-    parser.add_argument("--tol", type=float, help="tolerance (module defaults if omitted)", **kw(None))
+    parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)", **kw(None))
     parser.add_argument("--steps", type=int, help="iteration budget for simulate", **kw(None))
     parser.add_argument("--init", metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))
     parser.add_argument("--output", metavar="PATH", help="write the report or trajectory here", **kw(None))
@@ -105,8 +117,10 @@ def _cmd_certify(args) -> int:
         cp = epsilon.cp_check(eps)
     else:
         pos = core.sampled_positivity_check(b, samples, args.seed)
-        vals, _ = jacobi_eigh(core.choi_matrix_from_tensor(b))
-        cp = epsilon.CpReport(is_cp=bool(vals[0] >= -1e-10), min_choi_eig=float(vals[0]))
+        vals, _ = hermitian_eigh(core.choi_matrix_from_tensor(b))
+        cp = epsilon.CpReport(
+            is_cp=bool(vals[0] >= -POSITIVITY_EIG_TOL), min_choi_eig=float(vals[0])
+        )
     witness = ks.ks_global_check(b, ks_samples, args.seed, ks_tol)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
@@ -171,8 +185,8 @@ def _cmd_ks(args) -> int:
 def _cmd_choi(args) -> int:
     b, eps = _resolve_tensor(args)
     mat = epsilon.choi_matrix(eps) if eps is not None else core.choi_matrix_from_tensor(b)
-    vals, _ = jacobi_eigh(mat)
-    is_cp = bool(vals[0] >= -1e-10)
+    vals, _ = hermitian_eigh(mat)
+    is_cp = bool(vals[0] >= -POSITIVITY_EIG_TOL)
     report = {
         "command": "choi",
         "input": _input_block(args),

@@ -24,8 +24,8 @@ from .pauli import (
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
-    jacobi_eigh,
-    jacobi_eigvalsh_batch,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     tensor_product,
 )
 from .sampling import fibonacci_sphere
@@ -97,7 +97,7 @@ def dual_pair_apply(b, f, p) -> np.ndarray:
 def _spectral_norm_with_vectors(m: np.ndarray):
     """Largest singular value of a real 3x3 matrix with its singular pair (u, v)."""
     g = m.T @ m
-    vals, vecs = jacobi_eigh(g)
+    vals, vecs = hermitian_eigh(g)
     sigma2 = max(vals[-1], 0.0)
     v = vecs[:, -1].real
     smax = float(np.sqrt(sigma2))
@@ -120,7 +120,7 @@ def b_norm_sup(b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> f
     pts = fibonacci_sphere(samples, seed)
     betas = np.einsum("kij,nk->nij", arr, pts)
     grams = np.einsum("nji,njk->nik", betas, betas)
-    norms = np.sqrt(np.maximum(jacobi_eigvalsh_batch(grams)[:, -1], 0.0))
+    norms = np.sqrt(np.maximum(hermitian_eigvalsh_batch(grams)[:, -1], 0.0))
     order = np.argsort(-norms, kind="stable")[: min(8, samples)]
     best = float(norms[order[0]])
     for idx in order:
@@ -167,7 +167,7 @@ def state_preservation_check(
     # out = N(f) p with N(f)[k, j] = sum_i b[i][j][k] f_i
     mats = np.einsum("ijk,ni->nkj", arr, pts)
     grams = np.einsum("nkj,nkl->njl", mats, mats)
-    norms = np.sqrt(np.maximum(jacobi_eigvalsh_batch(grams)[:, -1], 0.0))
+    norms = np.sqrt(np.maximum(hermitian_eigvalsh_batch(grams)[:, -1], 0.0))
     order = np.argsort(-norms, kind="stable")[: min(8, samples)]
 
     best = -1.0
@@ -243,7 +243,7 @@ def sampled_positivity_check(
     ds = delta_sigma_images(arr)
     pts = fibonacci_sphere(samples, seed)
     mats = ID4[None, :, :] + np.einsum("nk,kab->nab", pts, ds)
-    vals = jacobi_eigvalsh_batch(mats)[:, 0]
+    vals = hermitian_eigvalsh_batch(mats)[:, 0]
     order = np.argsort(vals, kind="stable")[: min(8, samples)]
 
     worst = float(vals[order[0]])
@@ -252,7 +252,7 @@ def sampled_positivity_check(
         w = pts[idx]
         step = 0.1
         for _ in range(50):
-            evals, evecs = jacobi_eigh(ID4 + np.einsum("k,kab->ab", w, ds))
+            evals, evecs = hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, ds))
             cur = evals[0]
             vec = evecs[:, 0]
             grad = np.array([np.real(vec.conj() @ ds[k] @ vec) for k in range(3)])
@@ -261,7 +261,7 @@ def sampled_positivity_check(
                 break
             cand = w - step * grad / gn
             cand /= np.linalg.norm(cand)
-            new_vals, _ = jacobi_eigh(ID4 + np.einsum("k,kab->ab", cand, ds))
+            new_vals, _ = hermitian_eigh(ID4 + np.einsum("k,kab->ab", cand, ds))
             if new_vals[0] < cur:
                 w = cand
                 cur = new_vals[0]

@@ -19,7 +19,7 @@ from .pauli import (
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
-    jacobi_eigh,
+    hermitian_eigh,
     tensor_product,
 )
 from .sampling import fibonacci_sphere
@@ -217,5 +217,5 @@ class CpReport:
 
 def cp_check(eps: float) -> CpReport:
     """Complete positivity iff the assembled 8x8 block matrix is positive."""
-    vals, _ = jacobi_eigh(choi_matrix(eps))
+    vals, _ = hermitian_eigh(choi_matrix(eps))
     return CpReport(is_cp=bool(vals[0] >= -POSITIVITY_EIG_TOL), min_choi_eig=float(vals[0]))

@@ -4,8 +4,9 @@ Tensor file: a JSON object with either a full tensor, ``{"b": [[[...]]]}``
 with 27 reals nested outer-to-inner as m -> l -> k, or the shorthand
 ``{"epsilon": e}`` that expands to the one-parameter family.
 
-Reports are JSON objects with a leading ``"schema": "v1"`` field and
-sorted keys, so identical runs produce byte-identical documents.
+Reports are strict JSON objects (no NaN or infinity) with a leading
+``"schema": "v1"`` field and sorted keys, so identical runs produce
+byte-identical documents.
 
 Trajectory file: comma-separated rows ``step,f1,f2,f3,rho`` after a
 one-line header.
@@ -62,9 +63,10 @@ def dump_report(report: dict, out: Optional[IO[str]] = None) -> None:
     """Emit a schema-tagged report as deterministic JSON."""
     doc = {"schema": SCHEMA_VERSION}
     doc.update(report)
+    # serialize first: a NaN or infinity fails before anything is written
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     fh = out if out is not None else sys.stdout
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    fh.write(text + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:

@@ -11,8 +11,11 @@ minus the product of adjoint images, which is enforced as a test oracle.
 
 A violation witness is any unit w whose defect has a negative eigenvalue;
 the search certifies violations only, never the property itself.  The
-evaluators for the two scalar necessary conditions expose every
-intermediate quantity (x_m, alpha, gamma, q) for inspection.
+scan builds every sampled direction and defect as one stacked array and
+eigensolves the stack in one guarded batch; the local polish calls the
+single-matrix kernel.  The evaluators for the two scalar necessary
+conditions expose every intermediate quantity (x_m, alpha, gamma, q) for
+inspection.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .core import as_coeff_tensor, beta_matrix, delta_sigma_images
-from .pauli import ID4, cross_product, jacobi_eigh, jacobi_eigvalsh_batch
+from .pauli import ID4, cross_product, hermitian_eigh, hermitian_eigvalsh_batch
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -93,20 +96,19 @@ def ks_defect(b, w) -> np.ndarray:
 
 
 def _w_from_params(params: np.ndarray) -> np.ndarray:
-    """Unit complex 3-vector from two modulus angles and two relative phases.
+    """Unit complex 3-vector(s) from two modulus angles and two relative phases.
 
-    The first component is kept real, which fixes the irrelevant global
-    phase of the defect.  The map lands on the unit sphere for any real
-    parameter values, so refinement can run unconstrained.
+    params has shape (4,) or (N, 4), the result (3,) or (N, 3).  The first
+    component is kept real, which fixes the irrelevant global phase of the
+    defect.  The map lands on the unit sphere for any real parameter
+    values, so refinement can run unconstrained.
     """
-    a, bb, p2, p3 = params
-    return np.array(
-        [
-            np.sin(a) * np.cos(bb),
-            np.sin(a) * np.sin(bb) * np.exp(1j * p2),
-            np.cos(a) * np.exp(1j * p3),
-        ]
-    )
+    a, bb, p2, p3 = np.asarray(params, dtype=float).T
+    out = np.empty(np.shape(a) + (3,), dtype=complex)
+    out[..., 0] = np.sin(a) * np.cos(bb)
+    out[..., 1] = np.sin(a) * np.sin(bb) * np.exp(1j * p2)
+    out[..., 2] = np.cos(a) * np.exp(1j * p3)
+    return out
 
 
 def _defect_batch(ds: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -151,13 +153,13 @@ def ks_global_check(
             u[:, 3] * (2.0 * np.pi),
         ]
     )
-    ws = np.array([_w_from_params(p) for p in params])
-    vals = jacobi_eigvalsh_batch(_defect_batch(ds, ws))[:, 0]
+    ws = _w_from_params(params)
+    vals = hermitian_eigvalsh_batch(_defect_batch(ds, ws))[:, 0]
     order = np.argsort(vals, kind="stable")[: min(8, samples)]
 
     def objective(p):
         d = _defect_from_images(ds, _w_from_params(p))
-        return jacobi_eigh(d)[0][0]
+        return hermitian_eigh(d)[0][0]
 
     best_val = float(vals[order[0]])
     best_w = ws[order[0]]

@@ -4,9 +4,9 @@ Every matrix is expanded in the basis {1, sigma_1, sigma_2, sigma_3} and
 stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
 module also provides the small dense-matrix kernel the certifiers build
 on: Kronecker products, the (bilinear, unconjugated) cross product on
-C^3, and a cyclic Jacobi eigensolver for hermitian matrices.  All
-matrices in this package are 2x2, 4x4 or 8x8, where Jacobi is robust,
-deterministic and accurate to machine precision.
+C^3, and the one hermitian eigen kernel: LAPACK (``np.linalg.eigh`` for
+a single matrix, ``np.linalg.eigvalsh`` for a stack) behind a guard that
+rejects non-finite or non-hermitian input on both paths.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.
@@ -80,109 +80,41 @@ def cross_product(u, v) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Return m as a complex array, raising NonHermitianInput if m != m*."""
-    m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    """Return m as a float or complex array, raising NonHermitianInput unless it is hermitian.
+
+    m is one matrix or a stack of shape (..., n, n); every entry must be
+    finite and max |m - m*| over the whole stack at most atol.  Real input
+    stays real, so real symmetric matrices get real eigenvectors.
+    """
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    if not np.all(np.isfinite(m)):
+        raise NonHermitianInput("matrix has non-finite entries")
+    dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))) if m.size else 0.0
     if dev > atol:
         raise NonHermitianInput(f"matrix deviates from hermitian by {dev:.3e}")
     return m
 
 
-def _rotation(apq, app, aqq):
-    """Jacobi rotation (c, s, phase) zeroing a hermitian off-diagonal entry.
-
-    Works elementwise on arrays so the batched sweep can reuse it.  For
-    entries already (numerically) zero the identity rotation is returned.
-    """
-    absb = np.abs(apq)
-    active = absb > 0.0
-    safe = np.where(active, absb, 1.0)
-    phase = np.where(active, apq / safe, 1.0)
-    tau = (np.real(aqq) - np.real(app)) / (2.0 * safe)
-    t = np.where(
-        tau == 0.0,
-        1.0,
-        np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-    )
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    c = np.where(active, c, 1.0)
-    s = np.where(active, s, 0.0)
-    return c, s, phase
+def hermitian_eigh(m: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (matching columns) of a hermitian matrix."""
+    m = require_hermitian(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected one matrix of shape (n, n), got {m.shape}")
+    return np.linalg.eigh(m)
 
 
-def _offdiag_norm(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the off-diagonal part, per matrix in a (..., n, n) stack."""
-    d = np.zeros_like(a)
-    idx = np.arange(a.shape[-1])
-    d[..., idx, idx] = a[..., idx, idx]
-    return np.sqrt(np.sum(np.abs(a - d) ** 2, axis=(-2, -1)))
-
-
-def jacobi_eigh(m: np.ndarray, max_sweeps: int = 100):
-    """Eigendecomposition of a hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (values, vectors) with eigenvalues ascending and eigenvectors
-    in the matching columns.  Converges when the off-diagonal Frobenius
-    norm drops below 1e-14 times the spectral radius estimate.
-    """
-    a = require_hermitian(m).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(a)
-        scale = max(np.max(np.abs(np.diagonal(a).real)), off)
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if np.abs(a[p, q]) <= 1e-300:
-                    continue
-                c, s, ph = _rotation(a[p, q], a[p, p], a[q, q])
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * ph * rq
-                a[q, :] = s * np.conj(ph) * rp + c * rq
-                cp_, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp_ - s * np.conj(ph) * cq
-                a[:, q] = s * ph * cp_ + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(ph) * vq
-                v[:, q] = s * ph * vp + c * vq
-    vals = np.diagonal(a).real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
-def jacobi_eigvalsh_batch(ms: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues (ascending) of a stack of hermitian matrices, shape (N, n, n).
-
-    Cyclic Jacobi with a fixed pivot schedule, applied to all matrices of
-    the batch simultaneously; used by the sampled certification scans.
-    """
-    a = np.array(ms, dtype=complex)
-    n = a.shape[-1]
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(a)
-        scale = np.maximum(np.max(np.abs(a.diagonal(axis1=-2, axis2=-1).real), axis=-1), off)
-        if np.all(off <= 1e-14 * scale):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                c, s, ph = _rotation(a[:, p, q], a[:, p, p], a[:, q, q])
-                c = c[:, None]
-                rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
-                a[:, p, :] = c * rp - (s * ph)[:, None] * rq
-                a[:, q, :] = (s * np.conj(ph))[:, None] * rp + c * rq
-                cp_, cq = a[:, :, p].copy(), a[:, :, q].copy()
-                a[:, :, p] = c * cp_ - (s * np.conj(ph))[:, None] * cq
-                a[:, :, q] = (s * ph)[:, None] * cp_ + c * cq
-    return np.sort(a.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+def hermitian_eigvalsh_batch(ms: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a stack of hermitian matrices, shape (N, n, n)."""
+    ms = require_hermitian(ms)
+    if ms.ndim != 3:
+        raise ValueError(f"expected a stack of shape (N, n, n), got {ms.shape}")
+    return np.linalg.eigvalsh(ms)
 
 
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a hermitian matrix (checked to HERMITICITY_ATOL)."""
-    vals, _ = jacobi_eigh(m)
-    return float(vals[0])
+    return float(hermitian_eigh(m)[0][0])
 
 
 def positivity_2x2(c: PauliCoeffs) -> bool:

@@ -19,8 +19,8 @@ from qqocert import (
     dual_pair_apply,
     fixed_points,
     iterate,
-    jacobi_eigh,
-    jacobi_eigvalsh_batch,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     ks_defect,
     ks_global_check,
     ks_necessary_check,
@@ -76,7 +76,7 @@ def test_criterion_1_positivity_threshold():
 
 
 def test_criterion_2_cp_threshold():
-    vals, _ = jacobi_eigh(choi_matrix(1.0) - np.eye(8))
+    vals, _ = hermitian_eigh(choi_matrix(1.0) - np.eye(8))
     lam = float(np.max(np.abs(vals)))
     target = 3.0 * np.sqrt(3.0)
     check(
@@ -133,7 +133,7 @@ def test_criterion_5_closed_form_spectrum():
     ws = rng.standard_normal((1000, 3))
     ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
     ws = ws * rng.uniform(size=(1000, 1)) ** (1.0 / 3.0)
-    numeric = jacobi_eigvalsh_batch(np.array([b_matrix(w) for w in ws]))
+    numeric = hermitian_eigvalsh_batch(np.array([b_matrix(w) for w in ws]))
     worst = max(
         float(np.max(np.abs(np.sort(spectrum_closed_form(ws[i]).as_array()) - numeric[i])))
         for i in range(1000)

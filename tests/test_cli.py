@@ -171,3 +171,25 @@ def test_output_flag_after_subcommand(tmp_path, capsys):
     code, _, _ = run(["choi", "--epsilon", "0.1", "--output", str(out_path)], capsys)
     assert code == 0
     assert json.loads(out_path.read_text())["is_cp"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "inf", "choi"],
+        ["--epsilon", "nan", "choi"],
+        ["--epsilon=-inf", "certify"],
+        ["--epsilon", "nan", "fixed-points"],
+        ["choi", "--epsilon", "nan"],
+        ["--epsilon", "0.1", "--tol", "nan", "ks"],
+        ["--epsilon", "0.5", "--tol", "inf", "simulate"],
+    ],
+)
+def test_non_finite_floats_exit_2_without_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "finite" in err
+

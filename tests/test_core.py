@@ -20,6 +20,7 @@ from qqocert import (
     tensor_is_symmetric,
     tensor_product,
 )
+from qqocert.core import _spectral_norm_with_vectors
 from qqocert.pauli import ID4, SIGMA
 
 
@@ -129,6 +130,20 @@ def test_beta_matrix_linear_in_f():
 
 
 # ---------------------------------------------------------------- sup norm
+
+
+def test_spectral_norm_with_vectors_matches_svd():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m = rng.standard_normal((3, 3))
+        smax, u, v = _spectral_norm_with_vectors(m)
+        uu, ss, vh = np.linalg.svd(m)
+        assert smax == pytest.approx(ss[0], rel=1e-12)
+        # singular vectors are unique up to a common sign
+        sign = np.sign(np.dot(v, vh[0]))
+        assert np.max(np.abs(v - sign * vh[0])) <= 1e-9
+        assert np.max(np.abs(u - sign * uu[:, 0])) <= 1e-9
+        assert not np.iscomplexobj(u) and not np.iscomplexobj(v)
 
 
 def test_b_norm_sup_zero():

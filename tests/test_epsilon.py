@@ -15,8 +15,8 @@ from qqocert import (
     cp_check,
     delta_apply,
     delta_eps_apply,
-    jacobi_eigh,
-    jacobi_eigvalsh_batch,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     positivity_check,
     spectrum_closed_form,
     tensor_product,
@@ -92,7 +92,7 @@ def test_b_matrix_z_axis_display():
 
 
 def test_b_matrix_eigenvalues_x_axis():
-    vals, _ = jacobi_eigh(b_matrix([1.0, 0.0, 0.0]))
+    vals, _ = hermitian_eigh(b_matrix([1.0, 0.0, 0.0]))
     assert np.allclose(np.sort(vals), [-1, -1, -1, 3], atol=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_spectrum_matches_numeric_bulk():
     ws = rng.standard_normal((1000, 3))
     ws = ws / np.linalg.norm(ws, axis=1, keepdims=True) * rng.uniform(size=(1000, 1))
     mats = np.array([b_matrix(w) for w in ws])
-    numeric = jacobi_eigvalsh_batch(mats)
+    numeric = hermitian_eigvalsh_batch(mats)
     worst = 0.0
     for i in range(1000):
         closed = np.sort(spectrum_closed_form(ws[i]).as_array())
@@ -222,7 +222,7 @@ def test_choi_reconstruction_against_literal():
 
 
 def test_choi_extreme_eigenvalue():
-    vals, _ = jacobi_eigh(CHOI_BLOCK_UNIT)
+    vals, _ = hermitian_eigh(CHOI_BLOCK_UNIT)
     assert np.max(np.abs(vals)) == pytest.approx(3.0 * np.sqrt(3.0), abs=1e-9)
 
 

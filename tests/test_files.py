@@ -80,3 +80,11 @@ def test_report_schema_and_determinism():
     doc = json.loads(b1.getvalue())
     assert doc["schema"] == "v1"
     assert doc["value"] == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_refuses_non_finite_values(bad):
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        dump_report({"value": bad}, buf)
+    assert buf.getvalue() == ""

@@ -16,6 +16,7 @@ from qqocert import (
     min_eigenvalue_hermitian,
     pauli_decompose,
 )
+from qqocert.ks import _w_from_params
 from qqocert.pauli import ID4, SIGMA
 
 from oracles import ABCD_EXACT, ABCD_W
@@ -202,6 +203,18 @@ def test_norm_side_consistency():
 # ---------------------------------------------------------------- global search
 
 
+def test_w_from_params_stacked_matches_rows():
+    # the scan builds all directions in one array expression; the row-by-row
+    # construction the refinement uses is the reference
+    params = np.random.default_rng(13).uniform(-7.0, 7.0, (500, 4))
+    stacked = _w_from_params(params)
+    rows = np.array([_w_from_params(p) for p in params])
+    assert stacked.shape == (500, 3) and rows.shape == (500, 3)
+    assert np.max(np.abs(stacked - rows)) <= 1e-15
+    assert np.max(np.abs(np.linalg.norm(stacked, axis=1) - 1.0)) <= 1e-14
+    assert np.all(stacked[:, 0].imag == 0.0)
+
+
 def test_global_check_zero_tensor_clean():
     assert ks_global_check(np.zeros((3, 3, 3)), 500, 0, 1e-8) is None
 
@@ -221,6 +234,17 @@ def test_global_check_finds_witness_at_one_third():
     # re-evaluating the defect at the witness reproduces the eigenvalue
     re_eval = min_eigenvalue_hermitian(ks_defect(build_coeff_tensor(1.0 / 3.0), wit.w))
     assert abs(re_eval - wit.min_eig) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "eps, expected",
+    [(0.25, -0.183013), (1.0 / 3.0, -0.910684), (0.5, -2.866025)],
+)
+def test_global_check_pins_family_minima(eps, expected):
+    # default budget, as the CLI runs it
+    wit = ks_global_check(build_coeff_tensor(eps))
+    assert wit is not None
+    assert wit.min_eig == pytest.approx(expected, abs=1e-6)
 
 
 def test_global_check_deterministic():

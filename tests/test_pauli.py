@@ -8,8 +8,8 @@ from qqocert import (
     PauliCoeffs,
     b_matrix,
     cross_product,
-    jacobi_eigh,
-    jacobi_eigvalsh_batch,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     min_eigenvalue_hermitian,
     pauli_compose,
     pauli_decompose,
@@ -150,58 +150,93 @@ def test_cross_product_broadcasts():
         assert np.allclose(batch[i], cross_product(us[i], vs[i]))
 
 
-# ---------------------------------------------------------------- jacobi
+# ---------------------------------------------------------------- eigen kernel
 
 
-def test_jacobi_diagonal_examples():
+def test_eigh_diagonal_examples():
     assert min_eigenvalue_hermitian(np.diag([1.0, 2.0, 3.0, 4.0])) == pytest.approx(1.0)
     assert min_eigenvalue_hermitian(np.eye(4)) == pytest.approx(1.0)
 
 
-def test_jacobi_on_closed_form_matrix():
+def test_eigh_on_closed_form_matrix():
     # eigenvalue reaching -3 at w = (-1, 0, 0)
     assert min_eigenvalue_hermitian(b_matrix([-1.0, 0.0, 0.0])) == pytest.approx(
         -3.0, abs=1e-12
     )
 
 
-def test_jacobi_matches_numpy_and_reconstructs():
+def test_eigh_matches_numpy_and_reconstructs():
     rng = np.random.default_rng(5)
     for n in (2, 3, 4, 8):
         for _ in range(40):
             m = rand_hermitian(rng, n)
-            vals, vecs = jacobi_eigh(m)
+            vals, vecs = hermitian_eigh(m)
             assert np.max(np.abs(vals - np.linalg.eigvalsh(m))) <= 1e-11
             rec = (vecs * vals) @ vecs.conj().T
             assert np.max(np.abs(rec - m)) <= 1e-10
 
 
-def test_jacobi_batch_matches_numpy():
+def test_eigvalsh_batch_matches_numpy():
     rng = np.random.default_rng(6)
     for n in (3, 4, 8):
         ms = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
         ms = ms + np.conj(np.swapaxes(ms, 1, 2))
-        got = jacobi_eigvalsh_batch(ms)
+        got = hermitian_eigvalsh_batch(ms)
         ref = np.linalg.eigvalsh(ms)
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
-def test_jacobi_deterministic():
+def test_eigh_deterministic():
     rng = np.random.default_rng(7)
     m = rand_hermitian(rng, 4)
-    v1, _ = jacobi_eigh(m)
-    v2, _ = jacobi_eigh(m)
+    v1, _ = hermitian_eigh(m)
+    v2, _ = hermitian_eigh(m)
     assert np.array_equal(v1, v2)
 
 
-def test_jacobi_rejects_non_hermitian():
+def test_eigh_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_jacobi_zero_matrix():
-    vals, _ = jacobi_eigh(np.zeros((4, 4)))
+def test_eigh_zero_matrix():
+    vals, _ = hermitian_eigh(np.zeros((4, 4)))
     assert np.allclose(vals, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_kernel_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigh(m)
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigvalsh_batch(np.stack([np.eye(4), m]))
+
+
+def test_eigvalsh_batch_rejects_one_non_hermitian_matrix():
+    rng = np.random.default_rng(9)
+    ms = np.array([rand_hermitian(rng, 4) for _ in range(50)])
+    hermitian_eigvalsh_batch(ms)
+    # LAPACK reads one triangle only; the guard must still see the other
+    ms[37, 0, 3] += 1e-9
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigvalsh_batch(ms)
+
+
+def test_eigen_kernel_rejects_wrong_rank():
+    with pytest.raises(ValueError):
+        hermitian_eigh(np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError):
+        hermitian_eigvalsh_batch(np.eye(4))
+
+
+def test_eigh_real_symmetric_input_gives_real_vectors():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((3, 3))
+    vals, vecs = hermitian_eigh(a.T @ a)
+    assert not np.iscomplexobj(vals) and not np.iscomplexobj(vecs)
+    assert np.allclose(a.T @ a @ vecs, vecs * vals, atol=1e-12)
 
 
 # ---------------------------------------------------------------- 2x2 positivity
