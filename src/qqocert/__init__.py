@@ -58,6 +58,7 @@ from .ks import (
     KSWitness,
     ks_auxiliaries,
     ks_defect,
+    ks_form,
     ks_global_check,
     ks_necessary_check,
 )

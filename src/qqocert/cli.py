@@ -42,7 +42,10 @@ def _parse_init(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--init expects three comma-separated numbers")
-    return np.array([float(p) for p in parts])
+    f0 = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(f0)):
+        raise ValueError(f"--init must be three finite numbers, got {text!r}")
+    return f0
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -203,6 +206,8 @@ def _cmd_simulate(args) -> int:
     if args.epsilon is None:
         raise ValueError("simulate requires --epsilon")
     steps = args.steps if args.steps is not None else dynamics.DEFAULT_MAX_STEPS
+    if steps < 0:
+        raise ValueError("--steps must be >= 0")
     tol = args.tol if args.tol is not None else dynamics.DEFAULT_CONV_TOL
     f0 = _parse_init(args.init) if args.init is not None else np.array([0.6, 0.0, 0.0])
     traj = dynamics.iterate(args.epsilon, f0, steps, tol)

@@ -37,9 +37,10 @@ class DomainError(ValueError):
 
 def _check_eps_domain(eps: float) -> float:
     e = float(eps)
-    if abs(e) > PRESERVATION_THRESHOLD + _EPS_DOMAIN_SLACK:
+    # written as "not <=" so that NaN fails the test
+    if not abs(e) <= PRESERVATION_THRESHOLD + _EPS_DOMAIN_SLACK:
         raise DomainError(
-            f"|eps| = {abs(e):.6f} exceeds 1/sqrt(3); the map may leave the ball"
+            f"|eps| = {abs(e):.6f} is not within 1/sqrt(3); the map may leave the ball"
         )
     return e
 
@@ -91,7 +92,7 @@ def iterate(
     """
     e = _check_eps_domain(eps)
     f = np.asarray(f0, dtype=float).reshape(3).copy()
-    if np.linalg.norm(f) > 1.0 + _EPS_DOMAIN_SLACK:
+    if not np.linalg.norm(f) <= 1.0 + _EPS_DOMAIN_SLACK:
         raise DomainError("initial point lies outside the Bloch ball")
     steps: List[Tuple[int, np.ndarray, float]] = [(0, f.copy(), float(np.dot(f, f)))]
     converged = np.linalg.norm(f) < tol

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,3 +195,27 @@ def test_non_finite_floats_exit_2_without_output(argv, capsys):
     assert out == ""
     assert "finite" in err
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "0.5", "--init", "nan,0,0", "simulate"],
+        ["--epsilon", "0.5", "--init", "0,inf,0", "simulate"],
+        ["--epsilon", "0.5", "--init", "0,0,-inf", "simulate"],
+        ["--epsilon", "0.5", "--steps", "-1", "simulate"],
+    ],
+)
+def test_simulate_bad_init_or_steps_exit_2_without_output(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_runtime_does_not_import_scipy():
+    probe = "import sys, qqocert, qqocert.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

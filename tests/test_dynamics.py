@@ -74,6 +74,17 @@ def test_v_eps_domain_error():
     v_eps_apply(CRIT, [0.1, 0.2, 0.3])  # boundary is accepted
 
 
+def test_nan_inputs_raise_domain_error():
+    with pytest.raises(DomainError):
+        v_eps_apply(float("nan"), [0, 0, 0])
+    with pytest.raises(DomainError):
+        iterate(float("nan"), [0.1, 0, 0])
+    with pytest.raises(DomainError):
+        iterate(0.5, [float("nan"), 0, 0])
+    with pytest.raises(DomainError):
+        iterate(0.5, [0, float("inf"), 0])
+
+
 # ---------------------------------------------------------------- contraction
 
 

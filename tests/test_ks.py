@@ -11,12 +11,13 @@ from qqocert import (
     delta_apply,
     ks_auxiliaries,
     ks_defect,
+    ks_form,
     ks_global_check,
     ks_necessary_check,
     min_eigenvalue_hermitian,
     pauli_decompose,
 )
-from qqocert.ks import _w_from_params
+from qqocert.ks import KS_DESCENT_CAP, _descend, _scan_directions, _tables
 from qqocert.pauli import ID4, SIGMA
 
 from oracles import ABCD_EXACT, ABCD_W
@@ -112,6 +113,44 @@ def test_defect_psd_at_cp_coupling():
         assert min_eigenvalue_hermitian(ks_defect(b, w)) >= -1e-9
 
 
+# ---------------------------------------------------------------- form
+
+
+def test_form_matches_direct_defect():
+    # both readings of M: the quadratic form on w x psi and the (9, 16)
+    # table of blocks contracted with conj(w) x w
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(1000):
+        b = rand_tensor(rng)
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        m = ks_form(b)
+        direct = defect_direct(b, w)
+        v = np.kron(w, psi)
+        worst = max(worst, abs(np.conj(v) @ m @ v - np.conj(psi) @ direct @ psi))
+        table = m.reshape(3, 4, 3, 4).transpose(0, 2, 1, 3).reshape(9, 16)
+        via_table = (np.kron(np.conj(w), w) @ table).reshape(4, 4)
+        worst = max(worst, np.max(np.abs(via_table - direct)))
+    assert worst <= 1e-12
+
+
+def test_form_hermitian():
+    rng = np.random.default_rng(13)
+    for scale in (0.1, 1.0, 10.0):
+        for _ in range(20):
+            m = ks_form(rand_tensor(rng, scale))
+            assert m.shape == (12, 12)
+            assert np.array_equal(m, m.conj().T)
+
+
+def test_form_psd_exactly_up_to_cp_threshold():
+    cp = 1.0 / (3.0 * np.sqrt(3.0))
+    assert np.linalg.eigvalsh(ks_form(build_coeff_tensor(cp)))[0] >= -1e-12
+    assert np.linalg.eigvalsh(ks_form(build_coeff_tensor(cp + 1e-6)))[0] < -1e-7
+
+
 # ---------------------------------------------------------------- auxiliaries
 
 
@@ -203,16 +242,62 @@ def test_norm_side_consistency():
 # ---------------------------------------------------------------- global search
 
 
-def test_w_from_params_stacked_matches_rows():
-    # the scan builds all directions in one array expression; the row-by-row
-    # construction the refinement uses is the reference
-    params = np.random.default_rng(13).uniform(-7.0, 7.0, (500, 4))
-    stacked = _w_from_params(params)
-    rows = np.array([_w_from_params(p) for p in params])
-    assert stacked.shape == (500, 3) and rows.shape == (500, 3)
-    assert np.max(np.abs(stacked - rows)) <= 1e-15
-    assert np.max(np.abs(np.linalg.norm(stacked, axis=1) - 1.0)) <= 1e-14
-    assert np.all(stacked[:, 0].imag == 0.0)
+def test_scan_directions_unit_and_seeded():
+    a = _scan_directions(2000, 3)
+    assert a.shape == (2000, 3) and a.dtype == complex
+    assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) <= 1e-14
+    assert np.array_equal(a, _scan_directions(2000, 3))
+    assert not np.allclose(a, _scan_directions(2000, 4))
+
+
+def test_global_check_refines_below_scan():
+    b = rand_tensor(np.random.default_rng(14), scale=0.7)
+    samples = 2000
+    ws = _scan_directions(samples, 0)
+    scan = min(min_eigenvalue_hermitian(ks_defect(b, w)) for w in ws)
+    wit = ks_global_check(b, samples, 0, 1e-8)
+    assert wit is not None
+    assert wit.min_eig <= scan
+
+
+def test_global_check_witness_normalized_and_reevaluates():
+    b = rand_tensor(np.random.default_rng(15), scale=0.7)
+    wit = ks_global_check(b, 2000, 0, 1e-8)
+    assert wit is not None
+    assert abs(np.linalg.norm(wit.w) - 1.0) <= 1e-12
+    top = np.argmax(np.abs(wit.w))
+    assert wit.w[top].imag == 0.0 and wit.w[top].real > 0.0
+    assert abs(min_eigenvalue_hermitian(ks_defect(b, wit.w)) - wit.min_eig) <= 1e-12
+    # independent oracle, not the form
+    assert abs(np.linalg.eigvalsh(defect_direct(b, wit.w))[0] - wit.min_eig) <= 1e-10
+
+
+def test_descent_never_rises_and_stops_before_cap():
+    b = rand_tensor(np.random.default_rng(16), scale=0.7)
+    w_table, psi_table = _tables(ks_form(b))
+    for w0 in _scan_directions(20, 1):
+        start = min_eigenvalue_hermitian(ks_defect(b, w0))
+        w, val, rounds = _descend(w_table, psi_table, w0)
+        assert val <= start
+        assert rounds < KS_DESCENT_CAP
+        assert abs(min_eigenvalue_hermitian(ks_defect(b, w)) - val) <= 1e-12
+
+
+def test_global_check_near_ks_boundary():
+    # just above the family's KS boundary (about 0.22539) the violation is tiny
+    wit = ks_global_check(build_coeff_tensor(0.2254))
+    assert wit is not None
+    assert wit.min_eig == pytest.approx(-6.6172026e-05, abs=1e-10)
+
+
+def test_global_check_large_tensor_stays_hermitian():
+    # entries of size 10 put |M| in the thousands; the guarded kernel must
+    # still accept every defect the search builds
+    b = rand_tensor(np.random.default_rng(17), scale=10.0)
+    wit = ks_global_check(b, 2000, 0, 1e-8)
+    assert wit is not None
+    re_eval = min_eigenvalue_hermitian(ks_defect(b, wit.w))
+    assert abs(re_eval - wit.min_eig) <= 1e-12 * abs(wit.min_eig)
 
 
 def test_global_check_zero_tensor_clean():
