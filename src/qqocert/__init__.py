@@ -20,17 +20,18 @@ from .pauli import (
 )
 from .core import (
     DEFAULT_SAMPLES,
+    CpReport,
     PositivityReport,
     PreservationReport,
     as_coeff_tensor,
-    b_norm_sup,
     beta_matrix,
     choi_matrix_from_tensor,
+    cp_check,
     delta_apply,
     delta_sigma_images,
     dual_pair_apply,
-    haar_unital_check,
     sampled_positivity_check,
+    scan_then_refine,
     state_preservation_check,
     tensor_is_symmetric,
 )
@@ -38,14 +39,11 @@ from .epsilon import (
     CP_THRESHOLD,
     POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
-    CpReport,
     NonRealInput,
     SpectrumB,
     b_matrix,
     build_coeff_tensor,
-    choi_matrix,
     classify_epsilon,
-    cp_check,
     delta_eps_apply,
     positivity_check,
     spectrum_closed_form,

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import core, dynamics, epsilon, files, ks
-from .pauli import POSITIVITY_EIG_TOL, hermitian_eigh
 
 
 def _complex_list(values) -> dict:
@@ -100,6 +99,12 @@ def _input_block(args) -> dict:
     return {"tensor": args.tensor}
 
 
+def _witness_block(witness) -> dict:
+    if witness is None:
+        return {"found": False}
+    return {"found": True, "min_eig": witness.min_eig, "w": _complex_list(witness.w)}
+
+
 def _emit(args, report: dict) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -117,13 +122,9 @@ def _cmd_certify(args) -> int:
     pres = core.state_preservation_check(b, samples, args.seed)
     if eps is not None:
         pos = epsilon.positivity_check(eps, samples, args.seed)
-        cp = epsilon.cp_check(eps)
     else:
         pos = core.sampled_positivity_check(b, samples, args.seed)
-        vals, _ = hermitian_eigh(core.choi_matrix_from_tensor(b))
-        cp = epsilon.CpReport(
-            is_cp=bool(vals[0] >= -POSITIVITY_EIG_TOL), min_choi_eig=float(vals[0])
-        )
+    cp = core.cp_check(b)
     witness = ks.ks_global_check(b, ks_samples, args.seed, ks_tol)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
@@ -144,11 +145,7 @@ def _cmd_certify(args) -> int:
             "worst_w": _float_list(pos.worst_w),
         },
         "complete_positivity": {"is_cp": cp.is_cp, "min_choi_eig": cp.min_choi_eig},
-        "ks_violation": (
-            {"found": True, "min_eig": witness.min_eig, "w": _complex_list(witness.w)}
-            if witness is not None
-            else {"found": False}
-        ),
+        "ks_violation": _witness_block(witness),
         "all_pass": bool(all_pass),
     }
     _emit(args, report)
@@ -175,31 +172,24 @@ def _cmd_ks(args) -> int:
         "lhs2": nec.lhs2,
         "rhs2": nec.rhs2,
         "abcd": list(nec.abcd),
-        "witness": (
-            {"found": True, "min_eig": witness.min_eig, "w": _complex_list(witness.w)}
-            if witness is not None
-            else {"found": False}
-        ),
+        "witness": _witness_block(witness),
     }
     _emit(args, report)
     return 1 if witness is not None else 0
 
 
 def _cmd_choi(args) -> int:
-    b, eps = _resolve_tensor(args)
-    mat = epsilon.choi_matrix(eps) if eps is not None else core.choi_matrix_from_tensor(b)
-    vals, _ = hermitian_eigh(mat)
-    is_cp = bool(vals[0] >= -POSITIVITY_EIG_TOL)
+    cp = core.cp_check(_resolve_tensor(args)[0])
     report = {
         "command": "choi",
         "input": _input_block(args),
-        "eigenvalues": _float_list(vals),
-        "min_eig": float(vals[0]),
-        "max_abs_eig": float(np.max(np.abs(vals))),
-        "is_cp": is_cp,
+        "eigenvalues": _float_list(cp.eigenvalues),
+        "min_eig": cp.min_choi_eig,
+        "max_abs_eig": float(np.max(np.abs(cp.eigenvalues))),
+        "is_cp": cp.is_cp,
     }
     _emit(args, report)
-    return 0 if is_cp else 1
+    return 0 if cp.is_cp else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -252,7 +242,7 @@ def _cmd_sweep(args) -> int:
         e = float(e)
         b = epsilon.build_coeff_tensor(e)
         pos = epsilon.positivity_check(e, samples, args.seed)
-        cp = epsilon.cp_check(e)
+        cp = core.cp_check(b)
         witness = ks.ks_global_check(b, samples, args.seed, ks.KS_DEFAULT_TOL)
         rows.append(
             {

@@ -6,10 +6,12 @@ real numbers b[m][l][k]:
 
     Delta(w0*1 + w.sigma) = w0*(1 x 1) + sum_{m,l} (sum_i b[m][l][i] w_i) sigma_m x sigma_l
 
-This module evaluates that map, its dual action on product states, the
-3x3 matrix field beta(f) that governs whether the induced quadratic
-dynamics stays on the state space, and the sampled certificates built
-from them.
+This module evaluates that map, its dual action on product states and
+the 3x3 matrix field beta(f), and builds every certificate on shared
+pieces: one scan-then-refine loop (a batch scan, then an exact
+monotone step repeated from the eight best points), one tensor-norm
+routine (state_preservation_check, the injective norm of the dual
+action) and one complete-positivity check on the Choi matrix.
 """
 
 from __future__ import annotations
@@ -19,19 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    ID2,
     ID4,
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
     hermitian_eigh,
     hermitian_eigvalsh_batch,
+    pauli_decompose,
     tensor_product,
 )
 from .sampling import fibonacci_sphere
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
+# scan_then_refine: starts refined, relative stop, round cap
+REFINE_STARTS = 8
+REFINE_RTOL = 1e-15
+REFINE_CAP = 1000
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
@@ -95,49 +101,43 @@ def dual_pair_apply(b, f, p) -> np.ndarray:
 
 
 def _spectral_norm_with_vectors(m: np.ndarray):
-    """Largest singular value of a real 3x3 matrix with its singular pair (u, v)."""
-    g = m.T @ m
-    vals, vecs = hermitian_eigh(g)
-    sigma2 = max(vals[-1], 0.0)
-    v = vecs[:, -1].real
-    smax = float(np.sqrt(sigma2))
-    u = m @ v / smax if smax > 0 else np.array([1.0, 0.0, 0.0])
-    return smax, u, v
+    """Largest singular value of a real 3x3 matrix with its right singular vector v."""
+    vals, vecs = hermitian_eigh(m.T @ m)
+    return float(np.sqrt(max(vals[-1], 0.0))), vecs[:, -1]
 
 
-def b_norm_sup(b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> float:
-    """Sup over the unit ball of the spectral norm of beta(f).
+def scan_then_refine(points, values, step, cap: int = REFINE_CAP) -> tuple:
+    """Minimize from the best scanned points by repeating an exact monotone step.
 
-    beta is linear in f, so the sup lives on the unit sphere.  The scan
-    samples a seeded Fibonacci lattice, then refines the best eight
-    candidates by block-coordinate ascent on the underlying trilinear
-    form (monotone, converges to a critical point of the norm).
-    Deterministic for a fixed seed; a lower bound by construction.
+    values[i] is the batch value of points[i]; maximizers pass negated
+    values.  The REFINE_STARTS lowest (stable argsort, so ties keep scan
+    order) each start a descent over states (point, carry).  The carry
+    is None at a scanned point and may hold what the next round needs,
+    such as an eigenvector; step maps a state to the next one and its
+    value.  A round that would raise the value is discarded, and a
+    descent stops when a round lowers it by at most REFINE_RTOL relative
+    or after cap rounds.  Returns (best value, best point, the most
+    rounds any start used).  This is the one place an empty scan is
+    rejected.
     """
-    arr = as_coeff_tensor(b)
-    if samples < 1:
+    values = np.asarray(values)
+    if values.size < 1:
         raise ValueError("samples must be >= 1")
-    pts = fibonacci_sphere(samples, seed)
-    betas = np.einsum("kij,nk->nij", arr, pts)
-    grams = np.einsum("nji,njk->nik", betas, betas)
-    norms = np.sqrt(np.maximum(hermitian_eigvalsh_batch(grams)[:, -1], 0.0))
-    order = np.argsort(-norms, kind="stable")[: min(8, samples)]
-    best = float(norms[order[0]])
+    order = np.argsort(values, kind="stable")[:REFINE_STARTS]
+    best_val, best_x, most = float(values[order[0]]), points[order[0]], 0
     for idx in order:
-        f = pts[idx]
-        val, u, v = _spectral_norm_with_vectors(beta_matrix(arr, f))
-        # Exact block-coordinate ascent on the trilinear form u . beta(f) v:
-        # for fixed (u, v) the optimal unit f is the normalized gradient,
-        # so each round is an ascent step with optimal step length.
-        for _ in range(200):
-            grad = np.einsum("kij,i,j->k", arr, u, v)
-            gn = np.linalg.norm(grad)
-            if gn <= val * (1.0 + 1e-15):
+        state, val = (points[idx], None), float(values[idx])
+        for rounds in range(1, cap + 1):
+            new_state, new = step(state)
+            fall = val - new
+            if fall > 0:
+                state, val = new_state, float(new)
+            if fall <= REFINE_RTOL * abs(val):
                 break
-            f = grad / gn
-            val, u, v = _spectral_norm_with_vectors(beta_matrix(arr, f))
-        best = max(best, val)
-    return best
+        most = max(most, rounds)
+        if val < best_val:
+            best_val, best_x = val, state[0]
+    return best_val, best_x, most
 
 
 @dataclass
@@ -150,72 +150,49 @@ class PreservationReport:
     passes: bool
 
 
+def _norm_step(arr: np.ndarray):
+    """One round of alternating singular-vector ascent on |b(f, p, .)|, negated.
+
+    p becomes the leading right-singular vector of N(f), then f that of
+    N'(p), where b(f, p, .) = N(f) p = N'(p) f; each half-step picks the
+    best partner for the other, so the norm never falls.  No carry.
+    """
+
+    def step(state):
+        _, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, state[0]))
+        val, f = _spectral_norm_with_vectors(np.einsum("ijk,j->ki", arr, p))
+        return (f, None), -val
+
+    return step
+
+
 def state_preservation_check(
     b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PreservationReport:
-    """Max over sampled state pairs (f, p) of the dual image norm.
+    """Injective norm of the dual action: the max of |b(f, p, .)| over unit f and p.
 
-    The dual image is bilinear, so for each sampled f the worst p is the
-    leading right-singular vector of the induced 3x3 matrix; the top
-    candidates are polished by alternating that step in f and p.  The
-    certificate passes iff the maximum stays within 1 + 1e-9.
+    This is the package's one tensor-norm routine.  The dual image
+    b(f, p, .)_k = sum_ij b[i][j][k] f_i p_j is bilinear, so for each f of
+    a Fibonacci scan the worst p is the leading right-singular vector of
+    N(f); the best candidates are refined by alternating that step in f
+    and p (the higher-order power method), and the norm is re-evaluated
+    at the final pair.  The certificate passes iff the maximum stays
+    within 1 + 1e-9.
     """
     arr = as_coeff_tensor(b)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     pts = fibonacci_sphere(samples, seed)
-    # out = N(f) p with N(f)[k, j] = sum_i b[i][j][k] f_i
+    # b(f, p, .) = N(f) p with N(f)[k, j] = sum_i b[i][j][k] f_i
     mats = np.einsum("ijk,ni->nkj", arr, pts)
     grams = np.einsum("nkj,nkl->njl", mats, mats)
     norms = np.sqrt(np.maximum(hermitian_eigvalsh_batch(grams)[:, -1], 0.0))
-    order = np.argsort(-norms, kind="stable")[: min(8, samples)]
-
-    best = -1.0
-    best_f = pts[order[0]].copy()
-    best_p = np.array([1.0, 0.0, 0.0])
-    for idx in order:
-        f = pts[idx]
-        p = np.array([1.0, 0.0, 0.0])
-        val = -1.0
-        # alternation is exact block ascent: each half-step picks the
-        # optimal partner vector for the current one
-        for _ in range(200):
-            _, _, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
-            new, _, f = _spectral_norm_with_vectors(np.einsum("ijk,j->ki", arr, p))
-            if new <= val * (1.0 + 1e-15):
-                val = max(val, new)
-                break
-            val = new
-        if val > best:
-            best = val
-            best_f, best_p = f.copy(), p.copy()
+    _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
+    max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
     return PreservationReport(
-        max_norm=float(best),
-        witness_f=best_f,
-        witness_p=best_p,
-        passes=bool(best <= 1.0 + 1e-9),
+        max_norm=max_norm,
+        witness_f=np.array(f),
+        witness_p=p,
+        passes=bool(max_norm <= 1.0 + 1e-9),
     )
-
-
-def haar_unital_check(b, atol: float = 1e-13) -> bool:
-    """Both partial normalized traces of every basis image equal tau(x) * I2.
-
-    Structurally true for any real tensor because the Pauli pairs are
-    traceless in each slot; kept as a regression test of the assembled
-    matrices.
-    """
-    arr = as_coeff_tensor(b)
-    basis = [PauliCoeffs(1.0, np.zeros(3))] + [
-        PauliCoeffs(0.0, np.eye(3)[k]) for k in range(3)
-    ]
-    for x in basis:
-        m = delta_apply(arr, x).reshape(2, 2, 2, 2)
-        left = 0.5 * np.einsum("ikil->kl", m)
-        right = 0.5 * np.einsum("ikjk->ij", m)
-        target = x.w0 * ID2  # tau(x) = w0
-        if np.max(np.abs(left - target)) > atol or np.max(np.abs(right - target)) > atol:
-            return False
-    return True
 
 
 @dataclass
@@ -227,6 +204,43 @@ class PositivityReport:
     margin: float
 
 
+def eigen_descent_step(matrix_of, update):
+    """A scan_then_refine step that alternates a point w and an eigenvector psi.
+
+    psi (the carry) is the lowest eigenvector of the hermitian
+    matrix_of(w); update(psi) returns a unit w minimizing
+    <psi, matrix_of(w) psi>, so lambda_min(matrix_of(w)) never rises.
+    The new point's psi is kept, so a round costs one eigensolve plus
+    whatever update needs.
+    """
+
+    def lowest(w):
+        vals, vecs = hermitian_eigh(matrix_of(w))
+        return vals[0], vecs[:, 0]
+
+    def step(state):
+        w, psi = state
+        if psi is None:
+            psi = lowest(w)[1]
+        w = update(psi)
+        val, psi = lowest(w)
+        return (w, psi), val
+
+    return step
+
+
+def _positivity_step(ds: np.ndarray):
+    """Exact descent on <psi, (1 + w.Dsigma) psi>: w = -g/|g| with g_k = <psi, Dsigma_k psi>."""
+
+    def update(psi):
+        g = np.real(np.einsum("a,kab,b->k", np.conj(psi), ds, psi))
+        gn = np.linalg.norm(g)
+        # g = 0 makes every unit w a minimizer
+        return -g / gn if gn > 0.0 else np.array([1.0, 0.0, 0.0])
+
+    return eigen_descent_step(lambda w: ID4 + np.einsum("k,kab->ab", w, ds), update)
+
+
 def sampled_positivity_check(
     b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PositivityReport:
@@ -234,58 +248,40 @@ def sampled_positivity_check(
 
     Positivity on rank-one projectors is enough by convexity, and scaling
     reduces those to w0 = 1 with a real unit w.  The margin is the
-    smallest eigenvalue of the image over the scan, refined by projected
-    gradient descent from the worst candidates.
+    smallest eigenvalue of the image over a Fibonacci scan, refined by
+    exact alternating descent from the worst candidates.
     """
-    arr = as_coeff_tensor(b)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ds = delta_sigma_images(arr)
+    ds = delta_sigma_images(as_coeff_tensor(b))
     pts = fibonacci_sphere(samples, seed)
-    mats = ID4[None, :, :] + np.einsum("nk,kab->nab", pts, ds)
-    vals = hermitian_eigvalsh_batch(mats)[:, 0]
-    order = np.argsort(vals, kind="stable")[: min(8, samples)]
-
-    worst = float(vals[order[0]])
-    worst_w = pts[order[0]].copy()
-    for idx in order:
-        w = pts[idx]
-        step = 0.1
-        for _ in range(50):
-            evals, evecs = hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, ds))
-            cur = evals[0]
-            vec = evecs[:, 0]
-            grad = np.array([np.real(vec.conj() @ ds[k] @ vec) for k in range(3)])
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                break
-            cand = w - step * grad / gn
-            cand /= np.linalg.norm(cand)
-            new_vals, _ = hermitian_eigh(ID4 + np.einsum("k,kab->ab", cand, ds))
-            if new_vals[0] < cur:
-                w = cand
-                cur = new_vals[0]
-            else:
-                step *= 0.5
-        if cur < worst:
-            worst = float(cur)
-            worst_w = w.copy()
+    vals = hermitian_eigvalsh_batch(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
+    margin, w, _ = scan_then_refine(pts, vals, _positivity_step(ds))
     return PositivityReport(
-        is_positive=bool(worst >= -POSITIVITY_EIG_TOL),
-        worst_w=worst_w,
-        margin=worst,
+        is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
+        worst_w=np.array(w),
+        margin=margin,
     )
 
 
 def choi_matrix_from_tensor(b) -> np.ndarray:
     """Twice the block matrix [Delta(e_ij)] over the 2x2 matrix units, shape (8, 8)."""
     arr = as_coeff_tensor(b)
-    out = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            w0 = np.trace(eij) / 2.0
-            w = np.array([np.trace(SIGMA[k] @ eij) / 2.0 for k in range(3)])
-            out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = delta_apply(arr, PauliCoeffs(w0, w))
-    return 2.0 * out
+    units = np.eye(4).reshape(2, 2, 2, 2)  # units[i, j] is e_ij
+    blocks = [[delta_apply(arr, pauli_decompose(units[i, j])) for j in range(2)] for i in range(2)]
+    return 2.0 * np.block(blocks)
+
+
+@dataclass
+class CpReport:
+    """Outcome of the complete-positivity certificate, with the ascending Choi spectrum."""
+
+    is_cp: bool
+    min_choi_eig: float
+    eigenvalues: np.ndarray
+
+
+def cp_check(b) -> CpReport:
+    """Complete positivity iff the 8x8 Choi block matrix is positive semidefinite."""
+    vals, _ = hermitian_eigh(choi_matrix_from_tensor(b))
+    return CpReport(
+        is_cp=bool(vals[0] >= -POSITIVITY_EIG_TOL), min_choi_eig=float(vals[0]), eigenvalues=vals
+    )

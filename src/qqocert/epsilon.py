@@ -19,7 +19,6 @@ from .pauli import (
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
-    hermitian_eigh,
     tensor_product,
 )
 from .sampling import fibonacci_sphere
@@ -149,40 +148,21 @@ def positivity_check(
     """Worst eigenvalue of 1 + eps*B(w) over the unit ball, via the closed forms.
 
     On the unit sphere all four eigenvalue branches are functions of
-    t = w1+w2+w3 alone, so the sampled scan is followed by a 1-d golden
-    section polish in t.  Positive iff the margin stays above the shared
-    eigenvalue tolerance.
+    t = w1+w2+w3 alone.  The branches t +/- sqrt(2(3 - t^2)) reach +/-3 at
+    t = +/-1 and -t reaches its extremes at the ends t = +/-sqrt(3), so
+    these four points hold the exact minimizer; they are compared with
+    the best t of the sampled scan.  Positive iff the margin stays above
+    the shared eigenvalue tolerance.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     e = float(eps)
 
     def objective_t(t):
         l1, l2, l3 = _sphere_lambdas(np.asarray(t, dtype=float))
         return np.minimum(np.minimum(1.0 + e * l1, 1.0 + e * l2), 1.0 + e * l3)
 
-    pts = fibonacci_sphere(samples, seed)
-    tvals = pts.sum(axis=1)
-    vals = objective_t(tvals)
-    i0 = int(np.argmin(vals))
-    best_t = float(tvals[i0])
-
+    tvals = fibonacci_sphere(samples, seed).sum(axis=1)
     span = np.sqrt(3.0)
-    lo = max(-span, best_t - 0.2)
-    hi = min(span, best_t + 0.2)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    for _ in range(120):
-        if objective_t(c) < objective_t(d):
-            b = d
-        else:
-            a = c
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-    t_star = (a + b) / 2.0
-    candidates = [float(tvals[i0]), float(t_star), -1.0, 1.0, -span, span]
+    candidates = [float(tvals[np.argmin(objective_t(tvals))]), -1.0, 1.0, -span, span]
     t_best = min(candidates, key=lambda t: float(objective_t(t)))
     margin = float(objective_t(t_best))
     return PositivityReport(
@@ -190,32 +170,3 @@ def positivity_check(
         worst_w=_witness_from_t(t_best),
         margin=margin,
     )
-
-
-def choi_matrix(eps: float) -> np.ndarray:
-    """Twice the block matrix of family images of the 2x2 matrix units, shape (8, 8)."""
-    out = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            w0 = np.trace(eij) / 2.0
-            w = np.array([np.trace(SIGMA[k] @ eij) / 2.0 for k in range(3)])
-            out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = delta_eps_apply(
-                eps, PauliCoeffs(w0, w)
-            )
-    return 2.0 * out
-
-
-@dataclass
-class CpReport:
-    """Outcome of the complete-positivity certificate."""
-
-    is_cp: bool
-    min_choi_eig: float
-
-
-def cp_check(eps: float) -> CpReport:
-    """Complete positivity iff the assembled 8x8 block matrix is positive."""
-    vals, _ = hermitian_eigh(choi_matrix(eps))
-    return CpReport(is_cp=bool(vals[0] >= -POSITIVITY_EIG_TOL), min_choi_eig=float(vals[0]))

@@ -36,16 +36,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_coeff_tensor, beta_matrix, delta_sigma_images
+from .core import (
+    as_coeff_tensor,
+    beta_matrix,
+    delta_sigma_images,
+    eigen_descent_step,
+    scan_then_refine,
+)
 from .pauli import ID4, cross_product, hermitian_eigh, hermitian_eigvalsh_batch
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
 KS_COND_TOL = 1e-12
-# the descent stops once a round lowers the value by no more than this
-# fraction of it, or after KS_DESCENT_CAP rounds
-KS_DESCENT_RTOL = 1e-15
-KS_DESCENT_CAP = 1000
 
 # cyclic index map: PI[m], PI[m+1] pair the three conditions
 PI = (1, 2, 0, 1)
@@ -148,25 +150,12 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _descend(w_table: np.ndarray, psi_table: np.ndarray, w: np.ndarray) -> tuple:
-    """Alternating eigen-descent from w; returns (w, lambda_min(defect(w)), rounds).
-
-    Each round sets psi to the lowest eigenvector of defect(w), then w to
-    the lowest eigenvector of T(psi).  The value never rises; the loop
-    stops when a round lowers it by at most KS_DESCENT_RTOL relative, or
-    after KS_DESCENT_CAP rounds.
-    """
-    vals, vecs = hermitian_eigh(_contract(w_table, w))
-    val = vals[0]
-    for rounds in range(1, KS_DESCENT_CAP + 1):
-        w_new = hermitian_eigh(_contract(psi_table, vecs[:, 0]))[1][:, 0]
-        new_vals, new_vecs = hermitian_eigh(_contract(w_table, w_new))
-        fall = val - new_vals[0]
-        if fall > 0:
-            w, val, vecs = w_new, new_vals[0], new_vecs
-        if fall <= KS_DESCENT_RTOL * abs(val):
-            break
-    return w, float(val), rounds
+def _descent_step(w_table: np.ndarray, psi_table: np.ndarray):
+    """Alternating eigen-descent on the form: w becomes the lowest eigenvector of T(psi)."""
+    return eigen_descent_step(
+        lambda w: _contract(w_table, w),
+        lambda psi: hermitian_eigh(_contract(psi_table, psi))[1][:, 0],
+    )
 
 
 def ks_global_check(
@@ -180,31 +169,20 @@ def ks_global_check(
     Scans `samples` normalized complex Gaussian directions drawn from
     np.random.default_rng(seed): all defects come from one (N, 9) @ (9, 16)
     product with the blocks of ks_form and go through one guarded batch
-    eigensolve.  The eight most negative candidates are then polished by
-    exact alternating eigen-descent on the form (see the module
-    docstring).  The witness has its largest-modulus component real and
+    eigensolve.  scan_then_refine then polishes the eight most negative
+    candidates by exact alternating eigen-descent on the form (see the
+    module docstring).  The witness has its largest-modulus component real and
     positive, and min_eig is lambda_min of the defect re-evaluated there.
     Returns the worst witness found (min eigenvalue below -tol) or None;
     absence of a witness at finite budget is not a proof.  Deterministic
     for a fixed seed.
     """
-    arr = as_coeff_tensor(b)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    w_table, psi_table = _tables(ks_form(arr))
-
+    w_table, psi_table = _tables(ks_form(b))
     ws = _scan_directions(samples, seed)
     vals = hermitian_eigvalsh_batch(_contract(w_table, ws))[:, 0]
-    order = np.argsort(vals, kind="stable")[: min(8, samples)]
-
-    best_val = float(vals[order[0]])
-    best_w = ws[order[0]]
-    for idx in order:
-        w, val, _ = _descend(w_table, psi_table, ws[idx])
-        if val < best_val:
-            best_val, best_w = val, w
+    _, best_w, _ = scan_then_refine(ws, vals, _descent_step(w_table, psi_table))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
     best_val = float(hermitian_eigh(_contract(w_table, best_w))[0][0])

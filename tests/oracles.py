@@ -1,8 +1,31 @@
-"""Literal expected values used as independent test oracles."""
+"""Literal expected values and reference routes used as independent test oracles."""
 
 import numpy as np
 
-# Expected 8x8 block matrix K with choi_matrix(eps) == I8 + eps*K, stored
+from qqocert import PauliCoeffs, delta_eps_apply
+from qqocert.pauli import SIGMA
+
+
+def choi_matrix_family(eps):
+    """Twice the block matrix of family images of the 2x2 matrix units, shape (8, 8).
+
+    Assembled through the term-by-term family expansion (delta_eps_apply),
+    not the coefficient tensor, as the reference for choi_matrix_from_tensor.
+    """
+    out = np.zeros((8, 8), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            eij = np.zeros((2, 2), dtype=complex)
+            eij[i, j] = 1.0
+            w0 = np.trace(eij) / 2.0
+            w = np.array([np.trace(SIGMA[k] @ eij) / 2.0 for k in range(3)])
+            out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = delta_eps_apply(
+                eps, PauliCoeffs(w0, w)
+            )
+    return 2.0 * out
+
+
+# Expected 8x8 block matrix K with the family Choi matrix == I8 + eps*K, stored
 # literally so an assembly bug (or a transcription error in either place)
 # is caught by comparison rather than silently reproduced.
 CHOI_BLOCK_UNIT = np.array(

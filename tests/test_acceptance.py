@@ -12,7 +12,7 @@ from qqocert import (
     PauliCoeffs,
     b_matrix,
     build_coeff_tensor,
-    choi_matrix,
+    choi_matrix_from_tensor,
     cp_check,
     delta_apply,
     delta_eps_apply,
@@ -34,7 +34,7 @@ from qqocert import (
 )
 from qqocert.pauli import SIGMA
 
-from oracles import ABCD_EXACT, ABCD_W, CHOI_BLOCK_UNIT
+from oracles import ABCD_EXACT, ABCD_W, CHOI_BLOCK_UNIT, choi_matrix_family
 
 CRIT = 1.0 / np.sqrt(3.0)
 
@@ -76,7 +76,7 @@ def test_criterion_1_positivity_threshold():
 
 
 def test_criterion_2_cp_threshold():
-    vals, _ = hermitian_eigh(choi_matrix(1.0) - np.eye(8))
+    vals, _ = hermitian_eigh(choi_matrix_from_tensor(build_coeff_tensor(1.0)) - np.eye(8))
     lam = float(np.max(np.abs(vals)))
     target = 3.0 * np.sqrt(3.0)
     check(
@@ -84,8 +84,8 @@ def test_criterion_2_cp_threshold():
         abs(lam - target) <= 1e-9,
         f"got {lam!r}",
     )
-    below = cp_check(0.192450 - 1e-4)
-    above = cp_check(0.192450 + 1e-4)
+    below = cp_check(build_coeff_tensor(0.192450 - 1e-4))
+    above = cp_check(build_coeff_tensor(0.192450 + 1e-4))
     check(
         "criterion 2b: cp_check flips across 0.192450 +/- 1e-4",
         below.is_cp and not above.is_cp,
@@ -249,8 +249,9 @@ def test_criterion_8_structural_invariants():
     check("criterion 8b: two-path family image equality <= 1e-14", worst <= 1e-14)
 
     worst = max(
-        float(np.max(np.abs(choi_matrix(e) - (np.eye(8) + e * CHOI_BLOCK_UNIT))))
+        float(np.max(np.abs(m - (np.eye(8) + e * CHOI_BLOCK_UNIT))))
         for e in rng.uniform(-1, 1, size=10)
+        for m in (choi_matrix_from_tensor(build_coeff_tensor(e)), choi_matrix_family(e))
     )
     check("criterion 8c: Choi reconstruction against the literal block <= 1e-13", worst <= 1e-13)
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qqocert.cli import main
 
@@ -219,3 +224,118 @@ def test_runtime_does_not_import_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_simulate_non_positive_tol_exits_2_without_output(tol, capsys):
+    code, out, err = run(["--epsilon", "0.5", "--tol", tol, "simulate"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
+
+
+# ---------------------------------------------------------------- fuzz
+
+_COMMANDS = ("certify", "ks", "choi", "simulate", "fixed-points", "sweep")
+_CSV_ROW = re.compile(r"\d+(,[-+0-9.e]+){4}")
+_SUMMARY = re.compile(r"steps=\d+ converged=(True|False) final_rho=\S+ limit=\[.*\]")
+
+
+def _mostly(valid, *invalid):
+    """Draw from valid, or now and then from the invalid spellings."""
+    return st.one_of(valid, st.sampled_from(invalid))
+
+
+def _number(lo, hi):
+    return _mostly(
+        st.floats(lo, hi, allow_nan=False).map(repr),
+        "nan", "inf", "-inf", "1e400", "x", "", "0", "-1", "0.5773502692", "-0.0",
+    )
+
+
+def _tensor_doc():
+    tensor = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=27, max_size=27).map(
+        lambda v: json.dumps({"b": np.reshape(v, (3, 3, 3)).tolist()})
+    )
+    family = st.floats(-1.0, 1.0, allow_nan=False).map(lambda e: json.dumps({"epsilon": e}))
+    return _mostly(
+        st.one_of(tensor, family),
+        "{", "[1, 2]", "{}", '{"b": [[1, 2], [3]]}', '{"b": "abc"}', '{"b": {"x": 1}}',
+        '{"epsilon": NaN}', '{"epsilon": "0.1"}', '{"epsilon": 0.1, "b": []}',
+    )
+
+
+@st.composite
+def _argv(draw):
+    """argv from the flag grammar; budget flags always present and small.
+
+    Paths are "{doc}", "{missing}", "{dir}" or "{out}", filled in per example.
+    """
+    flags = [
+        ("samples", str(draw(st.integers(1, 64)))),
+        ("count", str(draw(st.integers(1, 3)))),
+        ("steps", str(draw(st.integers(0, 50)))),
+    ]
+    source = draw(st.sampled_from(["epsilon", "tensor", "both", "none"]))
+    if source in ("epsilon", "both"):
+        flags.append(("epsilon", draw(_number(-0.6, 0.6))))
+    if source in ("tensor", "both"):
+        flags.append(("tensor", draw(_mostly(st.just("{doc}"), "{missing}", "{dir}"))))
+    optional = {
+        "seed": _mostly(st.integers(0, 2**40).map(str), "-1", "1.5"),
+        "tol": _number(1e-12, 1e-2),
+        "init": st.lists(_number(-0.5, 0.5), min_size=2, max_size=4).map(",".join),
+        "output": _mostly(st.just("{out}"), "{dir}"),
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            flags.append((name, draw(values)))
+    flags = draw(st.permutations(flags))
+    split = draw(st.integers(0, len(flags)))
+    words = [f"--{name}={value}" for name, value in flags]
+    return words[:split] + [draw(st.sampled_from(_COMMANDS))] + words[split:]
+
+
+@settings(
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv(), doc=_tensor_doc())
+def test_cli_fuzz_exit_codes_and_output(argv, doc, tmp_path):
+    paths = {
+        "doc": tmp_path / "tensor.json",
+        "missing": tmp_path / "missing.json",
+        "dir": tmp_path,
+        "out": tmp_path / "out.txt",
+    }
+    paths["doc"].write_text(doc)
+    argv = [word.format(**paths) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    if not out:
+        return
+    if out.startswith("step,f1,f2,f3,rho\n"):
+        lines = out.splitlines()
+        assert all(_CSV_ROW.fullmatch(line) for line in lines[1:]), out
+        assert _SUMMARY.fullmatch(err.strip()), err
+    elif "simulate" in argv:
+        assert _SUMMARY.fullmatch(out.strip()), out
+    else:
+        assert isinstance(strict_json(out), dict)
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)

@@ -4,24 +4,27 @@ import pytest
 from qqocert import (
     PauliCoeffs,
     as_coeff_tensor,
-    b_norm_sup,
     beta_matrix,
     build_coeff_tensor,
-    choi_matrix,
     choi_matrix_from_tensor,
     delta_apply,
     delta_sigma_images,
     dual_pair_apply,
-    haar_unital_check,
+    fibonacci_sphere,
+    hermitian_eigh,
+    hermitian_eigvalsh_batch,
     pauli_compose,
     sampled_positivity_check,
+    scan_then_refine,
     state_eval,
     state_preservation_check,
     tensor_is_symmetric,
     tensor_product,
 )
 from qqocert.core import _spectral_norm_with_vectors
-from qqocert.pauli import ID4, SIGMA
+from qqocert.pauli import ID2, ID4, SIGMA
+
+from oracles import choi_matrix_family
 
 
 def rand_tensor(rng, scale=1.0):
@@ -136,44 +139,50 @@ def test_spectral_norm_with_vectors_matches_svd():
     rng = np.random.default_rng(12)
     for _ in range(200):
         m = rng.standard_normal((3, 3))
-        smax, u, v = _spectral_norm_with_vectors(m)
-        uu, ss, vh = np.linalg.svd(m)
+        smax, v = _spectral_norm_with_vectors(m)
+        _, ss, vh = np.linalg.svd(m)
         assert smax == pytest.approx(ss[0], rel=1e-12)
-        # singular vectors are unique up to a common sign
+        # the right singular vector is unique up to sign
         sign = np.sign(np.dot(v, vh[0]))
         assert np.max(np.abs(v - sign * vh[0])) <= 1e-9
-        assert np.max(np.abs(u - sign * uu[:, 0])) <= 1e-9
-        assert not np.iscomplexobj(u) and not np.iscomplexobj(v)
+        assert not np.iscomplexobj(v)
+
+
+# The sup norm of b, the injective norm of the dual action, is the
+# max_norm of state_preservation_check, the package's one tensor-norm routine.
 
 
 def test_b_norm_sup_zero():
-    assert b_norm_sup(np.zeros((3, 3, 3)), 500, 0) == 0.0
+    assert state_preservation_check(np.zeros((3, 3, 3)), 500, 0).max_norm == 0.0
 
 
 def test_b_norm_sup_family():
     eps = 0.472
-    got = b_norm_sup(build_coeff_tensor(eps), 4000, 0)
+    got = state_preservation_check(build_coeff_tensor(eps), 4000, 0).max_norm
     assert got == pytest.approx(np.sqrt(3.0) * eps, abs=1e-6)
 
 
 def test_b_norm_sup_single_entry():
     b = np.zeros((3, 3, 3))
     b[0, 0, 0] = 1.0
-    assert b_norm_sup(b, 4000, 0) == pytest.approx(1.0, abs=1e-6)
+    assert state_preservation_check(b, 4000, 0).max_norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_b_norm_sup_homogeneous():
     rng = np.random.default_rng(4)
     b = rand_tensor(rng)
-    base = b_norm_sup(b, 2000, 0)
-    scaled = b_norm_sup(2.5 * b, 2000, 0)
+    base = state_preservation_check(b, 2000, 0).max_norm
+    scaled = state_preservation_check(2.5 * b, 2000, 0).max_norm
     assert scaled == pytest.approx(2.5 * base, rel=1e-9)
 
 
 def test_b_norm_sup_deterministic():
     rng = np.random.default_rng(5)
     b = rand_tensor(rng)
-    assert b_norm_sup(b, 1500, 3) == b_norm_sup(b, 1500, 3)
+    assert (
+        state_preservation_check(b, 1500, 3).max_norm
+        == state_preservation_check(b, 1500, 3).max_norm
+    )
 
 
 # ---------------------------------------------------------------- dual action
@@ -221,6 +230,34 @@ def test_duality_pairing_against_matrix_trace():
         assert abs(lhs - rhs) <= 1e-12
 
 
+# ---------------------------------------------------------------- scan then refine
+
+
+def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
+    with pytest.raises(ValueError):
+        scan_then_refine(np.zeros((0, 3)), np.zeros(0), None)
+    # a step that only ever rises is never taken; the best scanned point wins
+    pts = np.arange(12.0)
+    vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
+    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 99.0))
+    assert (val, x, rounds) == (0.5, 10.0, 1)
+    # a step to a fixed value is taken once; the next round stops the descent
+    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 0.0), cap=3)
+    assert val == 0.0 and rounds == 2
+    # a step that always halves runs from each of the eight lowest to its cap
+    calls = []
+
+    def halve(state):
+        calls.append(state[0])
+        k = 0 if state[1] is None else state[1] + 1
+        return (state[0], k), 0.5 ** (k + 1)
+
+    val, x, rounds = scan_then_refine(pts, vals + 1.0, halve, cap=5)
+    assert rounds == 5
+    assert sorted(set(calls)) == sorted(np.argsort(vals, kind="stable")[:8].astype(float))
+    assert val == 0.5**5 and x == 10.0
+
+
 # ---------------------------------------------------------------- preservation
 
 
@@ -247,25 +284,49 @@ def test_state_preservation_fails_above_threshold():
 
 
 def test_preservation_cross_validates_b_norm_sup():
-    # the two certificates are equivalent: both measure the same sup
+    # against an independent reference: the dual image norm over 100k
+    # random pairs of unit vectors, a lower bound of the sup
     rng = np.random.default_rng(8)
-    agree = 0
+    fs = rng.standard_normal((100_000, 3))
+    fs /= np.linalg.norm(fs, axis=1, keepdims=True)
+    ps = rng.standard_normal((100_000, 3))
+    ps /= np.linalg.norm(ps, axis=1, keepdims=True)
     for i in range(50):
         b = rand_tensor(rng)
-        scale = b_norm_sup(b, 800, 0)
+        scale = state_preservation_check(b, 800, 0).max_norm
         target = rng.uniform(0.90, 1.10)
         if abs(target - 1.0) < 0.02:
             target += 0.04  # keep clear of the razor edge
         b = b * (target / scale)
-        norm_est = b_norm_sup(b, 800, i)
         rep = state_preservation_check(b, 800, i)
-        assert rep.max_norm == pytest.approx(norm_est, abs=5e-6)
-        if rep.passes == (norm_est <= 1.0 + 2e-6):
-            agree += 1
-    assert agree == 50
+        witness = np.linalg.norm(dual_pair_apply(b, rep.witness_f, rep.witness_p))
+        assert abs(witness - rep.max_norm) <= 1e-12 * rep.max_norm
+        imgs = np.einsum("nij,nj->ni", (fs @ b.reshape(3, 9)).reshape(-1, 3, 3), ps)
+        sampled = np.sqrt(np.max(np.einsum("ni,ni->n", imgs, imgs)))
+        assert rep.max_norm >= sampled
+        assert rep.passes == (sampled <= 1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------- haar identity
+
+
+def haar_unital_check(b, atol=1e-13):
+    """Both partial normalized traces of every basis image equal tau(x) * I2.
+
+    Structurally true for any real tensor because the Pauli pairs are
+    traceless in each slot; a regression test of the assembled matrices.
+    """
+    basis = [PauliCoeffs(1.0, np.zeros(3))] + [
+        PauliCoeffs(0.0, np.eye(3)[k]) for k in range(3)
+    ]
+    for x in basis:
+        m = delta_apply(b, x).reshape(2, 2, 2, 2)
+        left = 0.5 * np.einsum("ikil->kl", m)
+        right = 0.5 * np.einsum("ikjk->ij", m)
+        target = x.w0 * ID2  # tau(x) = w0
+        if np.max(np.abs(left - target)) > atol or np.max(np.abs(right - target)) > atol:
+            return False
+    return True
 
 
 def test_haar_unital_zero_and_family():
@@ -291,13 +352,28 @@ def test_sampled_positivity_matches_family_threshold():
     assert rep.margin == pytest.approx(1.0 - 3 * 0.36, abs=1e-6)
 
 
+def test_sampled_positivity_margin_reevaluates_below_scan():
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 0.3, 1.0):
+        for _ in range(5):
+            b = rand_tensor(rng, scale)
+            ds = delta_sigma_images(b)
+            rep = sampled_positivity_check(b, 2000, 0)
+            re_eval = hermitian_eigh(ID4 + np.einsum("k,kab->ab", rep.worst_w, ds))[0][0]
+            assert abs(re_eval - rep.margin) <= 1e-12
+            pts = fibonacci_sphere(2000, 0)
+            scan = hermitian_eigvalsh_batch(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
+            assert rep.margin <= np.min(scan)
+            assert abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------- choi assembly
 
 
 def test_choi_from_tensor_matches_family_route():
     for eps in (0.0, 0.21, -0.64):
         a = choi_matrix_from_tensor(build_coeff_tensor(eps))
-        b = choi_matrix(eps)
+        b = choi_matrix_family(eps)
         assert np.max(np.abs(a - b)) <= 1e-14
 
 

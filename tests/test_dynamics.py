@@ -13,6 +13,7 @@ from qqocert import (
     v_apply,
     v_eps_apply,
 )
+from qqocert.dynamics import _v_eps_raw
 
 CRIT = 1.0 / np.sqrt(3.0)
 
@@ -164,6 +165,9 @@ def test_iterate_rejects_bad_inputs():
         iterate(0.7, [0.1, 0, 0])
     with pytest.raises(DomainError):
         iterate(0.5, [1.1, 0, 0])
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            iterate(0.5, [0.6, 0, 0], tol=tol)
 
 
 def test_iterate_accepts_ten_digit_critical_inputs():
@@ -220,6 +224,52 @@ def test_fixed_points_domain():
         fixed_points(0.6)
 
 
+def newton_sweep(eps, step=0.05):
+    """All roots of V(f) = f found by Newton from a dense grid over the ball.
+
+    Vectorized over the grid; returns the deduplicated roots with norm
+    at most 1 (plus a hair of tolerance for the boundary points).
+    """
+    axis = np.arange(-1.0, 1.0 + step / 2.0, step)
+    g0, g1, g2 = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.column_stack([g0.ravel(), g1.ravel(), g2.ravel()])
+    pts = pts[np.einsum("ni,ni->n", pts, pts) <= 1.0]
+    cur = pts.copy()
+    eye = np.eye(3)
+    for _ in range(60):
+        f1, f2, f3 = cur[:, 0], cur[:, 1], cur[:, 2]
+        jac = 2.0 * eps * np.stack(
+            [
+                np.stack([f1, f3, f2], axis=-1),
+                np.stack([f3, f2, f1], axis=-1),
+                np.stack([f2, f1, f3], axis=-1),
+            ],
+            axis=-2,
+        ) - eye[None, :, :]
+        res = _v_eps_raw(eps, cur) - cur
+        ok = np.abs(np.linalg.det(jac)) > 1e-12
+        delta = np.zeros_like(cur)
+        if np.any(ok):
+            delta[ok] = np.linalg.solve(jac[ok], res[ok, :, None])[:, :, 0]
+        cur = cur - delta
+        cur = np.where(np.isfinite(cur), cur, 10.0)
+    res = np.linalg.norm(_v_eps_raw(eps, cur) - cur, axis=1)
+    good = cur[(res <= 1e-12) & (np.linalg.norm(cur, axis=1) <= 1.0 + 1e-12)]
+    if good.size == 0:
+        return np.zeros((0, 3))
+    return np.unique(np.round(good, 8), axis=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, CRIT, -CRIT, 0.5773502692])
+def test_newton_sweep_finds_only_listed_fixed_points(eps):
+    points = fixed_points(eps).points
+    roots = newton_sweep(eps)
+    for root in roots:
+        assert any(np.linalg.norm(root - p) <= 1e-6 for p in points), root
+    for p in points:
+        assert any(np.linalg.norm(root - p) <= 1e-6 for root in roots), p
+
+
 # ---------------------------------------------------------------- ball invariance
 
 
@@ -237,6 +287,19 @@ def test_ball_invariance_violated_above_critical():
     assert min(
         np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner)
     ) <= 1e-3
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.58, 0.9])
+def test_ball_invariance_exact_sup_at_corner(eps):
+    rep = ball_invariance_check(eps, 20_000, 0)
+    assert abs(rep.worst_norm - np.sqrt(3.0) * eps) <= 1e-12
+    assert rep.invariant == (np.sqrt(3.0) * eps <= 1.0)
+    v = v_apply(build_coeff_tensor(eps), rep.witness)
+    assert abs(np.linalg.norm(v) - rep.worst_norm) <= 1e-12
+    corner = np.ones(3) / np.sqrt(3.0)
+    assert min(
+        np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner)
+    ) <= 1e-9
 
 
 def test_ball_invariance_zero():

@@ -8,9 +8,8 @@ from qqocert import (
     NonRealInput,
     PauliCoeffs,
     b_matrix,
-    b_norm_sup,
     build_coeff_tensor,
-    choi_matrix,
+    choi_matrix_from_tensor,
     classify_epsilon,
     cp_check,
     delta_apply,
@@ -19,11 +18,17 @@ from qqocert import (
     hermitian_eigvalsh_batch,
     positivity_check,
     spectrum_closed_form,
+    state_preservation_check,
     tensor_product,
 )
 from qqocert.pauli import SIGMA
 
-from oracles import CHOI_BLOCK_UNIT
+from oracles import CHOI_BLOCK_UNIT, choi_matrix_family
+
+
+def choi_matrix(eps):
+    """The family's Choi matrix along the route the certificates use."""
+    return choi_matrix_from_tensor(build_coeff_tensor(eps))
 
 
 def rand_coeffs(rng):
@@ -217,8 +222,8 @@ def test_choi_block_entries():
 def test_choi_reconstruction_against_literal():
     rng = np.random.default_rng(6)
     for eps in rng.uniform(-1.0, 1.0, size=10):
-        m = choi_matrix(eps)
-        assert np.max(np.abs(m - (np.eye(8) + eps * CHOI_BLOCK_UNIT))) <= 1e-13
+        for m in (choi_matrix(eps), choi_matrix_family(eps)):
+            assert np.max(np.abs(m - (np.eye(8) + eps * CHOI_BLOCK_UNIT))) <= 1e-13
 
 
 def test_choi_extreme_eigenvalue():
@@ -227,11 +232,13 @@ def test_choi_extreme_eigenvalue():
 
 
 def test_cp_check_thresholds():
-    assert cp_check(0.19).is_cp
-    assert not cp_check(0.20).is_cp
-    rep = cp_check(0.0)
+    assert cp_check(build_coeff_tensor(0.19)).is_cp
+    assert not cp_check(build_coeff_tensor(0.20)).is_cp
+    rep = cp_check(build_coeff_tensor(0.0))
     assert rep.is_cp
     assert rep.min_choi_eig == pytest.approx(1.0)
+    assert np.array_equal(rep.eigenvalues, np.sort(rep.eigenvalues))
+    assert rep.eigenvalues[0] == rep.min_choi_eig
 
 
 # ---------------------------------------------------------------- bands
@@ -247,9 +254,9 @@ def test_threshold_ordering_and_bands():
 
 def test_cp_implies_positive_implies_preserving():
     for eps in (0.05, 0.15, 0.19245, 0.25, 1.0 / 3.0, 0.45, 0.57):
-        cp = cp_check(eps).is_cp
+        cp = cp_check(build_coeff_tensor(eps)).is_cp
         pos = positivity_check(eps, 2000, 0).is_positive
-        pres = b_norm_sup(build_coeff_tensor(eps), 2000, 0) <= 1.0 + 2e-6
+        pres = state_preservation_check(build_coeff_tensor(eps), 2000, 0).max_norm <= 1.0 + 2e-6
         if cp:
             assert pos
         if pos:

@@ -9,6 +9,7 @@ from qqocert import (
     build_coeff_tensor,
     cross_product,
     delta_apply,
+    delta_sigma_images,
     ks_auxiliaries,
     ks_defect,
     ks_form,
@@ -17,7 +18,14 @@ from qqocert import (
     min_eigenvalue_hermitian,
     pauli_decompose,
 )
-from qqocert.ks import KS_DESCENT_CAP, _descend, _scan_directions, _tables
+from qqocert.core import (
+    REFINE_CAP,
+    _norm_step,
+    _positivity_step,
+    _spectral_norm_with_vectors,
+    scan_then_refine,
+)
+from qqocert.ks import _descent_step, _scan_directions, _tables
 from qqocert.pauli import ID4, SIGMA
 
 from oracles import ABCD_EXACT, ABCD_W
@@ -273,14 +281,38 @@ def test_global_check_witness_normalized_and_reevaluates():
 
 
 def test_descent_never_rises_and_stops_before_cap():
-    b = rand_tensor(np.random.default_rng(16), scale=0.7)
+    # every step of scan_then_refine, each run alone from one scanned point
+    rng = np.random.default_rng(16)
+    b = rand_tensor(rng, scale=0.7)
+    ds = delta_sigma_images(b)
     w_table, psi_table = _tables(ks_form(b))
-    for w0 in _scan_directions(20, 1):
-        start = min_eigenvalue_hermitian(ks_defect(b, w0))
-        w, val, rounds = _descend(w_table, psi_table, w0)
-        assert val <= start
-        assert rounds < KS_DESCENT_CAP
-        assert abs(min_eigenvalue_hermitian(ks_defect(b, w)) - val) <= 1e-12
+    real_starts = rng.standard_normal((20, 3))
+    real_starts /= np.linalg.norm(real_starts, axis=1, keepdims=True)
+    cases = [
+        # (step, starts, value at a point), the tensor norm negated
+        (
+            _norm_step(b),
+            real_starts,
+            lambda f: -_spectral_norm_with_vectors(np.einsum("ijk,i->kj", b, f))[0],
+        ),
+        (
+            _positivity_step(ds),
+            real_starts,
+            lambda w: min_eigenvalue_hermitian(ID4 + np.einsum("k,kab->ab", w, ds)),
+        ),
+        (
+            _descent_step(w_table, psi_table),
+            _scan_directions(20, 1),
+            lambda w: min_eigenvalue_hermitian(ks_defect(b, w)),
+        ),
+    ]
+    for step, starts, value in cases:
+        for x0 in starts:
+            start = value(x0)
+            val, x, rounds = scan_then_refine([x0], [start], step)
+            assert val <= start
+            assert rounds < REFINE_CAP
+            assert abs(value(x) - val) <= 1e-12
 
 
 def test_global_check_near_ks_boundary():
