@@ -31,7 +31,6 @@ from .core import (
     delta_sigma_images,
     dual_pair_apply,
     sampled_positivity_check,
-    scan_then_refine,
     state_preservation_check,
     tensor_is_symmetric,
 )

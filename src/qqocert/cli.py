@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Optional
 
@@ -47,6 +48,16 @@ def _parse_init(text: str) -> np.ndarray:
     return f0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -2.8e-05 or -0.1,0,0 as a value, where argparse alone sees an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        # no option of this program starts with a digit or a dot
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     def kw(default):
         return {"default": argparse.SUPPRESS} if suppress else {"default": default}
@@ -63,7 +74,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qqocert",
         description="Certify quadratic operators on the qubit algebra and simulate their Bloch-ball dynamics.",
     )
@@ -121,7 +132,7 @@ def _cmd_certify(args) -> int:
 
     pres = core.state_preservation_check(b, samples, args.seed)
     if eps is not None:
-        pos = epsilon.positivity_check(eps, samples, args.seed)
+        pos = epsilon.positivity_check(eps)
     else:
         pos = core.sampled_positivity_check(b, samples, args.seed)
     cp = core.cp_check(b)
@@ -241,7 +252,7 @@ def _cmd_sweep(args) -> int:
     for e in np.linspace(-half, half, count):
         e = float(e)
         b = epsilon.build_coeff_tensor(e)
-        pos = epsilon.positivity_check(e, samples, args.seed)
+        pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
         witness = ks.ks_global_check(b, samples, args.seed, ks.KS_DEFAULT_TOL)
         rows.append(

@@ -106,7 +106,7 @@ def _spectral_norm_with_vectors(m: np.ndarray):
     return float(np.sqrt(max(vals[-1], 0.0))), vecs[:, -1]
 
 
-def scan_then_refine(points, values, step, cap: int = REFINE_CAP) -> tuple:
+def scan_then_refine(points, values, step) -> tuple:
     """Minimize from the best scanned points by repeating an exact monotone step.
 
     values[i] is the batch value of points[i]; maximizers pass negated
@@ -116,7 +116,7 @@ def scan_then_refine(points, values, step, cap: int = REFINE_CAP) -> tuple:
     such as an eigenvector; step maps a state to the next one and its
     value.  A round that would raise the value is discarded, and a
     descent stops when a round lowers it by at most REFINE_RTOL relative
-    or after cap rounds.  Returns (best value, best point, the most
+    or after REFINE_CAP rounds.  Returns (best value, best point, the most
     rounds any start used).  This is the one place an empty scan is
     rejected.
     """
@@ -127,7 +127,7 @@ def scan_then_refine(points, values, step, cap: int = REFINE_CAP) -> tuple:
     best_val, best_x, most = float(values[order[0]]), points[order[0]], 0
     for idx in order:
         state, val = (points[idx], None), float(values[idx])
-        for rounds in range(1, cap + 1):
+        for rounds in range(1, REFINE_CAP + 1):
             new_state, new = step(state)
             fall = val - new
             if fall > 0:
@@ -204,7 +204,7 @@ class PositivityReport:
     margin: float
 
 
-def eigen_descent_step(matrix_of, update):
+def _eigen_descent_step(matrix_of, update):
     """A scan_then_refine step that alternates a point w and an eigenvector psi.
 
     psi (the carry) is the lowest eigenvector of the hermitian
@@ -238,7 +238,7 @@ def _positivity_step(ds: np.ndarray):
         # g = 0 makes every unit w a minimizer
         return -g / gn if gn > 0.0 else np.array([1.0, 0.0, 0.0])
 
-    return eigen_descent_step(lambda w: ID4 + np.einsum("k,kab->ab", w, ds), update)
+    return _eigen_descent_step(lambda w: ID4 + np.einsum("k,kab->ab", w, ds), update)
 
 
 def sampled_positivity_check(

@@ -21,7 +21,6 @@ from .pauli import (
     PauliCoeffs,
     tensor_product,
 )
-from .sampling import fibonacci_sphere
 
 CP_THRESHOLD = 1.0 / (3.0 * np.sqrt(3.0))
 POSITIVITY_THRESHOLD = 1.0 / 3.0
@@ -137,36 +136,29 @@ def _sphere_lambdas(t: np.ndarray):
 
 def _witness_from_t(t: float) -> np.ndarray:
     """A unit vector with coordinate sum t (any point of that circle works)."""
-    t = float(np.clip(t, -np.sqrt(3.0), np.sqrt(3.0)))
     radial = np.sqrt(max(0.0, 1.0 - t * t / 3.0))
     return (t / 3.0) * np.ones(3) + radial * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
 
-def positivity_check(
-    eps: float, samples: int = 20_000, seed: int = 0
-) -> PositivityReport:
+def positivity_check(eps: float) -> PositivityReport:
     """Worst eigenvalue of 1 + eps*B(w) over the unit ball, via the closed forms.
 
     On the unit sphere all four eigenvalue branches are functions of
     t = w1+w2+w3 alone.  The branches t +/- sqrt(2(3 - t^2)) reach +/-3 at
     t = +/-1 and -t reaches its extremes at the ends t = +/-sqrt(3), so
-    these four points hold the exact minimizer; they are compared with
-    the best t of the sampled scan.  Positive iff the margin stays above
-    the shared eigenvalue tolerance.
+    the minimum over these four points is exact and no scan is needed;
+    ties keep the first of them.  Positive iff the margin stays above the
+    shared eigenvalue tolerance.
     """
     e = float(eps)
-
-    def objective_t(t):
-        l1, l2, l3 = _sphere_lambdas(np.asarray(t, dtype=float))
-        return np.minimum(np.minimum(1.0 + e * l1, 1.0 + e * l2), 1.0 + e * l3)
-
-    tvals = fibonacci_sphere(samples, seed).sum(axis=1)
     span = np.sqrt(3.0)
-    candidates = [float(tvals[np.argmin(objective_t(tvals))]), -1.0, 1.0, -span, span]
-    t_best = min(candidates, key=lambda t: float(objective_t(t)))
-    margin = float(objective_t(t_best))
+    ts = np.array([-1.0, 1.0, -span, span])
+    l1, l2, l3 = _sphere_lambdas(ts)
+    objective = np.minimum(np.minimum(1.0 + e * l1, 1.0 + e * l2), 1.0 + e * l3)
+    best = int(np.argmin(objective))
+    margin = float(objective[best])
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
-        worst_w=_witness_from_t(t_best),
+        worst_w=_witness_from_t(ts[best]),
         margin=margin,
     )

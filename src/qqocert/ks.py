@@ -37,10 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _eigen_descent_step,
     as_coeff_tensor,
     beta_matrix,
     delta_sigma_images,
-    eigen_descent_step,
     scan_then_refine,
 )
 from .pauli import ID4, cross_product, hermitian_eigh, hermitian_eigvalsh_batch
@@ -152,7 +152,7 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
 
 def _descent_step(w_table: np.ndarray, psi_table: np.ndarray):
     """Alternating eigen-descent on the form: w becomes the lowest eigenvector of T(psi)."""
-    return eigen_descent_step(
+    return _eigen_descent_step(
         lambda w: _contract(w_table, w),
         lambda psi: hermitian_eigh(_contract(psi_table, psi))[1][:, 0],
     )

@@ -52,11 +52,11 @@ def rand_ball(rng, n):
 
 def test_criterion_1_positivity_threshold():
     lo, hi = 0.30, 0.40
-    assert positivity_check(lo, 20_000, 0).is_positive
-    assert not positivity_check(hi, 20_000, 0).is_positive
+    assert positivity_check(lo).is_positive
+    assert not positivity_check(hi).is_positive
     for _ in range(25):
         mid = 0.5 * (lo + hi)
-        if positivity_check(mid, 20_000, 0).is_positive:
+        if positivity_check(mid).is_positive:
             lo = mid
         else:
             hi = mid
@@ -179,7 +179,7 @@ def test_criterion_6_ball_invariance():
     )
     from qqocert import ball_invariance_check
 
-    rep = ball_invariance_check(0.58, 20_000, 0)
+    rep = ball_invariance_check(0.58)
     corner = np.ones(3) / np.sqrt(3.0)
     dist = min(np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner))
     check(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qqocert
 from qqocert.cli import main
 
 
@@ -218,10 +220,30 @@ def test_simulate_bad_init_or_steps_exit_2_without_output(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "-2.822090991183579e-05", "--steps", "3", "simulate"],
+        ["simulate", "--epsilon", "-1e-3", "--steps", "3"],
+        ["--epsilon", "0.3", "--init", "-0.1,0.2,0", "--steps", "3", "simulate"],
+        ["--epsilon", "0.3", "simulate", "--init", "-.5,0,0", "--steps", "3"],
+    ],
+)
+def test_negative_values_as_separate_words(argv, capsys):
+    # argparse alone reads "-1e-3" and "-0.1,0.2,0" as unknown options
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out.startswith("step,f1,f2,f3,rho\n")
+
+
 def test_runtime_does_not_import_scipy():
     probe = "import sys, qqocert, qqocert.cli; print('scipy' in sys.modules)"
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(qqocert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
 
@@ -292,8 +314,13 @@ def _argv(draw):
             flags.append((name, draw(values)))
     flags = draw(st.permutations(flags))
     split = draw(st.integers(0, len(flags)))
-    words = [f"--{name}={value}" for name, value in flags]
-    return words[:split] + [draw(st.sampled_from(_COMMANDS))] + words[split:]
+    # each flag as "--name=value" or as two words "--name value"
+    words = [
+        [f"--{name}", value] if draw(st.booleans()) else [f"--{name}={value}"]
+        for name, value in flags
+    ]
+    command = [draw(st.sampled_from(_COMMANDS))]
+    return sum(words[:split], []) + command + sum(words[split:], [])
 
 
 @settings(

@@ -15,13 +15,12 @@ from qqocert import (
     hermitian_eigvalsh_batch,
     pauli_compose,
     sampled_positivity_check,
-    scan_then_refine,
     state_eval,
     state_preservation_check,
     tensor_is_symmetric,
     tensor_product,
 )
-from qqocert.core import _spectral_norm_with_vectors
+from qqocert.core import REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
 
 from oracles import choi_matrix_family
@@ -242,7 +241,7 @@ def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
     val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 99.0))
     assert (val, x, rounds) == (0.5, 10.0, 1)
     # a step to a fixed value is taken once; the next round stops the descent
-    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 0.0), cap=3)
+    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 0.0))
     assert val == 0.0 and rounds == 2
     # a step that always halves runs from each of the eight lowest to its cap
     calls = []
@@ -252,10 +251,10 @@ def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
         k = 0 if state[1] is None else state[1] + 1
         return (state[0], k), 0.5 ** (k + 1)
 
-    val, x, rounds = scan_then_refine(pts, vals + 1.0, halve, cap=5)
-    assert rounds == 5
+    val, x, rounds = scan_then_refine(pts, vals + 1.0, halve)
+    assert rounds == REFINE_CAP
     assert sorted(set(calls)) == sorted(np.argsort(vals, kind="stable")[:8].astype(float))
-    assert val == 0.5**5 and x == 10.0
+    assert val == 0.5**REFINE_CAP and x == 10.0
 
 
 # ---------------------------------------------------------------- preservation

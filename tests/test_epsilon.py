@@ -180,19 +180,19 @@ def test_spectrum_bounds_sampled():
 
 
 def test_positivity_just_inside():
-    rep = positivity_check(0.33, 20_000, 0)
+    rep = positivity_check(0.33)
     assert rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.33, abs=1e-9)
 
 
 def test_positivity_boundary():
-    rep = positivity_check(1.0 / 3.0, 20_000, 0)
+    rep = positivity_check(1.0 / 3.0)
     assert rep.is_positive
     assert abs(rep.margin) <= 1e-12
 
 
 def test_positivity_just_outside():
-    rep = positivity_check(0.34, 20_000, 0)
+    rep = positivity_check(0.34)
     assert not rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.34, abs=1e-9)
     # the witness realizes the reported margin
@@ -201,7 +201,7 @@ def test_positivity_just_outside():
 
 
 def test_positivity_negative_coupling_symmetric():
-    rep = positivity_check(-0.34, 20_000, 0)
+    rep = positivity_check(-0.34)
     assert not rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.34, abs=1e-9)
 
@@ -255,7 +255,7 @@ def test_threshold_ordering_and_bands():
 def test_cp_implies_positive_implies_preserving():
     for eps in (0.05, 0.15, 0.19245, 0.25, 1.0 / 3.0, 0.45, 0.57):
         cp = cp_check(build_coeff_tensor(eps)).is_cp
-        pos = positivity_check(eps, 2000, 0).is_positive
+        pos = positivity_check(eps).is_positive
         pres = state_preservation_check(build_coeff_tensor(eps), 2000, 0).max_norm <= 1.0 + 2e-6
         if cp:
             assert pos
