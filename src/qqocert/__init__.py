@@ -10,7 +10,7 @@ from .pauli import (
     PauliCoeffs,
     cross_product,
     hermitian_eigh,
-    hermitian_eigvalsh_batch,
+    hermitian_lowest_eigvals,
     min_eigenvalue_hermitian,
     pauli_compose,
     pauli_decompose,

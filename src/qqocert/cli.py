@@ -38,6 +38,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_init(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -64,8 +79,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
     parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family", **kw(None))
     parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file", **kw(None))
-    parser.add_argument("--samples", type=int, help="scan budget (module defaults if omitted)", **kw(None))
-    parser.add_argument("--seed", type=int, help="seed for the deterministic scans", **kw(0))
+    parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)", **kw(None))
+    parser.add_argument("--seed", type=_int_at_least(0), help="seed for the deterministic scans", **kw(0))
     parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)", **kw(None))
     parser.add_argument("--steps", type=int, help="iteration budget for simulate", **kw(None))
     parser.add_argument("--init", metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))

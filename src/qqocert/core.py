@@ -26,7 +26,7 @@ from .pauli import (
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
     hermitian_eigh,
-    hermitian_eigvalsh_batch,
+    hermitian_lowest_eigvals,
     pauli_decompose,
     tensor_product,
 )
@@ -109,7 +109,8 @@ def _spectral_norm_with_vectors(m: np.ndarray):
 def scan_then_refine(points, values, step) -> tuple:
     """Minimize from the best scanned points by repeating an exact monotone step.
 
-    values[i] is the batch value of points[i]; maximizers pass negated
+    values[i] is the scan value of points[i], exact at least where it
+    ranks among the lowest; maximizers pass negated
     values.  The REFINE_STARTS lowest (stable argsort, so ties keep scan
     order) each start a descent over states (point, carry).  The carry
     is None at a scanned point and may hold what the next round needs,
@@ -184,7 +185,9 @@ def state_preservation_check(
     # b(f, p, .) = N(f) p with N(f)[k, j] = sum_i b[i][j][k] f_i
     mats = np.einsum("ijk,ni->nkj", arr, pts)
     grams = np.einsum("nkj,nkl->njl", mats, mats)
-    norms = np.sqrt(np.maximum(hermitian_eigvalsh_batch(grams)[:, -1], 0.0))
+    # the largest eigenvalues of the grams, as the lowest of their negatives
+    largest = -hermitian_lowest_eigvals(-grams, REFINE_STARTS)
+    norms = np.sqrt(np.maximum(largest, 0.0))
     _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
     max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
     return PreservationReport(
@@ -253,7 +256,7 @@ def sampled_positivity_check(
     """
     ds = delta_sigma_images(as_coeff_tensor(b))
     pts = fibonacci_sphere(samples, seed)
-    vals = hermitian_eigvalsh_batch(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
+    vals = hermitian_lowest_eigvals(ID4 + np.einsum("nk,kab->nab", pts, ds), REFINE_STARTS)
     margin, w, _ = scan_then_refine(pts, vals, _positivity_step(ds))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),

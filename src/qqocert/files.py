@@ -2,7 +2,8 @@
 
 Tensor file: a JSON object with either a full tensor, ``{"b": [[[...]]]}``
 with 27 reals nested outer-to-inner as m -> l -> k, or the shorthand
-``{"epsilon": e}`` that expands to the one-parameter family.
+``{"epsilon": e}`` that expands to the one-parameter family.  Every
+value must be a finite JSON number; true, false and strings are refused.
 
 Reports are strict JSON objects (no NaN or infinity) with a leading
 ``"schema": "v1"`` field and sorted keys, so identical runs produce
@@ -27,6 +28,18 @@ from .epsilon import build_coeff_tensor
 SCHEMA_VERSION = "v1"
 
 
+def _reals(value):
+    """Nested lists of JSON numbers as floats; true, false and strings are not numbers here."""
+    if isinstance(value, list):
+        return [_reals(v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer beyond float range") from None
+
+
 def load_tensor_file(path: str) -> np.ndarray:
     """Read a coefficient tensor document, expanding the epsilon shorthand."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -36,18 +49,16 @@ def load_tensor_file(path: str) -> np.ndarray:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object at top level")
-    has_b = "b" in doc
-    has_eps = "epsilon" in doc
-    if has_b == has_eps:
+    if ("b" in doc) == ("epsilon" in doc):
         raise ValueError(f"{path}: exactly one of 'b' or 'epsilon' must be present")
-    if has_eps:
-        eps = doc["epsilon"]
-        if not isinstance(eps, (int, float)) or not np.isfinite(eps):
-            raise ValueError(f"{path}: 'epsilon' must be a finite number")
-        return build_coeff_tensor(float(eps))
     try:
-        return as_coeff_tensor(doc["b"])
-    except (ValueError, TypeError) as exc:
+        if "b" in doc:
+            return as_coeff_tensor(_reals(doc["b"]))
+        eps = _reals(doc["epsilon"])
+        if not isinstance(eps, float) or not np.isfinite(eps):
+            raise ValueError("'epsilon' must be a finite number")
+        return build_coeff_tensor(eps)
+    except ValueError as exc:
         raise ValueError(f"{path}: bad tensor payload ({exc})") from exc
 
 

@@ -19,7 +19,8 @@ Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
 spheres.  A scan builds every sampled defect with one matrix product and
-eigensolves the stack in one guarded batch; exact alternating
+hands the stack to the guarded lowest-eigenvalue kernel, which solves
+only the defects that can rank among the best; exact alternating
 eigen-descent then polishes the best candidates (psi := lowest
 eigenvector of defect(w), then w := lowest eigenvector of T(psi);
 neither half-step can raise the value).  A violation witness is any unit
@@ -37,13 +38,14 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    REFINE_STARTS,
     _eigen_descent_step,
     as_coeff_tensor,
     beta_matrix,
     delta_sigma_images,
     scan_then_refine,
 )
-from .pauli import ID4, cross_product, hermitian_eigh, hermitian_eigvalsh_batch
+from .pauli import ID4, cross_product, hermitian_eigh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -168,8 +170,9 @@ def ks_global_check(
 
     Scans `samples` normalized complex Gaussian directions drawn from
     np.random.default_rng(seed): all defects come from one (N, 9) @ (9, 16)
-    product with the blocks of ks_form and go through one guarded batch
-    eigensolve.  scan_then_refine then polishes the eight most negative
+    product with the blocks of ks_form and go through the guarded
+    lowest-eigenvalue kernel, exact for every defect that can rank among
+    the eight lowest.  scan_then_refine then polishes the eight most negative
     candidates by exact alternating eigen-descent on the form (see the
     module docstring).  The witness has its largest-modulus component real and
     positive, and min_eig is lambda_min of the defect re-evaluated there.
@@ -181,7 +184,7 @@ def ks_global_check(
         raise ValueError("tol must be positive")
     w_table, psi_table = _tables(ks_form(b))
     ws = _scan_directions(samples, seed)
-    vals = hermitian_eigvalsh_batch(_contract(w_table, ws))[:, 0]
+    vals = hermitian_lowest_eigvals(_contract(w_table, ws), REFINE_STARTS)
     _, best_w, _ = scan_then_refine(ws, vals, _descent_step(w_table, psi_table))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])

@@ -5,8 +5,10 @@ stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
 module also provides the small dense-matrix kernel the certifiers build
 on: Kronecker products, the (bilinear, unconjugated) cross product on
 C^3, and the one hermitian eigen kernel: LAPACK (``np.linalg.eigh`` for
-a single matrix, ``np.linalg.eigvalsh`` for a stack) behind a guard that
-rejects non-finite or non-hermitian input on both paths.
+a single matrix; ``eigvalsh`` for the lowest eigenvalues of a stack,
+called only on the matrices whose trace bound lets them rank among the
+few lowest) behind a guard that rejects non-finite or non-hermitian
+input on both paths.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.
@@ -104,12 +106,45 @@ def hermitian_eigh(m: np.ndarray):
     return np.linalg.eigh(m)
 
 
-def hermitian_eigvalsh_batch(ms: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a stack of hermitian matrices, shape (N, n, n)."""
+def hermitian_lowest_eigvals(ms: np.ndarray, keep: int) -> np.ndarray:
+    """Lowest eigenvalues of a stack (N, n, n), exact wherever they can rank among the keep lowest.
+
+    The whole stack passes the hermitian guard.  Each matrix A gets the
+    trace bound lambda_min >= m - s*sqrt(n - 1), with m = tr(A)/n and
+    s^2 = ||A - m*I||_F^2 / n (Wolkowicz & Styan, Linear Algebra Appl. 29,
+    1980), taken over the triangle LAPACK reads and lowered by a rounding
+    margin far above LAPACK's backward error.  Matrices are eigensolved
+    best bound first, in doubling blocks starting at keep, until the next
+    bound exceeds the keep-th lowest eigenvalue found so far.  Solved
+    entries hold LAPACK's lambda_min, the others their bound, which lies
+    strictly above the keep-th value; so the first keep entries of a
+    stable argsort, and their values, equal those of the full
+    eigvalsh(ms)[:, 0].
+    """
     ms = require_hermitian(ms)
     if ms.ndim != 3:
         raise ValueError(f"expected a stack of shape (N, n, n), got {ms.shape}")
-    return np.linalg.eigvalsh(ms)
+    if keep < 1:
+        raise ValueError("keep must be >= 1")
+    n = ms.shape[-1]
+    # LAPACK reads the lower triangle and the real part of the diagonal
+    diag = np.real(np.diagonal(ms, axis1=1, axis2=2))
+    mean = diag.sum(axis=1) / n
+    rows, cols = np.tril_indices(n, -1)
+    lower = np.abs(ms[:, rows, cols])
+    centred = np.sum((diag - mean[:, None]) ** 2, axis=1)
+    spread = np.sqrt((centred + 2 * np.sum(lower**2, axis=1)) / n)
+    bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + 1.0)
+    order = np.argsort(bound, kind="stable")
+    vals = bound.copy()
+    done, block = 0, keep
+    while done < len(order):
+        if done and bound[order[done]] > np.partition(vals[order[:done]], keep - 1)[keep - 1]:
+            break
+        idx = order[done : done + block]
+        vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]
+        done, block = done + len(idx), 2 * block
+    return vals
 
 
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:

@@ -289,12 +289,12 @@ def _tensor_doc():
 
 @st.composite
 def _argv(draw):
-    """argv from the flag grammar; budget flags always present and small.
+    """argv from the flag grammar; budget flags always present and small, now and then below range.
 
     Paths are "{doc}", "{missing}", "{dir}" or "{out}", filled in per example.
     """
     flags = [
-        ("samples", str(draw(st.integers(1, 64)))),
+        ("samples", str(draw(st.integers(-5, 64)))),
         ("count", str(draw(st.integers(1, 3)))),
         ("steps", str(draw(st.integers(0, 50)))),
     ]
@@ -304,7 +304,7 @@ def _argv(draw):
     if source in ("tensor", "both"):
         flags.append(("tensor", draw(_mostly(st.just("{doc}"), "{missing}", "{dir}"))))
     optional = {
-        "seed": _mostly(st.integers(0, 2**40).map(str), "-1", "1.5"),
+        "seed": _mostly(st.integers(0, 2**40).map(str), "0", "-1", "-7", "1.5"),
         "tol": _number(1e-12, 1e-2),
         "init": st.lists(_number(-0.5, 0.5), min_size=2, max_size=4).map(",".join),
         "output": _mostly(st.just("{out}"), "{dir}"),
@@ -346,6 +346,8 @@ def test_cli_fuzz_exit_codes_and_output(argv, doc, tmp_path):
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
+    if _below(argv, "samples", 1) or _below(argv, "seed", 0):
+        assert code == 2 and "error: argument --" in err, (argv, code, err)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
@@ -359,6 +361,31 @@ def test_cli_fuzz_exit_codes_and_output(argv, doc, tmp_path):
         assert _SUMMARY.fullmatch(out.strip()), out
     else:
         assert isinstance(strict_json(out), dict)
+
+
+def _below(argv, name, low):
+    """True if --name is given, as one word or two, an integer below low."""
+    values = [b for a, b in zip(argv, argv[1:]) if a == f"--{name}"]
+    values += [w.split("=", 1)[1] for w in argv if w.startswith(f"--{name}=")]
+    return any(re.fullmatch(r"-?\d+", v) and int(v) < low for v in values)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--epsilon", "0.1", "--samples", "-5", "ks"], "argument --samples: must be >= 1, got '-5'"),
+        (["--epsilon", "0.1", "certify", "--samples=0"], "argument --samples: must be >= 1, got '0'"),
+        (["--epsilon", "0.1", "--seed", "-1", "sweep"], "argument --seed: must be >= 0, got '-1'"),
+        (["choi", "--epsilon", "0.1", "--seed=-3"], "argument --seed: must be >= 0, got '-3'"),
+    ],
+)
+def test_samples_and_seed_validated_at_entry(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert message in err
 
 
 def strict_json(text):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qqocert import build_coeff_tensor, iterate, load_tensor_file, save_tensor_file
+from qqocert.cli import main
 from qqocert.files import dump_report, write_trajectory_csv
 
 
@@ -34,6 +35,13 @@ def test_tensor_file_nesting_order(tmp_path):
     assert np.array_equal(load_tensor_file(str(path)), b)
 
 
+def _tensor_doc_with(entry):
+    """A zero tensor document with b[0][1][2] written as the JSON text entry."""
+    b = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    b[0][1][2] = "ENTRY"
+    return json.dumps({"b": b}).replace('"ENTRY"', entry)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -43,13 +51,21 @@ def test_tensor_file_nesting_order(tmp_path):
         "{}",
         "[1, 2]",
         "not json",
+        # bool is an int in Python and float() reads "0.1"; neither is a JSON number
+        pytest.param('{"epsilon": true}', id="epsilon-true"),
+        pytest.param(_tensor_doc_with("true"), id="b-true"),
+        pytest.param(_tensor_doc_with('"0.1"'), id="b-string"),
+        pytest.param('{"epsilon": 1' + "0" * 400 + "}", id="epsilon-beyond-float"),
+        pytest.param(_tensor_doc_with("1" + "0" * 400), id="b-beyond-float"),
     ],
 )
-def test_tensor_file_rejects_bad_payloads(tmp_path, payload):
+def test_tensor_file_rejects_bad_payloads(tmp_path, payload, capsys):
     path = tmp_path / "bad.json"
     path.write_text(payload)
     with pytest.raises(ValueError):
         load_tensor_file(str(path))
+    assert main(["--tensor", str(path), "choi"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_trajectory_csv_schema():

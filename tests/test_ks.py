@@ -364,6 +364,21 @@ def test_global_check_pins_family_minima(eps, expected):
     assert wit.min_eig == pytest.approx(expected, abs=1e-6)
 
 
+def test_global_check_scan_prunes_most_eigensolves(monkeypatch):
+    # counts matrices, not seconds: the trace bound keeps most of the scan from LAPACK
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(ms, *args, **kwargs):
+        solved.append(len(ms))
+        return eigvalsh(ms, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
+    assert 0 < sum(solved) < 0.1 * 50_000
+
+
 def test_global_check_deterministic():
     b = build_coeff_tensor(1.0 / 3.0)
     w1 = ks_global_check(b, 1000, 5, 1e-8)

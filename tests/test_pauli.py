@@ -9,7 +9,7 @@ from qqocert import (
     b_matrix,
     cross_product,
     hermitian_eigh,
-    hermitian_eigvalsh_batch,
+    hermitian_lowest_eigvals,
     min_eigenvalue_hermitian,
     pauli_compose,
     pauli_decompose,
@@ -176,14 +176,95 @@ def test_eigh_matches_numpy_and_reconstructs():
             assert np.max(np.abs(rec - m)) <= 1e-10
 
 
-def test_eigvalsh_batch_matches_numpy():
+def assert_lowest_matches_full(ms, keep):
+    """Never above the exact minimum; the keep lowest (stable order) are bitwise LAPACK's."""
+    got = hermitian_lowest_eigvals(ms, keep)
+    ref = np.linalg.eigvalsh(ms)[:, 0]
+    assert got.shape == ref.shape
+    assert np.all(got <= ref)
+    top = np.argsort(ref, kind="stable")[:keep]
+    assert np.array_equal(np.argsort(got, kind="stable")[:keep], top)
+    assert np.array_equal(got[top], ref[top])
+
+
+def test_lowest_eigvals_matches_numpy():
     rng = np.random.default_rng(6)
     for n in (3, 4, 8):
         ms = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
         ms = ms + np.conj(np.swapaxes(ms, 1, 2))
-        got = hermitian_eigvalsh_batch(ms)
-        ref = np.linalg.eigvalsh(ms)
-        assert np.max(np.abs(got - ref)) <= 1e-10
+        for keep in (1, 8, 200, 500):
+            assert_lowest_matches_full(ms, keep)
+
+
+def _unitary(rng, n, real):
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def _stacks(draw):
+    """Stacks with ties, spectra where the trace bound is tight, and scales 1e-6 to 1e6."""
+    n = draw(st.sampled_from([3, 4]))
+    count = draw(st.integers(1, 40))
+    real = draw(st.booleans())
+    kind = draw(st.sampled_from(["random", "identity", "zero", "equal", "aaab", "abbb", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+
+    def spectrum(kind):
+        if kind == "random":
+            return rng.standard_normal(n)
+        a, b = rng.standard_normal(2)
+        # diag(a, a, a, b) or diag(a, b, b, b): the bound equals the low end when it is single
+        return np.array([a] * (n - 1) + [b]) if kind == "aaab" else np.array([a] + [b] * (n - 1))
+
+    def matrix(kind):
+        u = _unitary(rng, n, real)
+        m = (u * spectrum(kind)) @ np.conj(u.T)
+        return 0.5 * (m + np.conj(m.T))
+
+    if kind in ("identity", "zero"):
+        ms = np.stack([np.eye(n) * (kind == "identity")] * count)
+    elif kind == "equal":
+        ms = np.stack([matrix("random")] * count)
+    else:
+        kinds = rng.choice(["random", "aaab", "abbb"], count) if kind == "mixed" else [kind] * count
+        ms = np.stack([matrix(k) for k in kinds])
+    ms = ms * scale
+    return (ms.real if real else ms.astype(complex)), draw(st.integers(1, count + 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stacks())
+def test_lowest_eigvals_property(case):
+    ms, keep = case
+    assert_lowest_matches_full(ms, keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    count=st.integers(1, 30),
+    at=st.integers(0, 30),
+    entry=st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
+    bad=st.sampled_from([np.nan, np.inf, 1e-9]),
+)
+def test_lowest_eigvals_guards_matrices_it_would_prune(count, at, entry, bad):
+    # the bad matrix sits far above the rest, so its bound alone would prune it;
+    # the defect is in the upper triangle, which neither the bound nor LAPACK reads
+    ms = np.stack([np.eye(4, dtype=complex)] * count + [100.0 * np.eye(4, dtype=complex)])
+    ms[[count, at % count]] = ms[[at % count, count]]
+    ms[at % count][entry] += bad
+    with pytest.raises(NonHermitianInput):
+        hermitian_lowest_eigvals(ms, 1)
+
+
+def test_lowest_eigvals_empty_stack_and_bad_keep():
+    assert hermitian_lowest_eigvals(np.zeros((0, 4, 4)), 8).shape == (0,)
+    with pytest.raises(ValueError):
+        hermitian_lowest_eigvals(np.zeros((3, 4, 4)), 0)
 
 
 def test_eigh_deterministic():
@@ -211,24 +292,24 @@ def test_eigen_kernel_rejects_non_finite(bad):
     with pytest.raises(NonHermitianInput):
         hermitian_eigh(m)
     with pytest.raises(NonHermitianInput):
-        hermitian_eigvalsh_batch(np.stack([np.eye(4), m]))
+        hermitian_lowest_eigvals(np.stack([np.eye(4), m]), 1)
 
 
-def test_eigvalsh_batch_rejects_one_non_hermitian_matrix():
+def test_lowest_eigvals_rejects_one_non_hermitian_matrix():
     rng = np.random.default_rng(9)
     ms = np.array([rand_hermitian(rng, 4) for _ in range(50)])
-    hermitian_eigvalsh_batch(ms)
+    hermitian_lowest_eigvals(ms, 8)
     # LAPACK reads one triangle only; the guard must still see the other
     ms[37, 0, 3] += 1e-9
     with pytest.raises(NonHermitianInput):
-        hermitian_eigvalsh_batch(ms)
+        hermitian_lowest_eigvals(ms, 8)
 
 
 def test_eigen_kernel_rejects_wrong_rank():
     with pytest.raises(ValueError):
         hermitian_eigh(np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
-        hermitian_eigvalsh_batch(np.eye(4))
+        hermitian_lowest_eigvals(np.eye(4), 1)
 
 
 def test_eigh_real_symmetric_input_gives_real_vectors():
