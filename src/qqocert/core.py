@@ -24,6 +24,7 @@ from .pauli import (
     ID4,
     SIGMA,
     POSITIVITY_EIG_TOL,
+    REFINE_STARTS,
     PauliCoeffs,
     hermitian_eigh,
     hermitian_lowest_eigvals,
@@ -34,8 +35,7 @@ from .sampling import fibonacci_sphere
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
-# scan_then_refine: starts refined, relative stop, round cap
-REFINE_STARTS = 8
+# scan_then_refine: relative stop, round cap (it refines REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
 
@@ -186,7 +186,7 @@ def state_preservation_check(
     mats = np.einsum("ijk,ni->nkj", arr, pts)
     grams = np.einsum("nkj,nkl->njl", mats, mats)
     # the largest eigenvalues of the grams, as the lowest of their negatives
-    largest = -hermitian_lowest_eigvals(-grams, REFINE_STARTS)
+    largest = -hermitian_lowest_eigvals(-grams)
     norms = np.sqrt(np.maximum(largest, 0.0))
     _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
     max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
@@ -256,7 +256,7 @@ def sampled_positivity_check(
     """
     ds = delta_sigma_images(as_coeff_tensor(b))
     pts = fibonacci_sphere(samples, seed)
-    vals = hermitian_lowest_eigvals(ID4 + np.einsum("nk,kab->nab", pts, ds), REFINE_STARTS)
+    vals = hermitian_lowest_eigvals(ID4 + np.einsum("nk,kab->nab", pts, ds))
     margin, w, _ = scan_then_refine(pts, vals, _positivity_step(ds))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),

@@ -28,16 +28,18 @@ from .epsilon import build_coeff_tensor
 SCHEMA_VERSION = "v1"
 
 
-def _reals(value):
-    """Nested lists of JSON numbers as floats; true, false and strings are not numbers here."""
-    if isinstance(value, list):
-        return [_reals(v) for v in value]
+def _real(value) -> float:
+    """A JSON number as a float; true, false and strings are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError("integer beyond float range") from None
+
+
+def _is_list_of_3(value) -> bool:
+    return isinstance(value, list) and len(value) == 3
 
 
 def load_tensor_file(path: str) -> np.ndarray:
@@ -47,17 +49,27 @@ def load_tensor_file(path: str) -> np.ndarray:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON (nested too deep)") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object at top level")
     if ("b" in doc) == ("epsilon" in doc):
         raise ValueError(f"{path}: exactly one of 'b' or 'epsilon' must be present")
     try:
-        if "b" in doc:
-            return as_coeff_tensor(_reals(doc["b"]))
-        eps = _reals(doc["epsilon"])
-        if not isinstance(eps, float) or not np.isfinite(eps):
-            raise ValueError("'epsilon' must be a finite number")
-        return build_coeff_tensor(eps)
+        if "epsilon" in doc:
+            eps = _real(doc["epsilon"])
+            if not np.isfinite(eps):
+                raise ValueError("'epsilon' must be a finite number")
+            return build_coeff_tensor(eps)
+        b = doc["b"]
+        # the shape is checked level by level, so no depth of nesting recurses
+        if not (
+            _is_list_of_3(b)
+            and all(_is_list_of_3(plane) for plane in b)
+            and all(_is_list_of_3(row) for plane in b for row in plane)
+        ):
+            raise ValueError("'b' must be 3 lists of 3 lists of 3 numbers")
+        return as_coeff_tensor([[[_real(x) for x in row] for row in plane] for plane in b])
     except ValueError as exc:
         raise ValueError(f"{path}: bad tensor payload ({exc})") from exc
 

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    REFINE_STARTS,
     _eigen_descent_step,
     as_coeff_tensor,
     beta_matrix,
@@ -184,7 +183,7 @@ def ks_global_check(
         raise ValueError("tol must be positive")
     w_table, psi_table = _tables(ks_form(b))
     ws = _scan_directions(samples, seed)
-    vals = hermitian_lowest_eigvals(_contract(w_table, ws), REFINE_STARTS)
+    vals = hermitian_lowest_eigvals(_contract(w_table, ws))
     _, best_w, _ = scan_then_refine(ws, vals, _descent_step(w_table, psi_table))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])

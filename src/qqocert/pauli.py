@@ -23,6 +23,7 @@ import numpy as np
 # Tolerances shared across the package (declared once, used everywhere).
 HERMITICITY_ATOL = 1e-13     # entrywise |m - m*| allowed before eigensolving
 POSITIVITY_EIG_TOL = 1e-10   # min eigenvalue >= -tol counts as positive
+REFINE_STARTS = 8            # scan entries refined; hermitian_lowest_eigvals keeps them exact
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -106,26 +107,24 @@ def hermitian_eigh(m: np.ndarray):
     return np.linalg.eigh(m)
 
 
-def hermitian_lowest_eigvals(ms: np.ndarray, keep: int) -> np.ndarray:
-    """Lowest eigenvalues of a stack (N, n, n), exact wherever they can rank among the keep lowest.
+def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalues of a stack (N, n, n), exact wherever they can rank among the lowest few.
 
     The whole stack passes the hermitian guard.  Each matrix A gets the
     trace bound lambda_min >= m - s*sqrt(n - 1), with m = tr(A)/n and
     s^2 = ||A - m*I||_F^2 / n (Wolkowicz & Styan, Linear Algebra Appl. 29,
     1980), taken over the triangle LAPACK reads and lowered by a rounding
     margin far above LAPACK's backward error.  Matrices are eigensolved
-    best bound first, in doubling blocks starting at keep, until the next
-    bound exceeds the keep-th lowest eigenvalue found so far.  Solved
-    entries hold LAPACK's lambda_min, the others their bound, which lies
-    strictly above the keep-th value; so the first keep entries of a
-    stable argsort, and their values, equal those of the full
-    eigvalsh(ms)[:, 0].
+    best bound first, in doubling blocks starting at REFINE_STARTS, until
+    the next bound exceeds the REFINE_STARTS-th lowest eigenvalue found so
+    far.  Solved entries hold LAPACK's lambda_min, the others their bound,
+    which lies strictly above that value; so the first REFINE_STARTS
+    entries of a stable argsort, and their values, equal those of the
+    full eigvalsh(ms)[:, 0].
     """
     ms = require_hermitian(ms)
     if ms.ndim != 3:
         raise ValueError(f"expected a stack of shape (N, n, n), got {ms.shape}")
-    if keep < 1:
-        raise ValueError("keep must be >= 1")
     n = ms.shape[-1]
     # LAPACK reads the lower triangle and the real part of the diagonal
     diag = np.real(np.diagonal(ms, axis1=1, axis2=2))
@@ -137,9 +136,9 @@ def hermitian_lowest_eigvals(ms: np.ndarray, keep: int) -> np.ndarray:
     bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + 1.0)
     order = np.argsort(bound, kind="stable")
     vals = bound.copy()
-    done, block = 0, keep
+    done, block, kth = 0, REFINE_STARTS, REFINE_STARTS - 1
     while done < len(order):
-        if done and bound[order[done]] > np.partition(vals[order[:done]], keep - 1)[keep - 1]:
+        if done and bound[order[done]] > np.partition(vals[order[:done]], kth)[kth]:
             break
         idx = order[done : done + block]
         vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]

@@ -57,6 +57,12 @@ def _tensor_doc_with(entry):
         pytest.param(_tensor_doc_with('"0.1"'), id="b-string"),
         pytest.param('{"epsilon": 1' + "0" * 400 + "}", id="epsilon-beyond-float"),
         pytest.param(_tensor_doc_with("1" + "0" * 400), id="b-beyond-float"),
+        # nesting is refused without recursing, at any depth
+        pytest.param('{"b": ' + "[" * 700 + "]" * 700 + "}", id="b-nested-700"),
+        pytest.param('{"b": ' + "[" * 100_000 + "]" * 100_000 + "}", id="b-nested-100000"),
+        pytest.param(_tensor_doc_with("[" * 900 + "]" * 900), id="b-entry-nested-900"),
+        pytest.param('{"epsilon": ' + "[" * 900 + "]" * 900 + "}", id="epsilon-nested-900"),
+        pytest.param('{"b": [[[0, 0, 0], [0, 0, 0], [0, 0]], [], []]}', id="b-ragged"),
     ],
 )
 def test_tensor_file_rejects_bad_payloads(tmp_path, payload, capsys):

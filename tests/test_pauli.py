@@ -17,7 +17,7 @@ from qqocert import (
     state_eval,
     tensor_product,
 )
-from qqocert.pauli import ID2, SIGMA
+from qqocert.pauli import ID2, REFINE_STARTS, SIGMA
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -176,24 +176,24 @@ def test_eigh_matches_numpy_and_reconstructs():
             assert np.max(np.abs(rec - m)) <= 1e-10
 
 
-def assert_lowest_matches_full(ms, keep):
-    """Never above the exact minimum; the keep lowest (stable order) are bitwise LAPACK's."""
-    got = hermitian_lowest_eigvals(ms, keep)
+def assert_lowest_matches_full(ms):
+    """Never above the exact minimum; the REFINE_STARTS lowest (stable order) are bitwise LAPACK's."""
+    got = hermitian_lowest_eigvals(ms)
     ref = np.linalg.eigvalsh(ms)[:, 0]
     assert got.shape == ref.shape
     assert np.all(got <= ref)
-    top = np.argsort(ref, kind="stable")[:keep]
-    assert np.array_equal(np.argsort(got, kind="stable")[:keep], top)
+    top = np.argsort(ref, kind="stable")[:REFINE_STARTS]
+    assert np.array_equal(np.argsort(got, kind="stable")[:REFINE_STARTS], top)
     assert np.array_equal(got[top], ref[top])
 
 
 def test_lowest_eigvals_matches_numpy():
     rng = np.random.default_rng(6)
     for n in (3, 4, 8):
-        ms = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
-        ms = ms + np.conj(np.swapaxes(ms, 1, 2))
-        for keep in (1, 8, 200, 500):
-            assert_lowest_matches_full(ms, keep)
+        # fewer matrices than REFINE_STARTS, and enough for several doubling blocks
+        for count in (1, 5, 200, 5000):
+            ms = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+            assert_lowest_matches_full(ms + np.conj(np.swapaxes(ms, 1, 2)))
 
 
 def _unitary(rng, n, real):
@@ -234,37 +234,34 @@ def _stacks(draw):
         kinds = rng.choice(["random", "aaab", "abbb"], count) if kind == "mixed" else [kind] * count
         ms = np.stack([matrix(k) for k in kinds])
     ms = ms * scale
-    return (ms.real if real else ms.astype(complex)), draw(st.integers(1, count + 5))
+    return ms.real if real else ms.astype(complex)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_stacks())
-def test_lowest_eigvals_property(case):
-    ms, keep = case
-    assert_lowest_matches_full(ms, keep)
+@given(ms=_stacks())
+def test_lowest_eigvals_property(ms):
+    assert_lowest_matches_full(ms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    count=st.integers(1, 30),
+    count=st.integers(REFINE_STARTS, 30),
     at=st.integers(0, 30),
     entry=st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
     bad=st.sampled_from([np.nan, np.inf, 1e-9]),
 )
 def test_lowest_eigvals_guards_matrices_it_would_prune(count, at, entry, bad):
-    # the bad matrix sits far above the rest, so its bound alone would prune it;
-    # the defect is in the upper triangle, which neither the bound nor LAPACK reads
+    # the bad matrix sits far above REFINE_STARTS or more others, so its bound
+    # alone would prune it; the defect is in the upper triangle, which neither the bound nor LAPACK reads
     ms = np.stack([np.eye(4, dtype=complex)] * count + [100.0 * np.eye(4, dtype=complex)])
     ms[[count, at % count]] = ms[[at % count, count]]
     ms[at % count][entry] += bad
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(ms, 1)
+        hermitian_lowest_eigvals(ms)
 
 
-def test_lowest_eigvals_empty_stack_and_bad_keep():
-    assert hermitian_lowest_eigvals(np.zeros((0, 4, 4)), 8).shape == (0,)
-    with pytest.raises(ValueError):
-        hermitian_lowest_eigvals(np.zeros((3, 4, 4)), 0)
+def test_lowest_eigvals_empty_stack():
+    assert hermitian_lowest_eigvals(np.zeros((0, 4, 4))).shape == (0,)
 
 
 def test_eigh_deterministic():
@@ -292,24 +289,24 @@ def test_eigen_kernel_rejects_non_finite(bad):
     with pytest.raises(NonHermitianInput):
         hermitian_eigh(m)
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(np.stack([np.eye(4), m]), 1)
+        hermitian_lowest_eigvals(np.stack([np.eye(4), m]))
 
 
 def test_lowest_eigvals_rejects_one_non_hermitian_matrix():
     rng = np.random.default_rng(9)
     ms = np.array([rand_hermitian(rng, 4) for _ in range(50)])
-    hermitian_lowest_eigvals(ms, 8)
+    hermitian_lowest_eigvals(ms)
     # LAPACK reads one triangle only; the guard must still see the other
     ms[37, 0, 3] += 1e-9
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(ms, 8)
+        hermitian_lowest_eigvals(ms)
 
 
 def test_eigen_kernel_rejects_wrong_rank():
     with pytest.raises(ValueError):
         hermitian_eigh(np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
-        hermitian_lowest_eigvals(np.eye(4), 1)
+        hermitian_lowest_eigvals(np.eye(4))
 
 
 def test_eigh_real_symmetric_input_gives_real_vectors():
