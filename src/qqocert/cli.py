@@ -8,6 +8,7 @@ one fails, 2 on input errors (bad files, out-of-domain parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -16,6 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import core, dynamics, epsilon, files, ks
+
+# sweep defaults: SWEEP_COUNT couplings over [-SWEEP_HALF_WIDTH, SWEEP_HALF_WIDTH], KS scan budget
+SWEEP_HALF_WIDTH = 0.6
+SWEEP_COUNT = 25
+SWEEP_SAMPLES = 5_000
 
 
 def _complex_list(values) -> dict:
@@ -85,7 +91,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--steps", type=int, help="iteration budget for simulate", **kw(None))
     parser.add_argument("--init", metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))
     parser.add_argument("--output", metavar="PATH", help="write the report or trajectory here", **kw(None))
-    parser.add_argument("--count", type=int, help="number of grid points for sweep", **kw(None))
+    parser.add_argument("--count", type=_int_at_least(1), help="number of grid points for sweep", **kw(None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,6 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p, suppress=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reuses: parsing reads it and changes nothing in it."""
+    return build_parser()
 
 
 def _resolve_tensor(args) -> tuple:
@@ -258,11 +270,9 @@ def _cmd_fixed_points(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.tensor is not None:
         raise ValueError("sweep requires --epsilon (the half-width of the grid)")
-    half = abs(args.epsilon) if args.epsilon is not None else 0.6
-    count = args.count if args.count is not None else 25
-    if count < 1:
-        raise ValueError("--count must be >= 1")
-    samples = args.samples if args.samples is not None else 5_000
+    half = abs(args.epsilon) if args.epsilon is not None else SWEEP_HALF_WIDTH
+    count = args.count if args.count is not None else SWEEP_COUNT
+    samples = args.samples if args.samples is not None else SWEEP_SAMPLES
     rows = []
     for e in np.linspace(-half, half, count):
         e = float(e)
@@ -303,7 +313,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:

@@ -28,6 +28,7 @@ from .pauli import (
     PauliCoeffs,
     hermitian_eigh,
     hermitian_lowest_eigvals,
+    lowest_indices,
     pauli_decompose,
     tensor_product,
 )
@@ -110,21 +111,22 @@ def scan_then_refine(points, values, step) -> tuple:
     """Minimize from the best scanned points by repeating an exact monotone step.
 
     values[i] is the scan value of points[i], exact at least where it
-    ranks among the lowest; maximizers pass negated
-    values.  The REFINE_STARTS lowest (stable argsort, so ties keep scan
-    order) each start a descent over states (point, carry).  The carry
-    is None at a scanned point and may hold what the next round needs,
-    such as an eigenvector; step maps a state to the next one and its
-    value.  A round that would raise the value is discarded, and a
-    descent stops when a round lowers it by at most REFINE_RTOL relative
-    or after REFINE_CAP rounds.  Returns (best value, best point, the most
-    rounds any start used).  This is the one place an empty scan is
+    ranks among the lowest; maximizers pass negated values.  The
+    REFINE_STARTS lowest, in stable order so that ties keep scan order
+    (lowest_indices, which sorts only the candidates), each start a
+    descent over states (point, carry).  The carry is None at a scanned
+    point and may hold what the next round needs, such as an
+    eigenvector; step maps a state to the next one and its value.  A
+    round that would raise the value is discarded, and a descent stops
+    when a round lowers it by at most REFINE_RTOL relative or after
+    REFINE_CAP rounds.  Returns (best value, best point, the most rounds
+    any start used).  This is the one place an empty scan is
     rejected.
     """
     values = np.asarray(values)
     if values.size < 1:
         raise ValueError("samples must be >= 1")
-    order = np.argsort(values, kind="stable")[:REFINE_STARTS]
+    order = lowest_indices(values)
     best_val, best_x, most = float(values[order[0]]), points[order[0]], 0
     for idx in order:
         state, val = (points[idx], None), float(values[idx])

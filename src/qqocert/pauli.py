@@ -8,7 +8,9 @@ C^3, and the one hermitian eigen kernel: LAPACK (``np.linalg.eigh`` for
 a single matrix; ``eigvalsh`` for the lowest eigenvalues of a stack,
 called only on the matrices whose trace bound lets them rank among the
 few lowest) behind a guard that rejects non-finite or non-hermitian
-input on both paths.
+input on both paths.  ``lowest_indices`` picks the few lowest entries of
+an array in stable order without sorting all of it; the stack kernel
+and ``core.scan_then_refine`` select with it.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.
@@ -107,6 +109,22 @@ def hermitian_eigh(m: np.ndarray):
     return np.linalg.eigh(m)
 
 
+def lowest_indices(values, k: int = REFINE_STARTS) -> np.ndarray:
+    """The first k indices of np.argsort(values, kind="stable"), without a full sort.
+
+    Partitions at the k-th lowest value, then stable-sorts only the
+    entries not above it: every entry of the first k is among them, and
+    every other entry sorts after all of them.
+    """
+    values = np.asarray(values)
+    if values.size <= k:
+        return np.argsort(values, kind="stable")
+    kth = np.partition(values, k - 1)[k - 1]
+    # "not above" rather than "at or below", so a NaN k-th value keeps every entry
+    cand = np.flatnonzero(~(values > kth))
+    return cand[np.argsort(values[cand], kind="stable")[:k]]
+
+
 def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
     """Lowest eigenvalues of a stack (N, n, n), exact wherever they can rank among the lowest few.
 
@@ -114,13 +132,15 @@ def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
     trace bound lambda_min >= m - s*sqrt(n - 1), with m = tr(A)/n and
     s^2 = ||A - m*I||_F^2 / n (Wolkowicz & Styan, Linear Algebra Appl. 29,
     1980), taken over the triangle LAPACK reads and lowered by a rounding
-    margin far above LAPACK's backward error.  Matrices are eigensolved
-    best bound first, in doubling blocks starting at REFINE_STARTS, until
-    the next bound exceeds the REFINE_STARTS-th lowest eigenvalue found so
-    far.  Solved entries hold LAPACK's lambda_min, the others their bound,
-    which lies strictly above that value; so the first REFINE_STARTS
-    entries of a stable argsort, and their values, equal those of the
-    full eigvalsh(ms)[:, 0].
+    margin far above LAPACK's backward error.  The REFINE_STARTS lowest
+    bounds are eigensolved first; a matrix can rank among the
+    REFINE_STARTS lowest only if its bound is at most the largest of those
+    exact values, so only those candidates go on, best bound first, in
+    doubling blocks, until the next bound exceeds the REFINE_STARTS-th
+    lowest eigenvalue found so far.  Solved entries hold LAPACK's
+    lambda_min, the others their bound, which lies strictly above that
+    value; so the first REFINE_STARTS entries of a stable argsort, and
+    their values, equal those of the full eigvalsh(ms)[:, 0].
     """
     ms = require_hermitian(ms)
     if ms.ndim != 3:
@@ -134,12 +154,14 @@ def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
     centred = np.sum((diag - mean[:, None]) ** 2, axis=1)
     spread = np.sqrt((centred + 2 * np.sum(lower**2, axis=1)) / n)
     bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + 1.0)
-    order = np.argsort(bound, kind="stable")
     vals = bound.copy()
-    done, block, kth = 0, REFINE_STARTS, REFINE_STARTS - 1
-    while done < len(order):
-        if done and bound[order[done]] > np.partition(vals[order[:done]], kth)[kth]:
-            break
+    first = lowest_indices(bound)
+    vals[first] = np.linalg.eigvalsh(ms[first])[:, 0]
+    # only a bound at most the largest exact value so far can rank; in stable order the solved come first
+    can_rank = np.count_nonzero(bound <= np.max(vals[first], initial=-np.inf))
+    order = lowest_indices(bound, can_rank)
+    done, block, kth = len(first), 2 * REFINE_STARTS, REFINE_STARTS - 1
+    while done < len(order) and bound[order[done]] <= np.partition(vals[order[:done]], kth)[kth]:
         idx = order[done : done + block]
         vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]
         done, block = done + len(idx), 2 * block

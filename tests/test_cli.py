@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qqocert
-from qqocert.cli import main
+from qqocert import cli
+from qqocert.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -256,6 +257,54 @@ def test_simulate_non_positive_tol_exits_2_without_output(tol, capsys):
     assert "tol must be positive" in err
 
 
+# ---------------------------------------------------------------- one parser per process
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    build_parser()
+    per_build = len(built)  # the root parser and one per subcommand
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(["--epsilon", "0.1", "choi"], capsys)[0] == 0
+    assert len(built) == per_build
+    assert build_parser() is not build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    _, out, _ = run(["--epsilon", "0.1", "--samples", "64", "certify"], capsys)
+    assert json.loads(out)["samples"] == 64
+    _, out, _ = run(["--epsilon", "0.1", "certify"], capsys)
+    assert json.loads(out)["samples"] == 20000
+
+    path = tmp_path / "ks.json"
+    _, out, _ = run(["--epsilon", "0.1", "--output", str(path), "ks"], capsys)
+    assert out == ""
+    assert json.loads(path.read_text())["command"] == "ks"
+    path.unlink()
+    _, out, _ = run(["--epsilon", "0.1", "ks"], capsys)
+    assert json.loads(out)["command"] == "ks"
+    assert not path.exists()
+
+    valid = ["--epsilon", "0.2", "--samples", "64", "certify"]
+    cli._parser.cache_clear()
+    first = run(valid, capsys)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--epsilon", "0.2", "--samples", "0", "certify"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(valid, capsys) == first
+
+
 # ---------------------------------------------------------------- fuzz
 
 _COMMANDS = ("certify", "ks", "choi", "simulate", "fixed-points", "sweep")
@@ -295,7 +344,8 @@ def _argv(draw):
     """
     flags = [
         ("samples", str(draw(st.integers(-5, 64)))),
-        ("count", str(draw(st.integers(1, 3)))),
+        # a quarter of the counts fall below 1; the rest keep the handlers running
+        ("count", str(draw(st.integers(1, 3) | st.integers(-2, 3)))),
         ("steps", str(draw(st.integers(0, 50)))),
     ]
     source = draw(st.sampled_from(["epsilon", "tensor", "both", "none"]))
@@ -325,7 +375,7 @@ def _argv(draw):
 
 @settings(
     deadline=None,
-    max_examples=200,
+    max_examples=250,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=_argv(), doc=_tensor_doc())
@@ -346,7 +396,7 @@ def test_cli_fuzz_exit_codes_and_output(argv, doc, tmp_path):
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
-    if _below(argv, "samples", 1) or _below(argv, "seed", 0):
+    if _below(argv, "samples", 1) or _below(argv, "seed", 0) or _below(argv, "count", 1):
         assert code == 2 and "error: argument --" in err, (argv, code, err)
     assert "Traceback" not in err
     if code == 2:
@@ -377,6 +427,7 @@ def _below(argv, name, low):
         (["--epsilon", "0.1", "certify", "--samples=0"], "argument --samples: must be >= 1, got '0'"),
         (["--epsilon", "0.1", "--seed", "-1", "sweep"], "argument --seed: must be >= 0, got '-1'"),
         (["choi", "--epsilon", "0.1", "--seed=-3"], "argument --seed: must be >= 0, got '-3'"),
+        (["--count", "0", "sweep"], "argument --count: must be >= 1, got '0'"),
     ],
 )
 def test_samples_and_seed_validated_at_entry(argv, message, capsys):

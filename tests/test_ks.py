@@ -379,6 +379,21 @@ def test_global_check_scan_prunes_most_eigensolves(monkeypatch):
     assert 0 < sum(solved) < 0.1 * 50_000
 
 
+def test_global_check_sorts_no_whole_scan(monkeypatch):
+    # only the candidates for the refine starts are sorted, in the kernel and in scan_then_refine
+    sizes = []
+    argsort = np.argsort
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
+    assert sizes and max(sizes) < 0.1 * 50_000
+
+
 def test_global_check_deterministic():
     b = build_coeff_tensor(1.0 / 3.0)
     w1 = ks_global_check(b, 1000, 5, 1e-8)

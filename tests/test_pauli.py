@@ -17,7 +17,7 @@ from qqocert import (
     state_eval,
     tensor_product,
 )
-from qqocert.pauli import ID2, REFINE_STARTS, SIGMA
+from qqocert.pauli import ID2, REFINE_STARTS, SIGMA, lowest_indices
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -258,6 +258,34 @@ def test_lowest_eigvals_guards_matrices_it_would_prune(count, at, entry, bad):
     ms[at % count][entry] += bad
     with pytest.raises(NonHermitianInput):
         hermitian_lowest_eigvals(ms)
+
+
+def _lowest_indices_cases():
+    rng = np.random.default_rng(12)
+    cases = {f"size{n}": rng.standard_normal(n) for n in (0, 1, 7, 8, 9, 5000)}
+    cases["all-equal"] = np.full(5000, 0.25)
+    # 3 entries below the k-th value and 400 tied at it
+    cases["ties-at-kth"] = rng.permutation(np.r_[np.zeros(3), np.ones(400), rng.uniform(1.5, 2, 4597)])
+    cases["signed-zeros-infs"] = rng.permutation(np.r_[[-np.inf, np.inf, -0.0, 0.0] * 5, rng.standard_normal(20)])
+    cases["zeros-then-infs"] = np.r_[[0.0, -0.0] * 10, [np.inf] * 3, [-np.inf] * 3]
+    return [pytest.param(v, id=name) for name, v in cases.items()]
+
+
+@pytest.mark.parametrize("values", _lowest_indices_cases())
+@pytest.mark.parametrize("k", [1, REFINE_STARTS, 400])
+def test_lowest_indices_matches_stable_argsort(values, k):
+    assert np.array_equal(lowest_indices(values, k), np.argsort(values, kind="stable")[:k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]), max_size=40),
+    k=st.integers(1, 12),
+)
+def test_lowest_indices_property(values, k):
+    # a pool of seven values: ties at the k-th value, signed zeros and infinities throughout
+    values = np.array(values)
+    assert np.array_equal(lowest_indices(values, k), np.argsort(values, kind="stable")[:k])
 
 
 def test_lowest_eigvals_empty_stack():
