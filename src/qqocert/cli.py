@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import re
 import sys
@@ -145,8 +146,9 @@ def _witness_block(witness) -> dict:
 
 def _emit(args, report: dict) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            files.dump_report(report, fh)
+        buf = io.StringIO()
+        files.dump_report(report, buf)
+        files.write_text(args.output, buf.getvalue())
     else:
         files.dump_report(report)
 
@@ -244,8 +246,9 @@ def _cmd_simulate(args) -> int:
         f"final_rho={traj.steps[-1][2]!r} limit={_float_list(traj.limit)}"
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            files.write_trajectory_csv(traj, fh)
+        buf = io.StringIO()
+        files.write_trajectory_csv(traj, buf)
+        files.write_text(args.output, buf.getvalue())
         print(summary)
     else:
         files.write_trajectory_csv(traj, sys.stdout)

@@ -118,6 +118,18 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert len(lines) >= 3
 
 
+def test_output_replaces_a_longer_existing_file(tmp_path, capsys):
+    traj, report = tmp_path / "traj.csv", tmp_path / "report.json"
+    for path in (traj, report):
+        path.write_text("stale\n" * 1000)
+    run(["--epsilon", "0.5", "--init", "0.6,0,0", "--output", str(traj), "simulate"], capsys)
+    _, expected, _ = run(["--epsilon", "0.5", "--init", "0.6,0,0", "simulate"], capsys)
+    assert traj.read_text() == expected
+    run(["--epsilon", "0.2", "--output", str(report), "fixed-points"], capsys)
+    _, expected, _ = run(["--epsilon", "0.2", "fixed-points"], capsys)
+    assert report.read_text() == expected
+
+
 def test_simulate_stationary_at_rounded_critical(tmp_path, capsys):
     code, out, _ = run(
         [

@@ -1,12 +1,13 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 from qqocert import build_coeff_tensor, iterate, load_tensor_file, save_tensor_file
 from qqocert.cli import main
-from qqocert.files import dump_report, write_trajectory_csv
+from qqocert.files import dump_report, write_text, write_trajectory_csv
 
 
 def test_tensor_file_roundtrip(tmp_path):
@@ -16,6 +17,22 @@ def test_tensor_file_roundtrip(tmp_path):
     save_tensor_file(b, str(path))
     back = load_tensor_file(str(path))
     assert np.max(np.abs(back - b)) <= 1e-15
+
+
+def test_write_text_creates_then_replaces_whole_contents(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(str(path), "first, and longer than the second\n")
+    assert path.read_text() == "first, and longer than the second\n"
+    write_text(str(path), "second\n")
+    assert path.read_bytes() == b"second\n"
+    write_text(str(path), "")
+    assert path.read_bytes() == b""
+    write_text(str(path), "\u03b5 = 1/3\n")
+    assert path.read_text(encoding="utf-8") == "\u03b5 = 1/3\n"
+
+
+def test_write_text_to_a_device_skips_the_cut():
+    write_text(os.devnull, "discarded\n")
 
 
 def test_tensor_file_epsilon_shorthand(tmp_path):
