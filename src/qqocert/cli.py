@@ -132,6 +132,11 @@ def _resolve_tensor(args) -> tuple:
     return files.load_tensor_file(args.tensor), None
 
 
+def _ks_tol(args) -> float:
+    """The KS witness threshold of certify, ks and sweep; ks_global_check refuses tol <= 0."""
+    return args.tol if args.tol is not None else ks.KS_DEFAULT_TOL
+
+
 def _input_block(args) -> dict:
     if args.epsilon is not None:
         return {"epsilon": float(args.epsilon)}
@@ -157,7 +162,7 @@ def _cmd_certify(args) -> int:
     b, eps = _resolve_tensor(args)
     samples = args.samples if args.samples is not None else core.DEFAULT_SAMPLES
     ks_samples = args.samples if args.samples is not None else ks.KS_DEFAULT_SAMPLES
-    ks_tol = args.tol if args.tol is not None else ks.KS_DEFAULT_TOL
+    ks_tol = _ks_tol(args)
 
     pres = core.state_preservation_check(b, samples, args.seed)
     if eps is not None:
@@ -195,7 +200,7 @@ def _cmd_certify(args) -> int:
 def _cmd_ks(args) -> int:
     b, _ = _resolve_tensor(args)
     samples = args.samples if args.samples is not None else ks.KS_DEFAULT_SAMPLES
-    tol = args.tol if args.tol is not None else ks.KS_DEFAULT_TOL
+    tol = _ks_tol(args)
     witness = ks.ks_global_check(b, samples, args.seed, tol)
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
@@ -276,13 +281,14 @@ def _cmd_sweep(args) -> int:
     half = abs(args.epsilon) if args.epsilon is not None else SWEEP_HALF_WIDTH
     count = args.count if args.count is not None else SWEEP_COUNT
     samples = args.samples if args.samples is not None else SWEEP_SAMPLES
+    tol = _ks_tol(args)
     rows = []
     for e in np.linspace(-half, half, count):
         e = float(e)
         b = epsilon.build_coeff_tensor(e)
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
-        witness = ks.ks_global_check(b, samples, args.seed, ks.KS_DEFAULT_TOL)
+        witness = ks.ks_global_check(b, samples, args.seed, tol)
         rows.append(
             {
                 "epsilon": e,

@@ -9,9 +9,11 @@ real numbers b[m][l][k]:
 This module evaluates that map, its dual action on product states and
 the 3x3 matrix field beta(f), and builds every certificate on shared
 pieces: one scan-then-refine loop (a batch scan, then an exact
-monotone step repeated from the eight best points), one tensor-norm
+monotone step repeated from the eight best points, all eight advanced
+together with one stacked eigensolve per half-step), one tensor-norm
 routine (state_preservation_check, the injective norm of the dual
-action) and one complete-positivity check on the Choi matrix.
+action) and one complete-positivity check on the Choi matrix, which
+is built for all four matrix units at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .pauli import (
     hermitian_eigh,
     hermitian_lowest_eigvals,
     lowest_indices,
-    pauli_decompose,
     tensor_product,
 )
 from .sampling import fibonacci_sphere
@@ -44,6 +45,10 @@ REFINE_CAP = 1000
 _SIGMA_PAIRS = np.array(
     [[tensor_product(SIGMA[m], SIGMA[l]) for l in range(3)] for m in range(3)]
 )
+# Pauli coefficients of the matrix units, w0 = tr(e_ij)/2 and w[i, j, k] = tr(sigma_k e_ij)/2,
+# read off SIGMA: a matrix product here would make every import pay for BLAS buffers
+_UNIT_W0 = np.eye(2, dtype=complex) / 2
+_UNIT_W = SIGMA.transpose(2, 1, 0) / 2
 
 
 def as_coeff_tensor(b) -> np.ndarray:
@@ -102,9 +107,9 @@ def dual_pair_apply(b, f, p) -> np.ndarray:
 
 
 def _spectral_norm_with_vectors(m: np.ndarray):
-    """Largest singular value of a real 3x3 matrix with its right singular vector v."""
-    vals, vecs = hermitian_eigh(m.T @ m)
-    return float(np.sqrt(max(vals[-1], 0.0))), vecs[:, -1]
+    """Largest singular value of a real 3x3 matrix, or of each in a stack, with its right singular vector v."""
+    vals, vecs = hermitian_eigh(np.swapaxes(m, -1, -2) @ m)
+    return np.sqrt(np.maximum(vals[..., -1], 0.0)), vecs[..., :, -1]
 
 
 def scan_then_refine(points, values, step) -> tuple:
@@ -114,33 +119,33 @@ def scan_then_refine(points, values, step) -> tuple:
     ranks among the lowest; maximizers pass negated values.  The
     REFINE_STARTS lowest, in stable order so that ties keep scan order
     (lowest_indices, which sorts only the candidates), each start a
-    descent over states (point, carry).  The carry is None at a scanned
-    point and may hold what the next round needs, such as an
-    eigenvector; step maps a state to the next one and its value.  A
-    round that would raise the value is discarded, and a descent stops
-    when a round lowers it by at most REFINE_RTOL relative or after
-    REFINE_CAP rounds.  Returns (best value, best point, the most rounds
-    any start used).  This is the one place an empty scan is
-    rejected.
+    descent over states (point, carry), advance together: step maps the
+    stacked points and carries of the k starts still running (carries
+    None in round 1, then what the next round needs, such as
+    eigenvectors) to the next ones and k values.  A round that would
+    raise a start's value is discarded and ends that start, as does one
+    that lowers it by at most REFINE_RTOL relative; REFINE_CAP rounds end
+    all.  Returns (best value, best point, the most rounds any start
+    used), ties going to the earlier start.  This is the one place an
+    empty scan is rejected.
     """
     values = np.asarray(values)
     if values.size < 1:
         raise ValueError("samples must be >= 1")
     order = lowest_indices(values)
-    best_val, best_x, most = float(values[order[0]]), points[order[0]], 0
-    for idx in order:
-        state, val = (points[idx], None), float(values[idx])
-        for rounds in range(1, REFINE_CAP + 1):
-            new_state, new = step(state)
-            fall = val - new
-            if fall > 0:
-                state, val = new_state, float(new)
-            if fall <= REFINE_RTOL * abs(val):
-                break
-        most = max(most, rounds)
-        if val < best_val:
-            best_val, best_x = val, state[0]
-    return best_val, best_x, most
+    x, val = np.asarray(points)[order], values[order].astype(float)
+    live, carry = np.arange(len(order)), None
+    for rounds in range(1, REFINE_CAP + 1):
+        new_x, new_carry, new = step(x[live], carry)
+        fall = val[live] - new
+        fell = fall > 0
+        x[live[fell]], val[live[fell]] = new_x[fell], new[fell]
+        going = fall > REFINE_RTOL * np.abs(val[live])
+        live, carry = live[going], None if new_carry is None else new_carry[going]
+        if live.size == 0:
+            break
+    best = int(np.argmin(val))
+    return float(val[best]), x[best], rounds
 
 
 @dataclass
@@ -154,17 +159,17 @@ class PreservationReport:
 
 
 def _norm_step(arr: np.ndarray):
-    """One round of alternating singular-vector ascent on |b(f, p, .)|, negated.
+    """One round of alternating singular-vector ascent on |b(f, p, .)|, negated, for a stack of f.
 
     p becomes the leading right-singular vector of N(f), then f that of
     N'(p), where b(f, p, .) = N(f) p = N'(p) f; each half-step picks the
     best partner for the other, so the norm never falls.  No carry.
     """
 
-    def step(state):
-        _, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, state[0]))
-        val, f = _spectral_norm_with_vectors(np.einsum("ijk,j->ki", arr, p))
-        return (f, None), -val
+    def step(f, _):
+        _, p = _spectral_norm_with_vectors(np.einsum("ijk,ni->nkj", arr, f))
+        val, f = _spectral_norm_with_vectors(np.einsum("ijk,nj->nki", arr, p))
+        return f, None, -val
 
     return step
 
@@ -193,7 +198,7 @@ def state_preservation_check(
     _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
     max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
     return PreservationReport(
-        max_norm=max_norm,
+        max_norm=float(max_norm),
         witness_f=np.array(f),
         witness_p=p,
         passes=bool(max_norm <= 1.0 + 1e-9),
@@ -210,26 +215,25 @@ class PositivityReport:
 
 
 def _eigen_descent_step(matrix_of, update):
-    """A scan_then_refine step that alternates a point w and an eigenvector psi.
+    """A scan_then_refine step that alternates points w and eigenvectors psi, for a stack of w.
 
     psi (the carry) is the lowest eigenvector of the hermitian
-    matrix_of(w); update(psi) returns a unit w minimizing
+    matrix_of(w); update(psi) returns unit w minimizing
     <psi, matrix_of(w) psi>, so lambda_min(matrix_of(w)) never rises.
-    The new point's psi is kept, so a round costs one eigensolve plus
-    whatever update needs.
+    The new points' psi is kept, so a round costs one stacked eigensolve
+    plus whatever update needs.
     """
 
     def lowest(w):
         vals, vecs = hermitian_eigh(matrix_of(w))
-        return vals[0], vecs[:, 0]
+        return vals[:, 0], vecs[:, :, 0]
 
-    def step(state):
-        w, psi = state
+    def step(w, psi):
         if psi is None:
             psi = lowest(w)[1]
         w = update(psi)
         val, psi = lowest(w)
-        return (w, psi), val
+        return w, psi, val
 
     return step
 
@@ -238,12 +242,14 @@ def _positivity_step(ds: np.ndarray):
     """Exact descent on <psi, (1 + w.Dsigma) psi>: w = -g/|g| with g_k = <psi, Dsigma_k psi>."""
 
     def update(psi):
-        g = np.real(np.einsum("a,kab,b->k", np.conj(psi), ds, psi))
-        gn = np.linalg.norm(g)
+        g = np.real(np.einsum("na,kab,nb->nk", np.conj(psi), ds, psi))
+        # |g| from one dot product per row, the way np.linalg.norm takes it for one g
+        gn = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
         # g = 0 makes every unit w a minimizer
-        return -g / gn if gn > 0.0 else np.array([1.0, 0.0, 0.0])
+        zero = gn == 0.0
+        return np.where(zero, np.eye(3)[0], -g / np.where(zero, 1.0, gn))
 
-    return _eigen_descent_step(lambda w: ID4 + np.einsum("k,kab->ab", w, ds), update)
+    return _eigen_descent_step(lambda w: ID4 + np.einsum("nk,kab->nab", w, ds), update)
 
 
 def sampled_positivity_check(
@@ -268,11 +274,11 @@ def sampled_positivity_check(
 
 
 def choi_matrix_from_tensor(b) -> np.ndarray:
-    """Twice the block matrix [Delta(e_ij)] over the 2x2 matrix units, shape (8, 8)."""
+    """Twice the block matrix [Delta(e_ij)] over the 2x2 matrix units, shape (8, 8), all four at once."""
     arr = as_coeff_tensor(b)
-    units = np.eye(4).reshape(2, 2, 2, 2)  # units[i, j] is e_ij
-    blocks = [[delta_apply(arr, pauli_decompose(units[i, j])) for j in range(2)] for i in range(2)]
-    return 2.0 * np.block(blocks)
+    coeff = np.einsum("mlk,ijk->ijml", arr, _UNIT_W)
+    images = _UNIT_W0[:, :, None, None] * ID4 + np.einsum("ijml,mlab->ijab", coeff, _SIGMA_PAIRS)
+    return 2.0 * images.transpose(0, 2, 1, 3).reshape(8, 8)
 
 
 @dataclass

@@ -152,10 +152,11 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
 
 
 def _descent_step(w_table: np.ndarray, psi_table: np.ndarray):
-    """Alternating eigen-descent on the form: w becomes the lowest eigenvector of T(psi)."""
+    """Alternating eigen-descent on the form for a stack of w: w becomes the lowest eigenvector of T(psi)."""
+    # one (1, n^2) row per start, as for a single w: a (k, n^2) matrix product can round differently
     return _eigen_descent_step(
-        lambda w: _contract(w_table, w),
-        lambda psi: hermitian_eigh(_contract(psi_table, psi))[1][:, 0],
+        lambda w: _contract(w_table, w[:, None])[:, 0],
+        lambda psi: hermitian_eigh(_contract(psi_table, psi[:, None])[:, 0])[1][:, :, 0],
     )
 
 

@@ -5,10 +5,10 @@ stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
 module also provides the small dense-matrix kernel the certifiers build
 on: Kronecker products, the (bilinear, unconjugated) cross product on
 C^3, and the one hermitian eigen kernel: LAPACK (``np.linalg.eigh`` for
-a single matrix; ``eigvalsh`` for the lowest eigenvalues of a stack,
-called only on the matrices whose trace bound lets them rank among the
-few lowest) behind a guard that rejects non-finite or non-hermitian
-input on both paths.  ``lowest_indices`` picks the few lowest entries of
+one matrix or a stack; ``eigvalsh`` for the lowest eigenvalues of a
+stack, called only on the matrices whose trace bound lets them rank
+among the few lowest) behind a guard that rejects non-finite,
+non-square or non-hermitian input on both paths.  ``lowest_indices`` picks the few lowest entries of
 an array in stable order without sorting all of it; the stack kernel
 and ``core.scan_then_refine`` select with it.
 
@@ -92,6 +92,8 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     stays real, so real symmetric matrices get real eigenvectors.
     """
     m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices of shape (..., n, n), got {m.shape}")
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if not np.all(np.isfinite(m)):
         raise NonHermitianInput("matrix has non-finite entries")
@@ -102,11 +104,8 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
 
 
 def hermitian_eigh(m: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors (matching columns) of a hermitian matrix."""
-    m = require_hermitian(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected one matrix of shape (n, n), got {m.shape}")
-    return np.linalg.eigh(m)
+    """Eigenvalues (ascending) and eigenvectors (matching columns) of a hermitian matrix or a stack (..., n, n)."""
+    return np.linalg.eigh(require_hermitian(m))
 
 
 def lowest_indices(values, k: int = REFINE_STARTS) -> np.ndarray:

@@ -269,6 +269,22 @@ def test_simulate_non_positive_tol_exits_2_without_output(tol, capsys):
     assert "tol must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "0.4", "--count", "2", "--tol", "-5", "sweep"],
+        ["--epsilon", "0.4", "--samples", "10", "--tol", "0", "ks"],
+        ["--epsilon", "0.4", "--samples", "10", "--tol", "-5", "certify"],
+    ],
+)
+def test_ks_non_positive_tol_exits_2_without_output(argv, capsys):
+    # every subcommand that searches for a KS witness reads --tol
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
+
+
 # ---------------------------------------------------------------- one parser per process
 
 

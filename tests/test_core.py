@@ -22,7 +22,7 @@ from qqocert import (
 from qqocert.core import REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
 
-from oracles import choi_matrix_family
+from oracles import choi_matrix_blocks, choi_matrix_family
 
 
 def rand_tensor(rng, scale=1.0):
@@ -237,18 +237,18 @@ def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
     # a step that only ever rises is never taken; the best scanned point wins
     pts = np.arange(12.0)
     vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
-    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 99.0))
+    val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.full(len(x), 99.0)))
     assert (val, x, rounds) == (0.5, 10.0, 1)
     # a step to a fixed value is taken once; the next round stops the descent
-    val, x, rounds = scan_then_refine(pts, vals, lambda s: ((s[0], None), 0.0))
+    val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.zeros(len(x))))
     assert val == 0.0 and rounds == 2
     # a step that always halves runs from each of the eight lowest to its cap
     calls = []
 
-    def halve(state):
-        calls.append(state[0])
-        k = 0 if state[1] is None else state[1] + 1
-        return (state[0], k), 0.5 ** (k + 1)
+    def halve(x, k):
+        calls.extend(x)
+        k = np.zeros(len(x), dtype=int) if k is None else k + 1
+        return x, k, 0.5 ** (k + 1)
 
     val, x, rounds = scan_then_refine(pts, vals + 1.0, halve)
     assert rounds == REFINE_CAP
@@ -373,6 +373,15 @@ def test_choi_from_tensor_matches_family_route():
         a = choi_matrix_from_tensor(build_coeff_tensor(eps))
         b = choi_matrix_family(eps)
         assert np.max(np.abs(a - b)) <= 1e-14
+
+
+def test_choi_from_tensor_matches_per_unit_blocks_bitwise():
+    # the one contraction against delta_apply on each matrix unit, joined by np.block
+    rng = np.random.default_rng(19)
+    tensors = [build_coeff_tensor(e) for e in (0.0, 0.1, 0.2254, 1.0 / 3.0, -0.4, 0.5, 1.0)]
+    tensors += [rand_tensor(rng, 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(1000)]
+    for b in tensors:
+        assert choi_matrix_from_tensor(b).tobytes() == choi_matrix_blocks(b).tobytes()
 
 
 def test_choi_from_tensor_hermitian():

@@ -18,6 +18,7 @@ from qqocert import (
     min_eigenvalue_hermitian,
     pauli_decompose,
 )
+from qqocert import core, ks
 from qqocert.core import (
     REFINE_CAP,
     _norm_step,
@@ -28,7 +29,14 @@ from qqocert.core import (
 from qqocert.ks import _descent_step, _scan_directions, _tables
 from qqocert.pauli import ID4, SIGMA
 
-from oracles import ABCD_EXACT, ABCD_W
+from oracles import (
+    ABCD_EXACT,
+    ABCD_W,
+    serial_ks_step,
+    serial_norm_step,
+    serial_positivity_step,
+    serial_scan_then_refine,
+)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -313,6 +321,73 @@ def test_descent_never_rises_and_stops_before_cap():
             assert val <= start
             assert rounds < REFINE_CAP
             assert abs(value(x) - val) <= 1e-12
+
+
+# family couplings on both sides of the KS and positivity thresholds, and
+# general tensors from well inside the unit ball to entries of size 10
+_ORACLE_TENSORS = [build_coeff_tensor(e) for e in (0.1, 0.2254, 1.0 / 3.0, -0.4, 0.6)] + [
+    rand_tensor(np.random.default_rng(40 + i), scale) for i, scale in enumerate((0.05, 0.3, 1.0, 3.0, 10.0))
+]
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 801])
+@pytest.mark.parametrize("index", range(len(_ORACLE_TENSORS)))
+def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
+    # every certificate's refine, replayed one start at a time with the single-matrix steps
+    b = _ORACLE_TENSORS[index]
+    w_table, psi_table = _tables(ks_form(b))
+    serial_steps = {
+        "preservation": serial_norm_step(b),
+        "positivity": serial_positivity_step(delta_sigma_images(b)),
+        "ks": serial_ks_step(w_table, psi_table),
+    }
+    for name, run in (
+        ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
+        ("positivity", lambda: core.sampled_positivity_check(b, 2000, seed)),
+        ("ks", lambda: ks_global_check(b, 5000, seed, 1e-8)),
+    ):
+        seen = []
+
+        def recording(points, values, step):
+            seen.append((points, values, scan_then_refine(points, values, step)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(core, "scan_then_refine", recording)
+        monkeypatch.setattr(ks, "scan_then_refine", recording)
+        run()
+        (points, values, (val, x, rounds)), = seen
+        s_val, s_x, s_rounds = serial_scan_then_refine(points, values, serial_steps[name])
+        assert _bits(val) == _bits(s_val) and _bits(x) == _bits(s_x) and rounds == s_rounds, name
+
+
+def test_stacked_refine_stops_starts_in_different_rounds():
+    # start s (scan value s) falls by 1.5 in rounds 1..s; round s + 1 is flat for even s and
+    # rises by 3 for odd s, which must keep that start's last accepted point
+    pts = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
+    seen = []
+
+    def step(x, carry):
+        seen.append((x.copy(), None if carry is None else carry.copy()))
+        s = x[:, 0]
+        r = np.ones(len(x)) if carry is None else carry[:, 1] + 1
+        new = s - 1.5 * np.minimum(r, s) + np.where((r > s) & (s % 2 == 1), 3.0, 0.0)
+        return x + [0.0, 1.0], np.stack([s, r], axis=1), new
+
+    val, x, rounds = scan_then_refine(pts, pts[:, 0], step)
+    # the live stack loses start r - 1 in round r, and each carry stays with its start
+    assert [len(xs) for xs, _ in seen] == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert seen[0][1] is None
+    for r, (xs, carry) in enumerate(seen[1:], start=2):
+        assert np.array_equal(xs[:, 0], np.arange(r - 1, 8.0))
+        assert np.array_equal(carry, np.stack([xs[:, 0], np.full(len(xs), r - 1.0)], axis=1))
+        assert np.array_equal(xs[:, 1], np.full(len(xs), r - 1.0))
+    # start 7 wins with the point of its seventh round, not of its rising eighth
+    assert rounds == 8
+    assert val == 7.0 - 1.5 * 7 and np.array_equal(x, [7.0, 7.0])
 
 
 def test_global_check_near_ks_boundary():

@@ -332,9 +332,23 @@ def test_lowest_eigvals_rejects_one_non_hermitian_matrix():
 
 def test_eigen_kernel_rejects_wrong_rank():
     with pytest.raises(ValueError):
-        hermitian_eigh(np.zeros((2, 4, 4)))
+        hermitian_eigh(np.zeros(4))
+    with pytest.raises(ValueError):
+        hermitian_eigh(np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
         hermitian_lowest_eigvals(np.eye(4))
+
+
+def test_eigh_stack_matches_one_at_a_time_and_guards_every_matrix():
+    rng = np.random.default_rng(12)
+    ms = np.array([rand_hermitian(rng, 4) for _ in range(8)])
+    vals, vecs = hermitian_eigh(ms)
+    for m, v, u in zip(ms, vals, vecs):
+        one_v, one_u = hermitian_eigh(m)
+        assert v.tobytes() == one_v.tobytes() and u.tobytes() == one_u.tobytes()
+    ms[5, 2, 0] += 1e-9
+    with pytest.raises(NonHermitianInput):
+        hermitian_eigh(ms)
 
 
 def test_eigh_real_symmetric_input_gives_real_vectors():
