@@ -11,11 +11,7 @@ from .pauli import (
     cross_product,
     hermitian_eigh,
     hermitian_lowest_eigvals,
-    min_eigenvalue_hermitian,
-    pauli_compose,
     pauli_decompose,
-    positivity_2x2,
-    state_eval,
     tensor_product,
 )
 from .core import (
@@ -32,7 +28,6 @@ from .core import (
     dual_pair_apply,
     sampled_positivity_check,
     state_preservation_check,
-    tensor_is_symmetric,
 )
 from .epsilon import (
     CP_THRESHOLD,
@@ -50,10 +45,8 @@ from .epsilon import (
 from .ks import (
     KS_DEFAULT_SAMPLES,
     KS_DEFAULT_TOL,
-    KSAuxiliaries,
     KSNecessaryReport,
     KSWitness,
-    ks_auxiliaries,
     ks_defect,
     ks_form,
     ks_global_check,
@@ -67,10 +60,8 @@ from .dynamics import (
     ball_invariance_check,
     fixed_points,
     iterate,
-    v_apply,
-    v_eps_apply,
 )
-from .files import load_tensor_file, save_tensor_file, write_trajectory_csv
+from .files import load_tensor_file, write_trajectory_csv
 from .sampling import fibonacci_sphere
 
 __version__ = "0.1.0"

@@ -24,6 +24,16 @@ SWEEP_HALF_WIDTH = 0.6
 SWEEP_COUNT = 25
 SWEEP_SAMPLES = 5_000
 
+# What main fills in for each flag left unset, per subcommand.  certify scans
+# preservation and positivity with samples and the KS search with ks_samples;
+# a given --samples sets both.
+_DEFAULTS = {
+    "certify": {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "ks": {"samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "sweep": {"epsilon": SWEEP_HALF_WIDTH, "count": SWEEP_COUNT, "samples": SWEEP_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "simulate": {"steps": dynamics.DEFAULT_MAX_STEPS, "tol": dynamics.DEFAULT_CONV_TOL, "init": "0.6,0,0"},
+}
+
 
 def _complex_list(values) -> dict:
     arr = np.asarray(values, dtype=complex).ravel()
@@ -132,11 +142,6 @@ def _resolve_tensor(args) -> tuple:
     return files.load_tensor_file(args.tensor), None
 
 
-def _ks_tol(args) -> float:
-    """The KS witness threshold of certify, ks and sweep; ks_global_check refuses tol <= 0."""
-    return args.tol if args.tol is not None else ks.KS_DEFAULT_TOL
-
-
 def _input_block(args) -> dict:
     if args.epsilon is not None:
         return {"epsilon": float(args.epsilon)}
@@ -160,23 +165,20 @@ def _emit(args, report: dict) -> None:
 
 def _cmd_certify(args) -> int:
     b, eps = _resolve_tensor(args)
-    samples = args.samples if args.samples is not None else core.DEFAULT_SAMPLES
-    ks_samples = args.samples if args.samples is not None else ks.KS_DEFAULT_SAMPLES
-    ks_tol = _ks_tol(args)
-
-    pres = core.state_preservation_check(b, samples, args.seed)
+    # first, so that a bad --tol is refused before any scan runs
+    witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
+    pres = core.state_preservation_check(b, args.samples, args.seed)
     if eps is not None:
         pos = epsilon.positivity_check(eps)
     else:
-        pos = core.sampled_positivity_check(b, samples, args.seed)
+        pos = core.sampled_positivity_check(b, args.samples, args.seed)
     cp = core.cp_check(b)
-    witness = ks.ks_global_check(b, ks_samples, args.seed, ks_tol)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
     report = {
         "command": "certify",
         "input": _input_block(args),
-        "samples": samples,
+        "samples": args.samples,
         "seed": args.seed,
         "state_preservation": {
             "max_norm": pres.max_norm,
@@ -199,17 +201,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_ks(args) -> int:
     b, _ = _resolve_tensor(args)
-    samples = args.samples if args.samples is not None else ks.KS_DEFAULT_SAMPLES
-    tol = _ks_tol(args)
-    witness = ks.ks_global_check(b, samples, args.seed, tol)
+    witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
     report = {
         "command": "ks",
         "input": _input_block(args),
-        "samples": samples,
+        "samples": args.samples,
         "seed": args.seed,
-        "tol": tol,
+        "tol": args.tol,
         "holds11": nec.holds11,
         "holds2": nec.holds2,
         "lhs11": nec.lhs11,
@@ -240,12 +240,9 @@ def _cmd_choi(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.epsilon is None:
         raise ValueError("simulate requires --epsilon")
-    steps = args.steps if args.steps is not None else dynamics.DEFAULT_MAX_STEPS
-    if steps < 0:
+    if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    tol = args.tol if args.tol is not None else dynamics.DEFAULT_CONV_TOL
-    f0 = _parse_init(args.init) if args.init is not None else np.array([0.6, 0.0, 0.0])
-    traj = dynamics.iterate(args.epsilon, f0, steps, tol)
+    traj = dynamics.iterate(args.epsilon, _parse_init(args.init), args.steps, args.tol)
     summary = (
         f"steps={len(traj.steps) - 1} converged={traj.converged} "
         f"final_rho={traj.steps[-1][2]!r} limit={_float_list(traj.limit)}"
@@ -278,17 +275,14 @@ def _cmd_fixed_points(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.tensor is not None:
         raise ValueError("sweep requires --epsilon (the half-width of the grid)")
-    half = abs(args.epsilon) if args.epsilon is not None else SWEEP_HALF_WIDTH
-    count = args.count if args.count is not None else SWEEP_COUNT
-    samples = args.samples if args.samples is not None else SWEEP_SAMPLES
-    tol = _ks_tol(args)
+    half = abs(args.epsilon)
     rows = []
-    for e in np.linspace(-half, half, count):
+    for e in np.linspace(-half, half, args.count):
         e = float(e)
         b = epsilon.build_coeff_tensor(e)
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
-        witness = ks.ks_global_check(b, samples, args.seed, tol)
+        witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
         rows.append(
             {
                 "epsilon": e,
@@ -303,7 +297,7 @@ def _cmd_sweep(args) -> int:
         )
     report = {
         "command": "sweep",
-        "samples": samples,
+        "samples": args.samples,
         "seed": args.seed,
         "rows": rows,
     }
@@ -323,6 +317,10 @@ _DISPATCH = {
 
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
+    args.ks_samples = args.samples
+    for name, default in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:

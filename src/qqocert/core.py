@@ -26,7 +26,6 @@ from .pauli import (
     ID4,
     SIGMA,
     POSITIVITY_EIG_TOL,
-    REFINE_STARTS,
     PauliCoeffs,
     hermitian_eigh,
     hermitian_lowest_eigvals,
@@ -59,12 +58,6 @@ def as_coeff_tensor(b) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coefficient tensor entries must be finite")
     return arr
-
-
-def tensor_is_symmetric(b, atol: float = 0.0) -> bool:
-    """True iff b[m][l][k] == b[l][m][k] for all indices."""
-    arr = as_coeff_tensor(b)
-    return bool(np.max(np.abs(arr - arr.transpose(1, 0, 2))) <= atol)
 
 
 def delta_sigma_images(b) -> np.ndarray:
@@ -126,8 +119,9 @@ def scan_then_refine(points, values, step) -> tuple:
     raise a start's value is discarded and ends that start, as does one
     that lowers it by at most REFINE_RTOL relative; REFINE_CAP rounds end
     all.  Returns (best value, best point, the most rounds any start
-    used), ties going to the earlier start.  This is the one place an
-    empty scan is rejected.
+    used), ties going to the earlier start.  An empty scan raises
+    ValueError: the KS search with samples = 0 gets here, while
+    fibonacci_sphere and numpy refuse the other budgets below one first.
     """
     values = np.asarray(values)
     if values.size < 1:

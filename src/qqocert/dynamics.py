@@ -45,11 +45,6 @@ def _check_eps_domain(eps: float) -> float:
     return e
 
 
-def v_apply(b, f) -> np.ndarray:
-    """Quadratic image of f under a general tensor; the diagonal of the dual action."""
-    return dual_pair_apply(b, f, f)
-
-
 def _v_eps_raw(eps: float, f: np.ndarray) -> np.ndarray:
     """Family components without the domain check; broadcasts over leading axes."""
     f1, f2, f3 = f[..., 0], f[..., 1], f[..., 2]
@@ -57,13 +52,6 @@ def _v_eps_raw(eps: float, f: np.ndarray) -> np.ndarray:
         [f1 * f1 + 2.0 * f2 * f3, f2 * f2 + 2.0 * f1 * f3, f3 * f3 + 2.0 * f1 * f2],
         axis=-1,
     )
-
-
-def v_eps_apply(eps: float, f) -> np.ndarray:
-    """One step of the family dynamics; requires |eps| <= 1/sqrt(3)."""
-    e = _check_eps_domain(eps)
-    f = np.asarray(f, dtype=float).reshape(3)
-    return _v_eps_raw(e, f)
 
 
 @dataclass

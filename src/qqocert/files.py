@@ -100,12 +100,6 @@ def write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
-def save_tensor_file(b: np.ndarray, path: str) -> None:
-    """Write a full coefficient tensor document."""
-    arr = as_coeff_tensor(b)
-    write_text(path, json.dumps({"b": arr.tolist()}, indent=2, sort_keys=True) + "\n")
-
-
 def dump_report(report: dict, out: Optional[IO[str]] = None) -> None:
     """Emit a schema-tagged report as deterministic JSON."""
     doc = {"schema": SCHEMA_VERSION}

@@ -25,9 +25,9 @@ eigen-descent then polishes the best candidates (psi := lowest
 eigenvector of defect(w), then w := lowest eigenvector of T(psi);
 neither half-step can raise the value).  A violation witness is any unit
 w whose defect has a negative eigenvalue; the search certifies
-violations only, never the property itself.  The evaluators for the two
-scalar necessary conditions expose every intermediate quantity (x_m,
-alpha, gamma, q) for inspection.
+violations only, never the property itself.  ks_necessary_check
+evaluates the two scalar necessary conditions and reports both sides of
+each, with the component split abcd.
 """
 
 from __future__ import annotations
@@ -62,21 +62,6 @@ class KSWitness:
 
     w: np.ndarray
     min_eig: float
-
-
-@dataclass(eq=False)
-class KSAuxiliaries:
-    """Intermediate quantities of the necessary conditions.
-
-    x is the 3x3 array whose row m is the vector x_m; alpha the
-    skew-symmetric scalar array; gamma the 3x3 array of 3-vectors; q the
-    3-vector coupling beta(f) to the cross product [w, conj(w)].
-    """
-
-    x: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    q: np.ndarray
 
 
 @dataclass
@@ -194,28 +179,26 @@ def ks_global_check(
     return None
 
 
-def ks_auxiliaries(b, f, w) -> KSAuxiliaries:
-    """The vectors x_m and the derived alpha, gamma, q at a state f and direction w.
+def _auxiliaries(arr: np.ndarray, f: np.ndarray, w: np.ndarray) -> tuple:
+    """(x, alpha, gamma, q) of the necessary conditions at a state f and direction w.
 
+    x is the 3x3 array whose row m is the vector x_m; alpha the
+    skew-symmetric scalar array; gamma the 3x3 array of 3-vectors; q the
+    3-vector coupling beta(f) to the cross product [w, conj(w)].
     Conventions are locked by the exact-fraction calibration of the
     necessary conditions (see ks_necessary_check): x_m carries no
     conjugation of w, the skew products alpha conjugate their first
     argument, and q pairs beta(f) with the conjugated cross product.
     """
-    arr = as_coeff_tensor(b)
-    f = np.asarray(f, dtype=float).reshape(3)
-    w = np.asarray(w, dtype=complex).reshape(3)
     x = np.einsum("mli,i->ml", arr, w)
     inner = np.conj(x) @ x.T  # inner[m, l] = <x_m, x_l>, conjugate-first
     alpha = inner - inner.T
     gamma = np.empty((3, 3, 3), dtype=complex)
     for m in range(3):
         for l in range(3):
-            gamma[m, l] = cross_product(x[m], np.conj(x[l])) + cross_product(
-                np.conj(x[m]), x[l]
-            )
+            gamma[m, l] = cross_product(x[m], np.conj(x[l])) + cross_product(np.conj(x[m]), x[l])
     q = beta_matrix(arr, f) @ np.conj(cross_product(w, np.conj(w)))
-    return KSAuxiliaries(x=x, alpha=alpha, gamma=gamma, q=q)
+    return x, alpha, gamma, q
 
 
 def ks_necessary_check(b, f, w) -> KSNecessaryReport:
@@ -231,17 +214,17 @@ def ks_necessary_check(b, f, w) -> KSNecessaryReport:
     """
     f = np.asarray(f, dtype=float).reshape(3)
     w = np.asarray(w, dtype=complex).reshape(3)
-    aux = ks_auxiliaries(b, f, w)
+    x, alpha, gamma, q = _auxiliaries(as_coeff_tensor(b), f, w)
 
     nw2 = float(np.sum(np.abs(w) ** 2))
-    sum_x2 = float(np.sum(np.abs(aux.x) ** 2))
-    ialpha = 1j * sum(f[m] * aux.alpha[PI[m], PI[m + 1]] for m in range(3))
+    sum_x2 = float(np.sum(np.abs(x) ** 2))
+    ialpha = 1j * sum(f[m] * alpha[PI[m], PI[m + 1]] for m in range(3))
     lhs11 = nw2
     rhs11 = float(np.real(ialpha)) + sum_x2
     holds11 = lhs11 >= rhs11 - KS_COND_TOL
 
-    vec = aux.q - 1j * sum(
-        f[m] * aux.gamma[PI[m], PI[m + 1]] + cross_product(aux.x[m], np.conj(aux.x[m]))
+    vec = q - 1j * sum(
+        f[m] * gamma[PI[m], PI[m + 1]] + cross_product(x[m], np.conj(x[m]))
         for m in range(3)
     )
     lhs2 = float(np.linalg.norm(vec))

@@ -50,15 +50,6 @@ class PauliCoeffs:
         object.__setattr__(self, "w0", complex(self.w0))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).reshape(3))
 
-    def is_hermitian(self, atol: float = HERMITICITY_ATOL) -> bool:
-        """The represented matrix is hermitian iff w0 and w are real."""
-        return abs(self.w0.imag) <= atol and np.all(np.abs(self.w.imag) <= atol)
-
-
-def pauli_compose(c: PauliCoeffs) -> np.ndarray:
-    """Assemble the 2x2 matrix w0*1 + w1*sigma1 + w2*sigma2 + w3*sigma3."""
-    return c.w0 * ID2 + np.einsum("k,kab->ab", c.w, SIGMA)
-
 
 def pauli_decompose(m: np.ndarray) -> PauliCoeffs:
     """Unique Pauli coefficients of a 2x2 matrix: w0 = tr(m)/2, wk = tr(sigma_k m)/2."""
@@ -84,11 +75,11 @@ def cross_product(u, v) -> np.ndarray:
     return out
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return m as a float or complex array, raising NonHermitianInput unless it is hermitian.
 
     m is one matrix or a stack of shape (..., n, n); every entry must be
-    finite and max |m - m*| over the whole stack at most atol.  Real input
+    finite and max |m - m*| over the whole stack at most HERMITICITY_ATOL.  Real input
     stays real, so real symmetric matrices get real eigenvectors.
     """
     m = np.asarray(m)
@@ -98,7 +89,7 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     if not np.all(np.isfinite(m)):
         raise NonHermitianInput("matrix has non-finite entries")
     dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2)))) if m.size else 0.0
-    if dev > atol:
+    if dev > HERMITICITY_ATOL:
         raise NonHermitianInput(f"matrix deviates from hermitian by {dev:.3e}")
     return m
 
@@ -166,20 +157,3 @@ def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
         done, block = done + len(idx), 2 * block
     return vals
 
-
-def min_eigenvalue_hermitian(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a hermitian matrix (checked to HERMITICITY_ATOL)."""
-    return float(hermitian_eigh(m)[0][0])
-
-
-def positivity_2x2(c: PauliCoeffs) -> bool:
-    """Positivity of the hermitian 2x2 matrix (w0, w): true iff ||w|| <= w0."""
-    if not c.is_hermitian():
-        raise NonHermitianInput("positivity test needs real coefficients")
-    return float(np.linalg.norm(c.w.real)) <= c.w0.real + 1e-12
-
-
-def state_eval(f: np.ndarray, c: PauliCoeffs) -> complex:
-    """Value of the state with Bloch vector f on the matrix (w0, w): w0 + sum w_k f_k."""
-    f = np.asarray(f, dtype=float).reshape(3)
-    return complex(c.w0 + np.dot(c.w, f))

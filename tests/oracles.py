@@ -4,8 +4,25 @@ import numpy as np
 
 from qqocert import PauliCoeffs, delta_apply, delta_eps_apply
 from qqocert.core import REFINE_CAP, REFINE_RTOL
+from qqocert.dynamics import _check_eps_domain, _v_eps_raw
 from qqocert.ks import _contract
-from qqocert.pauli import ID4, SIGMA, hermitian_eigh, lowest_indices, pauli_decompose
+from qqocert.pauli import ID2, ID4, SIGMA, hermitian_eigh, lowest_indices, pauli_decompose
+
+
+def pauli_compose(c):
+    """Assemble the 2x2 matrix w0*1 + w1*sigma1 + w2*sigma2 + w3*sigma3, the inverse of pauli_decompose."""
+    return c.w0 * ID2 + np.einsum("k,kab->ab", c.w, SIGMA)
+
+
+def state_eval(f, c):
+    """Value of the state with Bloch vector f on the matrix (w0, w): w0 + sum w_k f_k."""
+    f = np.asarray(f, dtype=float).reshape(3)
+    return complex(c.w0 + np.dot(c.w, f))
+
+
+def v_eps_apply(eps, f):
+    """One step of the family dynamics; requires |eps| <= 1/sqrt(3)."""
+    return _v_eps_raw(_check_eps_domain(eps), np.asarray(f, dtype=float).reshape(3))
 
 
 def choi_matrix_family(eps):

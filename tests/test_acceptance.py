@@ -23,17 +23,22 @@ from qqocert import (
     ks_defect,
     ks_global_check,
     ks_necessary_check,
-    pauli_compose,
     pauli_decompose,
     positivity_check,
     spectrum_closed_form,
-    state_eval,
     tensor_product,
-    v_eps_apply,
 )
 from qqocert.pauli import SIGMA
 
-from oracles import ABCD_EXACT, ABCD_W, CHOI_BLOCK_UNIT, choi_matrix_family
+from oracles import (
+    ABCD_EXACT,
+    ABCD_W,
+    CHOI_BLOCK_UNIT,
+    choi_matrix_family,
+    pauli_compose,
+    state_eval,
+    v_eps_apply,
+)
 
 CRIT = 1.0 / np.sqrt(3.0)
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qqocert
-from qqocert import cli
+from qqocert import cli, core
 from qqocert.cli import build_parser, main
 
 
@@ -280,6 +280,18 @@ def test_simulate_non_positive_tol_exits_2_without_output(tol, capsys):
 def test_ks_non_positive_tol_exits_2_without_output(argv, capsys):
     # every subcommand that searches for a KS witness reads --tol
     code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize("tol", ["-5", "0"])
+def test_certify_refuses_bad_tol_before_any_scan(tol, monkeypatch, capsys):
+    def scanned(*args, **kwargs):
+        raise AssertionError("certify scanned before it checked --tol")
+
+    monkeypatch.setattr(core, "state_preservation_check", scanned)
+    code, out, err = run(["--epsilon", "0.4", "--tol", tol, "certify"], capsys)
     assert code == 2
     assert out == ""
     assert "tol must be positive" in err

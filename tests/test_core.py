@@ -12,17 +12,15 @@ from qqocert import (
     dual_pair_apply,
     fibonacci_sphere,
     hermitian_eigh,
-    pauli_compose,
+    ks_global_check,
     sampled_positivity_check,
-    state_eval,
     state_preservation_check,
-    tensor_is_symmetric,
     tensor_product,
 )
 from qqocert.core import REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
 
-from oracles import choi_matrix_blocks, choi_matrix_family
+from oracles import choi_matrix_blocks, choi_matrix_family, state_eval
 
 
 def rand_tensor(rng, scale=1.0):
@@ -45,10 +43,11 @@ def test_as_coeff_tensor_validates():
 
 
 def test_symmetry_flag():
-    assert tensor_is_symmetric(build_coeff_tensor(0.4))
+    b = build_coeff_tensor(0.4)
+    assert np.array_equal(b, b.transpose(1, 0, 2))
     b = np.zeros((3, 3, 3))
     b[0, 1, 2] = 1.0
-    assert not tensor_is_symmetric(b)
+    assert not np.array_equal(b, b.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------- delta
@@ -229,6 +228,13 @@ def test_duality_pairing_against_matrix_trace():
 
 
 # ---------------------------------------------------------------- scan then refine
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+@pytest.mark.parametrize("check", [state_preservation_check, sampled_positivity_check, ks_global_check])
+def test_certificates_reject_a_budget_below_one(check, samples):
+    with pytest.raises(ValueError):
+        check(build_coeff_tensor(0.3), samples)
 
 
 def test_scan_then_refine_keeps_best_and_rejects_empty_scan():

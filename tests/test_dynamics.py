@@ -10,10 +10,10 @@ from qqocert import (
     dual_pair_apply,
     fixed_points,
     iterate,
-    v_apply,
-    v_eps_apply,
 )
 from qqocert.dynamics import _v_eps_raw
+
+from oracles import v_eps_apply
 
 CRIT = 1.0 / np.sqrt(3.0)
 
@@ -28,18 +28,18 @@ def rand_ball(rng):
 
 def test_v_zero():
     assert np.allclose(v_eps_apply(0.5, [0, 0, 0]), 0.0)
-    assert np.allclose(v_apply(build_coeff_tensor(0.5), [0, 0, 0]), 0.0)
+    assert np.allclose(dual_pair_apply(build_coeff_tensor(0.5), [0, 0, 0], [0, 0, 0]), 0.0)
 
 
 def test_v_family_axis():
     eps = 0.31
-    assert np.allclose(v_apply(build_coeff_tensor(eps), [1, 0, 0]), [eps, 0, 0])
+    assert np.allclose(dual_pair_apply(build_coeff_tensor(eps), [1, 0, 0], [1, 0, 0]), [eps, 0, 0])
 
 
 def test_v_family_diagonal():
     eps = 0.31
     f = np.ones(3) / np.sqrt(3.0)
-    assert np.allclose(v_apply(build_coeff_tensor(eps), f), [eps, eps, eps])
+    assert np.allclose(dual_pair_apply(build_coeff_tensor(eps), f, f), [eps, eps, eps])
 
 
 def test_v_eps_simple_square():
@@ -52,11 +52,13 @@ def test_v_eps_fixed_point_at_critical():
 
 
 def test_v_matches_dual_diagonal_exactly():
+    # V(f)_k = sum_ij b[i][j][k] f_i f_j for a general tensor; dyadic entries
+    # keep every product and sum exact, so any summation order agrees bitwise
     rng = np.random.default_rng(0)
-    b = build_coeff_tensor(0.4)
     for _ in range(50):
-        f = rand_ball(rng)
-        assert np.array_equal(v_apply(b, f), dual_pair_apply(b, f, f))
+        b = rng.integers(-8, 9, (3, 3, 3)) / 8.0
+        f = rng.integers(-8, 9, 3) / 8.0
+        assert np.array_equal(dual_pair_apply(b, f, f), np.einsum("ijk,i,j->k", b, f, f))
 
 
 def test_v_eps_agrees_with_tensor_route():
@@ -64,7 +66,7 @@ def test_v_eps_agrees_with_tensor_route():
     for _ in range(200):
         eps = rng.uniform(-CRIT, CRIT)
         f = rand_ball(rng)
-        assert np.max(np.abs(v_eps_apply(eps, f) - v_apply(build_coeff_tensor(eps), f))) <= 1e-15
+        assert np.max(np.abs(v_eps_apply(eps, f) - dual_pair_apply(build_coeff_tensor(eps), f, f))) <= 1e-15
 
 
 def test_v_eps_domain_error():
@@ -294,7 +296,7 @@ def test_ball_invariance_exact_sup_at_corner(eps):
     rep = ball_invariance_check(eps, 20_000, 0)
     assert abs(rep.worst_norm - np.sqrt(3.0) * eps) <= 1e-12
     assert rep.invariant == (np.sqrt(3.0) * eps <= 1.0)
-    v = v_apply(build_coeff_tensor(eps), rep.witness)
+    v = dual_pair_apply(build_coeff_tensor(eps), rep.witness, rep.witness)
     assert abs(np.linalg.norm(v) - rep.worst_norm) <= 1e-12
     corner = np.ones(3) / np.sqrt(3.0)
     assert min(

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from qqocert import build_coeff_tensor, iterate, load_tensor_file, save_tensor_file
+from qqocert import build_coeff_tensor, iterate, load_tensor_file
 from qqocert.cli import main
 from qqocert.files import dump_report, write_text, write_trajectory_csv
 
@@ -14,7 +14,7 @@ def test_tensor_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     b = rng.standard_normal((3, 3, 3))
     path = tmp_path / "tensor.json"
-    save_tensor_file(b, str(path))
+    path.write_text(json.dumps({"b": b.tolist()}))
     back = load_tensor_file(str(path))
     assert np.max(np.abs(back - b)) <= 1e-15
 

@@ -10,12 +10,11 @@ from qqocert import (
     cross_product,
     delta_apply,
     delta_sigma_images,
-    ks_auxiliaries,
+    hermitian_eigh,
     ks_defect,
     ks_form,
     ks_global_check,
     ks_necessary_check,
-    min_eigenvalue_hermitian,
     pauli_decompose,
 )
 from qqocert import core, ks
@@ -26,7 +25,7 @@ from qqocert.core import (
     _spectral_norm_with_vectors,
     scan_then_refine,
 )
-from qqocert.ks import _descent_step, _scan_directions, _tables
+from qqocert.ks import _auxiliaries, _descent_step, _scan_directions, _tables
 from qqocert.pauli import ID4, SIGMA
 
 from oracles import (
@@ -126,7 +125,7 @@ def test_defect_psd_at_cp_coupling():
     rng = np.random.default_rng(6)
     for _ in range(200):
         w = rand_unit_w(rng)
-        assert min_eigenvalue_hermitian(ks_defect(b, w)) >= -1e-9
+        assert hermitian_eigh(ks_defect(b, w))[0][0] >= -1e-9
 
 
 # ---------------------------------------------------------------- form
@@ -172,33 +171,31 @@ def test_form_psd_exactly_up_to_cp_threshold():
 
 def test_auxiliaries_family_real_axis():
     eps = 1.0 / 3.0
-    aux = ks_auxiliaries(build_coeff_tensor(eps), [1, 0, 0], [1, 0, 0])
-    assert np.allclose(aux.x[0], [eps, 0, 0])
-    assert np.allclose(aux.x[1], [0, 0, eps])
-    assert np.allclose(aux.x[2], [0, eps, 0])
-    assert np.allclose(aux.alpha, 0.0)
-    assert np.allclose(aux.gamma[1, 2], [-2 * eps**2, 0, 0])
-    assert np.allclose(aux.q, 0.0)
+    e1 = np.array([1.0, 0.0, 0.0])
+    x, alpha, gamma, q = _auxiliaries(build_coeff_tensor(eps), e1, e1.astype(complex))
+    assert np.allclose(x[0], [eps, 0, 0])
+    assert np.allclose(x[1], [0, 0, eps])
+    assert np.allclose(x[2], [0, eps, 0])
+    assert np.allclose(alpha, 0.0)
+    assert np.allclose(gamma[1, 2], [-2 * eps**2, 0, 0])
+    assert np.allclose(q, 0.0)
 
 
 def test_auxiliaries_zero_direction():
-    aux = ks_auxiliaries(build_coeff_tensor(0.4), [0.3, 0.1, -0.2], [0, 0, 0])
-    assert np.allclose(aux.x, 0.0)
-    assert np.allclose(aux.alpha, 0.0)
-    assert np.allclose(aux.gamma, 0.0)
-    assert np.allclose(aux.q, 0.0)
+    for part in _auxiliaries(build_coeff_tensor(0.4), np.array([0.3, 0.1, -0.2]), np.zeros(3, dtype=complex)):
+        assert np.allclose(part, 0.0)
 
 
 def test_auxiliaries_alpha_skew():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        aux = ks_auxiliaries(
+        _, alpha, _, _ = _auxiliaries(
             rand_tensor(rng),
             rng.standard_normal(3),
             rng.standard_normal(3) + 1j * rng.standard_normal(3),
         )
-        assert np.max(np.abs(aux.alpha + np.conj(aux.alpha))) <= 1e-12
-        assert np.max(np.abs(aux.alpha + aux.alpha.T)) <= 1e-12
+        assert np.max(np.abs(alpha + np.conj(alpha))) <= 1e-12
+        assert np.max(np.abs(alpha + alpha.T)) <= 1e-12
 
 
 def test_auxiliaries_q_recomputed_from_beta():
@@ -207,12 +204,12 @@ def test_auxiliaries_q_recomputed_from_beta():
         b = rand_tensor(rng)
         f = rng.standard_normal(3)
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        aux = ks_auxiliaries(b, f, w)
+        q = _auxiliaries(b, f, w)[3]
         cw = cross_product(w, np.conj(w))
         expected = np.array(
             [np.sum(beta_matrix(b, f)[m] * np.conj(cw)) for m in range(3)]
         )
-        assert np.max(np.abs(aux.q - expected)) <= 1e-13
+        assert np.max(np.abs(q - expected)) <= 1e-13
 
 
 # ---------------------------------------------------------------- necessary check
@@ -270,7 +267,7 @@ def test_global_check_refines_below_scan():
     b = rand_tensor(np.random.default_rng(14), scale=0.7)
     samples = 2000
     ws = _scan_directions(samples, 0)
-    scan = min(min_eigenvalue_hermitian(ks_defect(b, w)) for w in ws)
+    scan = min(hermitian_eigh(ks_defect(b, w))[0][0] for w in ws)
     wit = ks_global_check(b, samples, 0, 1e-8)
     assert wit is not None
     assert wit.min_eig <= scan
@@ -283,7 +280,7 @@ def test_global_check_witness_normalized_and_reevaluates():
     assert abs(np.linalg.norm(wit.w) - 1.0) <= 1e-12
     top = np.argmax(np.abs(wit.w))
     assert wit.w[top].imag == 0.0 and wit.w[top].real > 0.0
-    assert abs(min_eigenvalue_hermitian(ks_defect(b, wit.w)) - wit.min_eig) <= 1e-12
+    assert abs(hermitian_eigh(ks_defect(b, wit.w))[0][0] - wit.min_eig) <= 1e-12
     # independent oracle, not the form
     assert abs(np.linalg.eigvalsh(defect_direct(b, wit.w))[0] - wit.min_eig) <= 1e-10
 
@@ -306,12 +303,12 @@ def test_descent_never_rises_and_stops_before_cap():
         (
             _positivity_step(ds),
             real_starts,
-            lambda w: min_eigenvalue_hermitian(ID4 + np.einsum("k,kab->ab", w, ds)),
+            lambda w: hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, ds))[0][0],
         ),
         (
             _descent_step(w_table, psi_table),
             _scan_directions(20, 1),
-            lambda w: min_eigenvalue_hermitian(ks_defect(b, w)),
+            lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
     ]
     for step, starts, value in cases:
@@ -403,7 +400,7 @@ def test_global_check_large_tensor_stays_hermitian():
     b = rand_tensor(np.random.default_rng(17), scale=10.0)
     wit = ks_global_check(b, 2000, 0, 1e-8)
     assert wit is not None
-    re_eval = min_eigenvalue_hermitian(ks_defect(b, wit.w))
+    re_eval = hermitian_eigh(ks_defect(b, wit.w))[0][0]
     assert abs(re_eval - wit.min_eig) <= 1e-12 * abs(wit.min_eig)
 
 
@@ -424,7 +421,7 @@ def test_global_check_finds_witness_at_one_third():
     assert wit.min_eig <= -1e-6
     assert np.linalg.norm(wit.w) == pytest.approx(1.0, abs=1e-12)
     # re-evaluating the defect at the witness reproduces the eigenvalue
-    re_eval = min_eigenvalue_hermitian(ks_defect(build_coeff_tensor(1.0 / 3.0), wit.w))
+    re_eval = hermitian_eigh(ks_defect(build_coeff_tensor(1.0 / 3.0), wit.w))[0][0]
     assert abs(re_eval - wit.min_eig) <= 1e-10
 
 

@@ -10,14 +10,12 @@ from qqocert import (
     cross_product,
     hermitian_eigh,
     hermitian_lowest_eigvals,
-    min_eigenvalue_hermitian,
-    pauli_compose,
     pauli_decompose,
-    positivity_2x2,
-    state_eval,
     tensor_product,
 )
 from qqocert.pauli import ID2, REFINE_STARTS, SIGMA, lowest_indices
+
+from oracles import pauli_compose, state_eval
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -97,15 +95,6 @@ def test_trace_is_twice_w0():
         assert abs(np.trace(m) - 2.0 * c.w0) <= 1e-14
 
 
-def test_hermitian_iff_real_coefficients():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        m = rand_complex_mat(rng, 2)
-        c = pauli_decompose(m)
-        is_herm = np.max(np.abs(m - m.conj().T)) <= 1e-13
-        assert c.is_hermitian() == is_herm
-
-
 # ---------------------------------------------------------------- kron
 
 
@@ -154,13 +143,13 @@ def test_cross_product_broadcasts():
 
 
 def test_eigh_diagonal_examples():
-    assert min_eigenvalue_hermitian(np.diag([1.0, 2.0, 3.0, 4.0])) == pytest.approx(1.0)
-    assert min_eigenvalue_hermitian(np.eye(4)) == pytest.approx(1.0)
+    assert hermitian_eigh(np.diag([1.0, 2.0, 3.0, 4.0]))[0][0] == pytest.approx(1.0)
+    assert hermitian_eigh(np.eye(4))[0][0] == pytest.approx(1.0)
 
 
 def test_eigh_on_closed_form_matrix():
     # eigenvalue reaching -3 at w = (-1, 0, 0)
-    assert min_eigenvalue_hermitian(b_matrix([-1.0, 0.0, 0.0])) == pytest.approx(
+    assert hermitian_eigh(b_matrix([-1.0, 0.0, 0.0]))[0][0] == pytest.approx(
         -3.0, abs=1e-12
     )
 
@@ -302,7 +291,7 @@ def test_eigh_deterministic():
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
-        min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        hermitian_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eigh_zero_matrix():
@@ -357,30 +346,6 @@ def test_eigh_real_symmetric_input_gives_real_vectors():
     vals, vecs = hermitian_eigh(a.T @ a)
     assert not np.iscomplexobj(vals) and not np.iscomplexobj(vecs)
     assert np.allclose(a.T @ a @ vecs, vecs * vals, atol=1e-12)
-
-
-# ---------------------------------------------------------------- 2x2 positivity
-
-
-def test_positivity_2x2_examples():
-    assert positivity_2x2(PauliCoeffs(1.0, [1.0, 0.0, 0.0]))  # boundary
-    assert not positivity_2x2(PauliCoeffs(0.5, [0.6, 0.0, 0.0]))
-    assert positivity_2x2(PauliCoeffs(1.0, [0.3, 0.4, 0.5]))
-
-
-def test_positivity_2x2_rejects_complex():
-    with pytest.raises(NonHermitianInput):
-        positivity_2x2(PauliCoeffs(1.0, [1j, 0, 0]))
-
-
-def test_positivity_2x2_agrees_with_eigenvalue_sign():
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        c = PauliCoeffs(rng.standard_normal(), rng.standard_normal(3))
-        m = pauli_compose(c)
-        by_norm = positivity_2x2(c)
-        by_eig = min_eigenvalue_hermitian(m) >= -1e-12
-        assert by_norm == by_eig
 
 
 # ---------------------------------------------------------------- states
