@@ -35,15 +35,6 @@ _DEFAULTS = {
 }
 
 
-def _complex_list(values) -> dict:
-    arr = np.asarray(values, dtype=complex).ravel()
-    return {"re": [float(v.real) for v in arr], "im": [float(v.imag) for v in arr]}
-
-
-def _float_list(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
@@ -133,13 +124,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def _resolve_tensor(args) -> tuple:
     """Return (tensor, epsilon-or-None); exactly one input source must be set."""
-    has_eps = args.epsilon is not None
-    has_file = args.tensor is not None
-    if has_eps == has_file:
+    if (args.epsilon is None) == (args.tensor is None):
         raise ValueError("provide exactly one of --epsilon or --tensor")
-    if has_eps:
+    if args.epsilon is not None:
         return epsilon.build_coeff_tensor(args.epsilon), float(args.epsilon)
     return files.load_tensor_file(args.tensor), None
+
+
+def _family_coupling(args) -> float:
+    """The coupling of a subcommand that runs on the family alone."""
+    if args.epsilon is None or args.tensor is not None:
+        raise ValueError(f"{args.command} requires --epsilon and takes no --tensor")
+    return args.epsilon
 
 
 def _input_block(args) -> dict:
@@ -151,19 +147,20 @@ def _input_block(args) -> dict:
 def _witness_block(witness) -> dict:
     if witness is None:
         return {"found": False}
-    return {"found": True, "min_eig": witness.min_eig, "w": _complex_list(witness.w)}
+    return {"found": True, "min_eig": witness.min_eig, "w": witness.w}
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, render) -> None:
+    """Render the whole document with render(buffer), then write it to --output or to stdout."""
+    buf = io.StringIO()
+    render(buf)
     if args.output:
-        buf = io.StringIO()
-        files.dump_report(report, buf)
         files.write_text(args.output, buf.getvalue())
     else:
-        files.dump_report(report)
+        sys.stdout.write(buf.getvalue())
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple:
     b, eps = _resolve_tensor(args)
     # first, so that a bad --tol is refused before any scan runs
     witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
@@ -175,110 +172,69 @@ def _cmd_certify(args) -> int:
     cp = core.cp_check(b)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
-    report = {
-        "command": "certify",
+    return (0 if all_pass else 1), {
         "input": _input_block(args),
         "samples": args.samples,
         "seed": args.seed,
-        "state_preservation": {
-            "max_norm": pres.max_norm,
-            "passes": pres.passes,
-            "witness_f": _float_list(pres.witness_f),
-            "witness_p": _float_list(pres.witness_p),
-        },
-        "positivity": {
-            "is_positive": pos.is_positive,
-            "margin": pos.margin,
-            "worst_w": _float_list(pos.worst_w),
-        },
+        "state_preservation": vars(pres),
+        "positivity": vars(pos),
         "complete_positivity": {"is_cp": cp.is_cp, "min_choi_eig": cp.min_choi_eig},
         "ks_violation": _witness_block(witness),
-        "all_pass": bool(all_pass),
+        "all_pass": all_pass,
     }
-    _emit(args, report)
-    return 0 if all_pass else 1
 
 
-def _cmd_ks(args) -> int:
+def _cmd_ks(args) -> tuple:
     b, _ = _resolve_tensor(args)
     witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
-    report = {
-        "command": "ks",
+    return (1 if witness is not None else 0), {
         "input": _input_block(args),
         "samples": args.samples,
         "seed": args.seed,
         "tol": args.tol,
-        "holds11": nec.holds11,
-        "holds2": nec.holds2,
-        "lhs11": nec.lhs11,
-        "rhs11": nec.rhs11,
-        "lhs2": nec.lhs2,
-        "rhs2": nec.rhs2,
-        "abcd": list(nec.abcd),
+        **vars(nec),
         "witness": _witness_block(witness),
     }
-    _emit(args, report)
-    return 1 if witness is not None else 0
 
 
-def _cmd_choi(args) -> int:
+def _cmd_choi(args) -> tuple:
     cp = core.cp_check(_resolve_tensor(args)[0])
-    report = {
-        "command": "choi",
+    return (0 if cp.is_cp else 1), {
         "input": _input_block(args),
-        "eigenvalues": _float_list(cp.eigenvalues),
+        "eigenvalues": cp.eigenvalues,
         "min_eig": cp.min_choi_eig,
-        "max_abs_eig": float(np.max(np.abs(cp.eigenvalues))),
+        "max_abs_eig": np.abs(cp.eigenvalues).max(),
         "is_cp": cp.is_cp,
     }
-    _emit(args, report)
-    return 0 if cp.is_cp else 1
 
 
 def _cmd_simulate(args) -> int:
-    if args.epsilon is None:
-        raise ValueError("simulate requires --epsilon")
+    eps = _family_coupling(args)
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    traj = dynamics.iterate(args.epsilon, _parse_init(args.init), args.steps, args.tol)
-    summary = (
+    traj = dynamics.iterate(eps, _parse_init(args.init), args.steps, args.tol)
+    _emit(args, functools.partial(files.write_trajectory_csv, traj))
+    print(
         f"steps={len(traj.steps) - 1} converged={traj.converged} "
-        f"final_rho={traj.steps[-1][2]!r} limit={_float_list(traj.limit)}"
+        f"final_rho={traj.steps[-1][2]!r} limit={traj.limit.tolist()}",
+        file=sys.stdout if args.output else sys.stderr,
     )
-    if args.output:
-        buf = io.StringIO()
-        files.write_trajectory_csv(traj, buf)
-        files.write_text(args.output, buf.getvalue())
-        print(summary)
-    else:
-        files.write_trajectory_csv(traj, sys.stdout)
-        print(summary, file=sys.stderr)
     return 0
 
 
-def _cmd_fixed_points(args) -> int:
-    if args.epsilon is None:
-        raise ValueError("fixed-points requires --epsilon")
-    rep = dynamics.fixed_points(args.epsilon)
-    report = {
-        "command": "fixed-points",
-        "input": {"epsilon": float(args.epsilon)},
-        "points": [_float_list(p) for p in rep.points],
-        "residuals": [float(r) for r in rep.residuals],
-    }
-    _emit(args, report)
-    return 0
+def _cmd_fixed_points(args) -> tuple:
+    rep = dynamics.fixed_points(_family_coupling(args))
+    return 0, {"input": _input_block(args), **vars(rep)}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     if args.tensor is not None:
         raise ValueError("sweep requires --epsilon (the half-width of the grid)")
     half = abs(args.epsilon)
     rows = []
-    for e in np.linspace(-half, half, args.count):
-        e = float(e)
+    for e in np.linspace(-half, half, args.count).tolist():
         b = epsilon.build_coeff_tensor(e)
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
@@ -295,21 +251,14 @@ def _cmd_sweep(args) -> int:
                 "ks_min_eig": witness.min_eig if witness is not None else None,
             }
         )
-    report = {
-        "command": "sweep",
-        "samples": args.samples,
-        "seed": args.seed,
-        "rows": rows,
-    }
-    _emit(args, report)
-    return 0
+    return 0, {"samples": args.samples, "seed": args.seed, "rows": rows}
 
 
-_DISPATCH = {
+# the subcommands that print a JSON report; each returns (exit code, report body)
+_REPORTS = {
     "certify": _cmd_certify,
     "ks": _cmd_ks,
     "choi": _cmd_choi,
-    "simulate": _cmd_simulate,
     "fixed-points": _cmd_fixed_points,
     "sweep": _cmd_sweep,
 }
@@ -322,7 +271,11 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        code, body = _REPORTS[args.command](args)
+        _emit(args, functools.partial(files.dump_report, {"command": args.command, **body}))
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,8 +120,7 @@ def scan_then_refine(points, values, step) -> tuple:
     that lowers it by at most REFINE_RTOL relative; REFINE_CAP rounds end
     all.  Returns (best value, best point, the most rounds any start
     used), ties going to the earlier start.  An empty scan raises
-    ValueError: the KS search with samples = 0 gets here, while
-    fibonacci_sphere and numpy refuse the other budgets below one first.
+    ValueError; the certificates refuse a budget below one before they scan.
     """
     values = np.asarray(values)
     if values.size < 1:

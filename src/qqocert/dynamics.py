@@ -84,21 +84,16 @@ def iterate(
     f = np.asarray(f0, dtype=float).reshape(3).copy()
     if not np.linalg.norm(f) <= 1.0 + _EPS_DOMAIN_SLACK:
         raise DomainError("initial point lies outside the Bloch ball")
-    steps: List[Tuple[int, np.ndarray, float]] = [(0, f.copy(), float(np.dot(f, f)))]
+    steps: List[Tuple[int, np.ndarray, float]] = [(0, f, float(np.dot(f, f)))]
     converged = np.linalg.norm(f) < tol
     for n in range(1, max_steps + 1):
         if converged:
             break
-        nxt = _v_eps_raw(e, f)
-        steps.append((n, nxt.copy(), float(np.dot(nxt, nxt))))
-        if np.linalg.norm(nxt) < tol:
-            f = nxt
-            converged = True
+        prev, f = f, _v_eps_raw(e, f)
+        steps.append((n, f, float(np.dot(f, f))))
+        converged = np.linalg.norm(f) < tol
+        if converged or np.linalg.norm(f - prev) <= 1e-9 * np.linalg.norm(f):
             break
-        if np.linalg.norm(nxt - f) <= 1e-9 * np.linalg.norm(nxt):
-            f = nxt
-            break
-        f = nxt
     return Trajectory(steps=steps, converged=bool(converged), limit=f.copy())
 
 

@@ -100,12 +100,25 @@ def write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
+def _encode(value):
+    """json.dumps' fallback for the numpy arrays in a report (see dump_report)."""
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return {"re": value.real.tolist(), "im": value.imag.tolist()}
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dump_report(report: dict, out: Optional[IO[str]] = None) -> None:
-    """Emit a schema-tagged report as deterministic JSON."""
+    """Emit a schema-tagged report as deterministic JSON.
+
+    A real numpy array is written as its nested list and a complex one as
+    {"re": [...], "im": [...]}; any other non-JSON value raises TypeError.
+    """
     doc = {"schema": SCHEMA_VERSION}
     doc.update(report)
     # serialize first: a NaN or infinity fails before anything is written
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_encode)
     fh = out if out is not None else sys.stdout
     fh.write(text + "\n")
 

@@ -131,6 +131,8 @@ def ks_defect(b, w) -> np.ndarray:
 
 def _scan_directions(samples: int, seed: int) -> np.ndarray:
     """samples unit vectors in C^3: normalized complex Gaussians, uniform on the sphere."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     g = np.random.default_rng(seed).standard_normal((samples, 3, 2))
     z = g[..., 0] + 1j * g[..., 1]
     return z / np.linalg.norm(z, axis=1, keepdims=True)

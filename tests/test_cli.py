@@ -118,16 +118,25 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert len(lines) >= 3
 
 
-def test_output_replaces_a_longer_existing_file(tmp_path, capsys):
-    traj, report = tmp_path / "traj.csv", tmp_path / "report.json"
-    for path in (traj, report):
-        path.write_text("stale\n" * 1000)
-    run(["--epsilon", "0.5", "--init", "0.6,0,0", "--output", str(traj), "simulate"], capsys)
-    _, expected, _ = run(["--epsilon", "0.5", "--init", "0.6,0,0", "simulate"], capsys)
-    assert traj.read_text() == expected
-    run(["--epsilon", "0.2", "--output", str(report), "fixed-points"], capsys)
-    _, expected, _ = run(["--epsilon", "0.2", "fixed-points"], capsys)
-    assert report.read_text() == expected
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "0.2", "--samples", "300", "certify"],
+        ["--epsilon", "0.2", "--samples", "300", "ks"],
+        ["--epsilon", "0.2", "choi"],
+        ["--epsilon", "0.2", "fixed-points"],
+        ["--epsilon", "0.4", "--count", "2", "--samples", "300", "sweep"],
+        ["--epsilon", "0.5", "--init", "0.6,0,0", "simulate"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_output_replaces_a_longer_existing_file(argv, tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    path.write_text("stale\n" * 1000)
+    code, _, _ = run(argv + ["--output", str(path)], capsys)
+    expected = run(argv, capsys)
+    assert code == expected[0]
+    assert path.read_text() == expected[1]
 
 
 def test_simulate_stationary_at_rounded_critical(tmp_path, capsys):
@@ -249,16 +258,35 @@ def test_negative_values_as_separate_words(argv, capsys):
     assert out.startswith("step,f1,f2,f3,rho\n")
 
 
-def test_runtime_does_not_import_scipy():
-    probe = "import sys, qqocert, qqocert.cli; print('scipy' in sys.modules)"
-    # the child finds the package where this process found it, installed or not
+def _child_env():
+    """Environment for a child interpreter that finds the package where this process found it."""
     src = os.path.dirname(os.path.dirname(qqocert.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_runtime_does_not_import_scipy():
+    probe = "import sys, qqocert, qqocert.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env()
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--epsilon", "0.2", "choi"], ["--epsilon", "0.5", "--init", "0.6,0,0", "simulate"]],
+    ids=lambda argv: argv[-1],
+)
+def test_module_entry_point_matches_in_process_main(argv, capsys):
+    # python -m qqocert writes to the real stdout, which no in-process test sees
+    done = subprocess.run(
+        [sys.executable, "-m", "qqocert", *argv], capture_output=True, env=_child_env()
+    )
+    code, out, err = run(argv, capsys)
+    assert done.returncode == code
+    assert done.stdout == out.encode()
+    assert done.stderr == err.encode()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -295,6 +323,66 @@ def test_certify_refuses_bad_tol_before_any_scan(tol, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "source", [["--epsilon", "0.5", "--tensor", "{missing}"], ["--tensor", "{doc}"], []], ids=["both", "tensor", "none"]
+)
+@pytest.mark.parametrize("command", ["simulate", "fixed-points"])
+def test_family_subcommands_refuse_tensor(command, source, tmp_path, capsys):
+    doc = tmp_path / "t.json"
+    doc.write_text('{"epsilon": 0.5}')
+    argv = [word.format(doc=doc, missing=tmp_path / "missing.json") for word in source]
+    code, out, err = run(argv + [command], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {command} requires --epsilon and takes no --tensor\n"
+
+
+# ---------------------------------------------------------------- report schema
+
+_CERTIFY_KEYS = [
+    "all_pass", "command", "complete_positivity", "input", "ks_violation",
+    "positivity", "samples", "schema", "seed", "state_preservation",
+]
+_KS_KEYS = [
+    "abcd", "command", "holds11", "holds2", "input", "lhs11", "lhs2",
+    "rhs11", "rhs2", "samples", "schema", "seed", "tol", "witness",
+]
+_CHOI_KEYS = ["command", "eigenvalues", "input", "is_cp", "max_abs_eig", "min_eig", "schema"]
+
+
+def test_report_key_sets_are_pinned(tmp_path, capsys):
+    # the blocks are the certificates' dataclasses; a new field would change the schema
+    def report(argv):
+        return json.loads(run(argv, capsys)[1])
+
+    doc = tmp_path / "t.json"
+    doc.write_text('{"epsilon": 0.3333333333333333}')
+    for source, input_key in ((["--epsilon", "0.3333333333333333"], "epsilon"), (["--tensor", str(doc)], "tensor")):
+        rep = report(source + ["--samples", "600", "certify"])
+        assert sorted(rep) == _CERTIFY_KEYS
+        assert sorted(rep["input"]) == [input_key]
+        assert sorted(rep["state_preservation"]) == ["max_norm", "passes", "witness_f", "witness_p"]
+        assert sorted(rep["positivity"]) == ["is_positive", "margin", "worst_w"]
+        assert sorted(rep["complete_positivity"]) == ["is_cp", "min_choi_eig"]
+        assert sorted(rep["ks_violation"]) == ["found", "min_eig", "w"]
+        assert sorted(rep["ks_violation"]["w"]) == ["im", "re"]
+        rep = report(source + ["--samples", "600", "ks"])
+        assert sorted(rep) == _KS_KEYS
+        assert sorted(rep["witness"]) == ["found", "min_eig", "w"]
+        assert sorted(report(source + ["choi"])) == _CHOI_KEYS
+    rep = report(["--epsilon", "0.1", "--samples", "600", "ks"])
+    assert sorted(rep) == _KS_KEYS
+    assert rep["witness"] == {"found": False}
+    rep = report(["--epsilon", "0.2", "fixed-points"])
+    assert sorted(rep) == ["command", "input", "points", "residuals", "schema"]
+    rep = report(["--epsilon", "0.4", "--count", "2", "--samples", "300", "sweep"])
+    assert sorted(rep) == ["command", "rows", "samples", "schema", "seed"]
+    assert sorted(rep["rows"][0]) == [
+        "band", "epsilon", "is_cp", "is_positive", "ks_min_eig",
+        "ks_violation_found", "min_choi_eig", "positivity_margin",
+    ]
 
 
 # ---------------------------------------------------------------- one parser per process

@@ -233,7 +233,7 @@ def test_duality_pairing_against_matrix_trace():
 @pytest.mark.parametrize("samples", [0, -2])
 @pytest.mark.parametrize("check", [state_preservation_check, sampled_positivity_check, ks_global_check])
 def test_certificates_reject_a_budget_below_one(check, samples):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one sample"):
         check(build_coeff_tensor(0.3), samples)
 
 

@@ -127,3 +127,16 @@ def test_report_refuses_non_finite_values(bad):
     with pytest.raises(ValueError):
         dump_report({"value": bad}, buf)
     assert buf.getvalue() == ""
+
+
+def test_report_encodes_numpy_arrays():
+    buf = io.StringIO()
+    rep = {"real": np.array([[0.5, -1.0], [2.0, 0.25]]), "complex": np.array([1 + 2j, 3 - 0.5j])}
+    dump_report(rep, buf)
+    doc = json.loads(buf.getvalue())
+    assert doc["real"] == [[0.5, -1.0], [2.0, 0.25]]
+    assert doc["complex"] == {"re": [1.0, 3.0], "im": [2.0, -0.5]}
+    with pytest.raises(TypeError):
+        dump_report({"value": object()}, io.StringIO())
+    with pytest.raises(ValueError):
+        dump_report({"value": np.array([1.0, np.nan])}, io.StringIO())
