@@ -8,11 +8,9 @@ from .pauli import (
     SIGMA,
     NonHermitianInput,
     PauliCoeffs,
-    cross_product,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     pauli_decompose,
-    tensor_product,
 )
 from .core import (
     DEFAULT_SAMPLES,
@@ -34,7 +32,6 @@ from .epsilon import (
     POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
     NonRealInput,
-    SpectrumB,
     b_matrix,
     build_coeff_tensor,
     classify_epsilon,

@@ -24,17 +24,6 @@ SWEEP_HALF_WIDTH = 0.6
 SWEEP_COUNT = 25
 SWEEP_SAMPLES = 5_000
 
-# What main fills in for each flag left unset, per subcommand.  certify scans
-# preservation and positivity with samples and the KS search with ks_samples;
-# a given --samples sets both.
-_DEFAULTS = {
-    "certify": {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "ks": {"samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "sweep": {"epsilon": SWEEP_HALF_WIDTH, "count": SWEEP_COUNT, "samples": SWEEP_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "simulate": {"steps": dynamics.DEFAULT_MAX_STEPS, "tol": dynamics.DEFAULT_CONV_TOL, "init": "0.6,0,0"},
-}
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
@@ -62,13 +51,22 @@ def _int_at_least(low: int):
 
 
 def _parse_init(text: str) -> np.ndarray:
+    """argparse type: a Bloch vector as three finite comma-separated numbers."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError("--init expects three comma-separated numbers")
-    f0 = np.array([float(p) for p in parts])
-    if not np.all(np.isfinite(f0)):
-        raise ValueError(f"--init must be three finite numbers, got {text!r}")
-    return f0
+        raise argparse.ArgumentTypeError(f"expects three comma-separated numbers, got {text!r}")
+    return np.array([_finite_float(p) for p in parts])
+
+
+# What main fills in for each flag left unset, per subcommand.  certify scans
+# preservation and positivity with samples and the KS search with ks_samples;
+# a given --samples sets both.
+_DEFAULTS = {
+    "certify": {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "ks": {"samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "sweep": {"epsilon": SWEEP_HALF_WIDTH, "count": SWEEP_COUNT, "samples": SWEEP_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
+    "simulate": {"steps": dynamics.DEFAULT_MAX_STEPS, "tol": dynamics.DEFAULT_CONV_TOL, "init": _parse_init("0.6,0,0")},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,8 +88,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)", **kw(None))
     parser.add_argument("--seed", type=_int_at_least(0), help="seed for the deterministic scans", **kw(0))
     parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)", **kw(None))
-    parser.add_argument("--steps", type=int, help="iteration budget for simulate", **kw(None))
-    parser.add_argument("--init", metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))
+    parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate", **kw(None))
+    parser.add_argument("--init", type=_parse_init, metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))
     parser.add_argument("--output", metavar="PATH", help="write the report or trajectory here", **kw(None))
     parser.add_argument("--count", type=_int_at_least(1), help="number of grid points for sweep", **kw(None))
 
@@ -211,10 +209,7 @@ def _cmd_choi(args) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    eps = _family_coupling(args)
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
-    traj = dynamics.iterate(eps, _parse_init(args.init), args.steps, args.tol)
+    traj = dynamics.iterate(_family_coupling(args), args.init, args.steps, args.tol)
     _emit(args, functools.partial(files.write_trajectory_csv, traj))
     print(
         f"steps={len(traj.steps) - 1} converged={traj.converged} "
@@ -230,9 +225,7 @@ def _cmd_fixed_points(args) -> tuple:
 
 
 def _cmd_sweep(args) -> tuple:
-    if args.tensor is not None:
-        raise ValueError("sweep requires --epsilon (the half-width of the grid)")
-    half = abs(args.epsilon)
+    half = abs(_family_coupling(args))
     rows = []
     for e in np.linspace(-half, half, args.count).tolist():
         b = epsilon.build_coeff_tensor(e)

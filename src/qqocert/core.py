@@ -30,7 +30,6 @@ from .pauli import (
     hermitian_eigh,
     hermitian_lowest_eigvals,
     lowest_indices,
-    tensor_product,
 )
 from .sampling import fibonacci_sphere
 
@@ -42,7 +41,7 @@ REFINE_CAP = 1000
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
-    [[tensor_product(SIGMA[m], SIGMA[l]) for l in range(3)] for m in range(3)]
+    [[np.kron(SIGMA[m], SIGMA[l]) for l in range(3)] for m in range(3)]
 )
 # Pauli coefficients of the matrix units, w0 = tr(e_ij)/2 and w[i, j, k] = tr(sigma_k e_ij)/2,
 # read off SIGMA: a matrix product here would make every import pay for BLAS buffers

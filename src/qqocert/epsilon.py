@@ -9,8 +9,6 @@ dynamics iff |eps| <= 1/sqrt(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import PositivityReport
@@ -19,7 +17,6 @@ from .pauli import (
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
-    tensor_product,
 )
 
 CP_THRESHOLD = 1.0 / (3.0 * np.sqrt(3.0))
@@ -67,7 +64,7 @@ _PP_TERMS = (
     (1, 0, 2), (1, 1, 1), (1, 2, 0),
     (2, 0, 1), (2, 1, 0), (2, 2, 2),
 )
-_PP_MATS = [tensor_product(SIGMA[m], SIGMA[l]) for (m, l, _) in _PP_TERMS]
+_PP_MATS = [np.kron(SIGMA[m], SIGMA[l]) for (m, l, _) in _PP_TERMS]
 
 
 def delta_eps_apply(eps: float, x: PauliCoeffs) -> np.ndarray:
@@ -103,21 +100,8 @@ def b_matrix(w) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumB:
-    """Closed-form eigenvalues of B(w); lambda3 == lambda4 identically."""
-
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2, self.lambda3, self.lambda4])
-
-
-def spectrum_closed_form(w) -> SpectrumB:
-    """Eigenvalues of B(w) for real w: t +/- 2*sqrt(R) and a double -t.
+def spectrum_closed_form(w) -> np.ndarray:
+    """Eigenvalues of B(w) for real w: [t + 2*sqrt(R), t - 2*sqrt(R), -t, -t].
 
     Here t = w1+w2+w3 and R = sum w_i^2 - sum_{i<j} w_i w_j >= 0.
     """
@@ -125,7 +109,7 @@ def spectrum_closed_form(w) -> SpectrumB:
     t = float(o.sum())
     r = float(np.dot(o, o) - o[0] * o[1] - o[0] * o[2] - o[1] * o[2])
     root = 2.0 * np.sqrt(max(r, 0.0))
-    return SpectrumB(t + root, t - root, -t, -t)
+    return np.array([t + root, t - root, -t, -t])
 
 
 def _sphere_lambdas(t: np.ndarray):

@@ -13,7 +13,9 @@ Trajectory file: comma-separated rows ``step,f1,f2,f3,rho`` after a
 one-line header.
 
 Every file is written whole by ``write_text``: the text is rendered
-first, so an error leaves an existing file as it was.
+first, so an error while rendering leaves an existing file as it was;
+a failed write during the in-place overwrite can leave it partly
+overwritten.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import json
 import os
 import stat
-import sys
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 
@@ -86,7 +87,9 @@ def write_text(path: str, text: str) -> None:
     length, rather than opened with truncation: on ext4, truncating a
     file to empty and writing it again makes close() start writeback of
     the new data, which costs a tenth of a millisecond or more per file
-    and varies with the disk's load.  The bytes left are the same.
+    and varies with the disk's load.  The bytes left are the same.  The
+    file is not touched until text is complete, but a failed os.write
+    can leave it partly overwritten.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -109,8 +112,8 @@ def _encode(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def dump_report(report: dict, out: Optional[IO[str]] = None) -> None:
-    """Emit a schema-tagged report as deterministic JSON.
+def dump_report(report: dict, out: IO[str]) -> None:
+    """Write a schema-tagged report to out as deterministic JSON.
 
     A real numpy array is written as its nested list and a complex one as
     {"re": [...], "im": [...]}; any other non-JSON value raises TypeError.
@@ -119,8 +122,7 @@ def dump_report(report: dict, out: Optional[IO[str]] = None) -> None:
     doc.update(report)
     # serialize first: a NaN or infinity fails before anything is written
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_encode)
-    fh = out if out is not None else sys.stdout
-    fh.write(text + "\n")
+    out.write(text + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:

@@ -44,7 +44,7 @@ from .core import (
     delta_sigma_images,
     scan_then_refine,
 )
-from .pauli import ID4, cross_product, hermitian_eigh, hermitian_lowest_eigvals
+from .pauli import ID4, hermitian_eigh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -53,7 +53,7 @@ KS_COND_TOL = 1e-12
 # cyclic index map: PI[m], PI[m+1] pair the three conditions
 PI = (1, 2, 0, 1)
 # _LEVI_CIVITA[j, k] = e_j x e_k, so its entry [j, k, l] is eps_jkl
-_LEVI_CIVITA = cross_product(np.eye(3)[:, None, :], np.eye(3)[None, :, :]).real
+_LEVI_CIVITA = np.cross(np.eye(3)[:, None, :], np.eye(3)[None, :, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +198,8 @@ def _auxiliaries(arr: np.ndarray, f: np.ndarray, w: np.ndarray) -> tuple:
     gamma = np.empty((3, 3, 3), dtype=complex)
     for m in range(3):
         for l in range(3):
-            gamma[m, l] = cross_product(x[m], np.conj(x[l])) + cross_product(np.conj(x[m]), x[l])
-    q = beta_matrix(arr, f) @ np.conj(cross_product(w, np.conj(w)))
+            gamma[m, l] = np.cross(x[m], np.conj(x[l])) + np.cross(np.conj(x[m]), x[l])
+    q = beta_matrix(arr, f) @ np.conj(np.cross(w, np.conj(w)))
     return x, alpha, gamma, q
 
 
@@ -226,7 +226,7 @@ def ks_necessary_check(b, f, w) -> KSNecessaryReport:
     holds11 = lhs11 >= rhs11 - KS_COND_TOL
 
     vec = q - 1j * sum(
-        f[m] * gamma[PI[m], PI[m + 1]] + cross_product(x[m], np.conj(x[m]))
+        f[m] * gamma[PI[m], PI[m + 1]] + np.cross(x[m], np.conj(x[m]))
         for m in range(3)
     )
     lhs2 = float(np.linalg.norm(vec))

@@ -2,15 +2,14 @@
 
 Every matrix is expanded in the basis {1, sigma_1, sigma_2, sigma_3} and
 stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
-module also provides the small dense-matrix kernel the certifiers build
-on: Kronecker products, the (bilinear, unconjugated) cross product on
-C^3, and the one hermitian eigen kernel: LAPACK (``np.linalg.eigh`` for
-one matrix or a stack; ``eigvalsh`` for the lowest eigenvalues of a
-stack, called only on the matrices whose trace bound lets them rank
-among the few lowest) behind a guard that rejects non-finite,
-non-square or non-hermitian input on both paths.  ``lowest_indices`` picks the few lowest entries of
-an array in stable order without sorting all of it; the stack kernel
-and ``core.scan_then_refine`` select with it.
+module also provides the one hermitian eigen kernel the certifiers build
+on: LAPACK (``np.linalg.eigh`` for one matrix or a stack; ``eigvalsh``
+for the lowest eigenvalues of a stack, called only on the matrices whose
+trace bound lets them rank among the few lowest) behind a guard that
+rejects non-finite, non-square or non-hermitian input on both paths.
+``lowest_indices`` picks the few lowest entries of an array in stable
+order without sorting all of it; the stack kernel and
+``core.scan_then_refine`` select with it.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.
@@ -57,22 +56,6 @@ def pauli_decompose(m: np.ndarray) -> PauliCoeffs:
     w0 = np.trace(m) / 2.0
     w = np.array([np.trace(SIGMA[k] @ m) / 2.0 for k in range(3)])
     return PauliCoeffs(w0, w)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, block row-major."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def cross_product(u, v) -> np.ndarray:
-    """Bilinear cross product on C^3, no conjugation; broadcasts over leading axes."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=complex)
-    out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-    out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-    out[..., 2] = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    return out
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from qqocert import (
     pauli_decompose,
     positivity_check,
     spectrum_closed_form,
-    tensor_product,
 )
 from qqocert.pauli import SIGMA
 
@@ -70,7 +69,7 @@ def test_criterion_1_positivity_threshold():
         0.3323 <= est <= 0.3343,
         f"estimate {est:.6f}",
     )
-    worst = spectrum_closed_form([-1.0, 0.0, 0.0]).lambda2
+    worst = spectrum_closed_form([-1.0, 0.0, 0.0])[1]
     resid = abs(1.0 + (1.0 / 3.0) * worst)
     check(
         "criterion 1b: analytic worst case 1 + eps*(-3) = 0 at eps=1/3, w=(-1,0,0)",
@@ -139,7 +138,7 @@ def test_criterion_5_closed_form_spectrum():
     ws = ws * rng.uniform(size=(1000, 1)) ** (1.0 / 3.0)
     numeric = np.linalg.eigvalsh(np.array([b_matrix(w) for w in ws]))
     worst = max(
-        float(np.max(np.abs(np.sort(spectrum_closed_form(ws[i]).as_array()) - numeric[i])))
+        float(np.max(np.abs(np.sort(spectrum_closed_form(ws[i])) - numeric[i])))
         for i in range(1000)
     )
     check(
@@ -149,7 +148,7 @@ def test_criterion_5_closed_form_spectrum():
     )
     sphere = rng.standard_normal((10_000, 3))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-    spectra = np.array([spectrum_closed_form(w).as_array() for w in sphere])
+    spectra = np.array([spectrum_closed_form(w) for w in sphere])
     extremes_ok = (
         np.max(spectra[:, 0]) >= 3.0 - 1e-3
         and np.min(spectra[:, 1]) <= -3.0 + 1e-3
@@ -158,10 +157,10 @@ def test_criterion_5_closed_form_spectrum():
     )
     corner = np.ones(3) / np.sqrt(3.0)
     exact_ok = (
-        abs(spectrum_closed_form([1, 0, 0]).lambda1 - 3.0) <= 1e-12
-        and abs(spectrum_closed_form([-1, 0, 0]).lambda2 + 3.0) <= 1e-12
-        and abs(spectrum_closed_form(corner).lambda3 + np.sqrt(3.0)) <= 1e-12
-        and abs(spectrum_closed_form(-corner).lambda3 - np.sqrt(3.0)) <= 1e-12
+        abs(spectrum_closed_form([1, 0, 0])[0] - 3.0) <= 1e-12
+        and abs(spectrum_closed_form([-1, 0, 0])[1] + 3.0) <= 1e-12
+        and abs(spectrum_closed_form(corner)[2] + np.sqrt(3.0)) <= 1e-12
+        and abs(spectrum_closed_form(-corner)[2] - np.sqrt(3.0)) <= 1e-12
     )
     check(
         "criterion 5b: sampled extremes reach -3, 3, +/-sqrt(3) within 1e-3",
@@ -279,7 +278,7 @@ def test_criterion_8_structural_invariants():
         )
         rho_f = (np.eye(2) + np.einsum("k,kab->ab", f, SIGMA)) / 2.0
         rho_p = (np.eye(2) + np.einsum("k,kab->ab", p, SIGMA)) / 2.0
-        lhs = np.trace(tensor_product(rho_f, rho_p) @ delta_apply(b, y))
+        lhs = np.trace(np.kron(rho_f, rho_p) @ delta_apply(b, y))
         rhs = state_eval(dual_pair_apply(b, f, p), y)
         worst = max(worst, abs(lhs - rhs))
     check("criterion 8e: duality pairing <= 1e-12", worst <= 1e-12)

@@ -229,22 +229,6 @@ def test_non_finite_floats_exit_2_without_output(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--epsilon", "0.5", "--init", "nan,0,0", "simulate"],
-        ["--epsilon", "0.5", "--init", "0,inf,0", "simulate"],
-        ["--epsilon", "0.5", "--init", "0,0,-inf", "simulate"],
-        ["--epsilon", "0.5", "--steps", "-1", "simulate"],
-    ],
-)
-def test_simulate_bad_init_or_steps_exit_2_without_output(argv, capsys):
-    code, out, err = run(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
         ["--epsilon", "-2.822090991183579e-05", "--steps", "3", "simulate"],
         ["simulate", "--epsilon", "-1e-3", "--steps", "3"],
         ["--epsilon", "0.3", "--init", "-0.1,0.2,0", "--steps", "3", "simulate"],
@@ -325,14 +309,18 @@ def test_certify_refuses_bad_tol_before_any_scan(tol, monkeypatch, capsys):
     assert "tol must be positive" in err
 
 
+_SOURCES = {"both": ["--epsilon", "0.5", "--tensor", "{missing}"], "tensor": ["--tensor", "{doc}"], "none": []}
+
+
+# sweep has a default --epsilon, so only a given --tensor reaches the refusal
 @pytest.mark.parametrize(
-    "source", [["--epsilon", "0.5", "--tensor", "{missing}"], ["--tensor", "{doc}"], []], ids=["both", "tensor", "none"]
+    "command, source",
+    [(c, s) for c in ("fixed-points", "simulate") for s in _SOURCES] + [("sweep", "both"), ("sweep", "tensor")],
 )
-@pytest.mark.parametrize("command", ["simulate", "fixed-points"])
 def test_family_subcommands_refuse_tensor(command, source, tmp_path, capsys):
     doc = tmp_path / "t.json"
     doc.write_text('{"epsilon": 0.5}')
-    argv = [word.format(doc=doc, missing=tmp_path / "missing.json") for word in source]
+    argv = [word.format(doc=doc, missing=tmp_path / "missing.json") for word in _SOURCES[source]]
     code, out, err = run(argv + [command], capsys)
     assert code == 2
     assert out == ""
@@ -556,6 +544,11 @@ def _below(argv, name, low):
         (["--epsilon", "0.1", "--seed", "-1", "sweep"], "argument --seed: must be >= 0, got '-1'"),
         (["choi", "--epsilon", "0.1", "--seed=-3"], "argument --seed: must be >= 0, got '-3'"),
         (["--count", "0", "sweep"], "argument --count: must be >= 1, got '0'"),
+        (["--epsilon", "0.5", "--init", "nan,0,0", "simulate"], "argument --init: must be a finite number, got 'nan'"),
+        (["--epsilon", "0.5", "--init", "0,inf,0", "simulate"], "argument --init: must be a finite number, got 'inf'"),
+        (["--epsilon", "0.5", "--init", "0,0,-inf", "simulate"], "argument --init: must be a finite number, got '-inf'"),
+        (["--epsilon", "0.5", "--steps", "-1", "simulate"], "argument --steps: must be >= 0, got '-1'"),
+        (["--epsilon", "0.5", "simulate", "--init=1,2"], "argument --init: expects three comma-separated numbers, got '1,2'"),
     ],
 )
 def test_samples_and_seed_validated_at_entry(argv, message, capsys):

@@ -15,7 +15,6 @@ from qqocert import (
     ks_global_check,
     sampled_positivity_check,
     state_preservation_check,
-    tensor_product,
 )
 from qqocert.core import REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
@@ -65,9 +64,9 @@ def test_delta_apply_family_sigma1_image():
     eps = 0.37
     out = delta_apply(build_coeff_tensor(eps), PauliCoeffs(0.0, [1, 0, 0]))
     expected = eps * (
-        tensor_product(SIGMA[0], SIGMA[0])
-        + tensor_product(SIGMA[1], SIGMA[2])
-        + tensor_product(SIGMA[2], SIGMA[1])
+        np.kron(SIGMA[0], SIGMA[0])
+        + np.kron(SIGMA[1], SIGMA[2])
+        + np.kron(SIGMA[2], SIGMA[1])
     )
     assert np.max(np.abs(out - expected)) <= 1e-14
 
@@ -222,7 +221,7 @@ def test_duality_pairing_against_matrix_trace():
         )
         rho_f = (np.eye(2) + np.einsum("k,kab->ab", f, SIGMA)) / 2.0
         rho_p = (np.eye(2) + np.einsum("k,kab->ab", p, SIGMA)) / 2.0
-        lhs = np.trace(tensor_product(rho_f, rho_p) @ delta_apply(b, y))
+        lhs = np.trace(np.kron(rho_f, rho_p) @ delta_apply(b, y))
         rhs = state_eval(dual_pair_apply(b, f, p), y)
         assert abs(lhs - rhs) <= 1e-12
 

@@ -18,7 +18,6 @@ from qqocert import (
     positivity_check,
     spectrum_closed_form,
     state_preservation_check,
-    tensor_product,
 )
 from qqocert.pauli import SIGMA
 
@@ -62,9 +61,9 @@ def test_family_image_sigma3():
     eps = 0.29
     out = delta_eps_apply(eps, PauliCoeffs(0.0, [0, 0, 1]))
     expected = eps * (
-        tensor_product(SIGMA[0], SIGMA[1])
-        + tensor_product(SIGMA[1], SIGMA[0])
-        + tensor_product(SIGMA[2], SIGMA[2])
+        np.kron(SIGMA[0], SIGMA[1])
+        + np.kron(SIGMA[1], SIGMA[0])
+        + np.kron(SIGMA[2], SIGMA[2])
     )
     assert np.max(np.abs(out - expected)) <= 1e-15
 
@@ -121,17 +120,17 @@ def test_b_matrix_rejects_complex():
 
 def test_spectrum_examples():
     s = spectrum_closed_form(np.ones(3) / np.sqrt(3.0))
-    assert np.allclose(s.as_array(), [np.sqrt(3), np.sqrt(3), -np.sqrt(3), -np.sqrt(3)])
+    assert np.allclose(s, [np.sqrt(3), np.sqrt(3), -np.sqrt(3), -np.sqrt(3)])
     s = spectrum_closed_form([-1.0, 0.0, 0.0])
-    assert np.allclose(np.sort(s.as_array()), [-3, 1, 1, 1])
-    assert np.allclose(spectrum_closed_form([0, 0, 0]).as_array(), 0.0)
+    assert np.allclose(np.sort(s), [-3, 1, 1, 1])
+    assert np.allclose(spectrum_closed_form([0, 0, 0]), 0.0)
 
 
 def test_spectrum_double_eigenvalue():
     rng = np.random.default_rng(2)
     for _ in range(20):
         s = spectrum_closed_form(rng.standard_normal(3))
-        assert s.lambda3 == s.lambda4
+        assert s[2] == s[3]
 
 
 def test_spectrum_matches_numeric_bulk():
@@ -142,7 +141,7 @@ def test_spectrum_matches_numeric_bulk():
     numeric = np.linalg.eigvalsh(mats)
     worst = 0.0
     for i in range(1000):
-        closed = np.sort(spectrum_closed_form(ws[i]).as_array())
+        closed = np.sort(spectrum_closed_form(ws[i]))
         worst = max(worst, np.max(np.abs(closed - numeric[i])))
     assert worst <= 1e-9
 
@@ -155,10 +154,10 @@ def test_spectrum_homogeneity():
         s = spectrum_closed_form(w)
         h = rng.uniform(0.1, 2.0)
         sh = spectrum_closed_form(h * w)
-        assert sh.lambda1 == pytest.approx(h * s.lambda1, abs=1e-12 * max(1, h))
-        assert sh.lambda2 == pytest.approx(h * s.lambda2, abs=1e-12 * max(1, h))
+        assert sh[0] == pytest.approx(h * s[0], abs=1e-12 * max(1, h))
+        assert sh[1] == pytest.approx(h * s[1], abs=1e-12 * max(1, h))
         smh = spectrum_closed_form(-h * w)
-        assert smh.lambda1 == pytest.approx(-h * s.lambda2, abs=1e-12 * max(1, h))
+        assert smh[0] == pytest.approx(-h * s[1], abs=1e-12 * max(1, h))
 
 
 def test_spectrum_bounds_sampled():
@@ -195,7 +194,7 @@ def test_positivity_just_outside():
     assert not rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.34, abs=1e-9)
     # the witness realizes the reported margin
-    vals = spectrum_closed_form(rep.worst_w).as_array()
+    vals = spectrum_closed_form(rep.worst_w)
     assert np.min(1.0 + 0.34 * vals) == pytest.approx(rep.margin, abs=1e-9)
 
 

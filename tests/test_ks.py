@@ -7,7 +7,6 @@ from qqocert import (
     PauliCoeffs,
     beta_matrix,
     build_coeff_tensor,
-    cross_product,
     delta_apply,
     delta_sigma_images,
     hermitian_eigh,
@@ -205,7 +204,7 @@ def test_auxiliaries_q_recomputed_from_beta():
         f = rng.standard_normal(3)
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         q = _auxiliaries(b, f, w)[3]
-        cw = cross_product(w, np.conj(w))
+        cw = np.cross(w, np.conj(w))
         expected = np.array(
             [np.sum(beta_matrix(b, f)[m] * np.conj(cw)) for m in range(3)]
         )

@@ -7,12 +7,11 @@ from qqocert import (
     NonHermitianInput,
     PauliCoeffs,
     b_matrix,
-    cross_product,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     pauli_decompose,
-    tensor_product,
 )
+from qqocert.ks import _LEVI_CIVITA
 from qqocert.pauli import ID2, REFINE_STARTS, SIGMA, lowest_indices
 
 from oracles import pauli_compose, state_eval
@@ -96,27 +95,35 @@ def test_trace_is_twice_w0():
 
 
 # ---------------------------------------------------------------- kron
+# The package forms sigma_m x sigma_l with np.kron; these pin the convention it relies on.
 
 
 def test_tensor_product_identities():
-    assert np.allclose(tensor_product(ID2, ID2), np.eye(4))
+    assert np.allclose(np.kron(ID2, ID2), np.eye(4))
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1
-    out = tensor_product(e11, e11)
+    out = np.kron(e11, e11)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1
     assert np.allclose(out, expected)
-    assert np.allclose(tensor_product(SIGMA[2], SIGMA[2]), np.diag([1, -1, -1, 1]))
+    assert np.allclose(np.kron(SIGMA[2], SIGMA[2]), np.diag([1, -1, -1, 1]))
+    # block row-major: block (i, j) of a x b is a[i, j] * b
+    a, b = SIGMA[1], SIGMA[0] + 2 * SIGMA[2]
+    out = np.kron(a, b)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], a[i, j] * b)
 
 
 # ---------------------------------------------------------------- cross
+# The KS conditions take np.cross on complex vectors: bilinear, no conjugation.
 
 
 def test_cross_product_examples():
-    assert np.allclose(cross_product([1, 0, 0], [0, 1, 0]), [0, 0, 1])
+    assert np.allclose(np.cross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
     w = np.array([1.2, -0.3 + 1j, 2.0j])
-    assert np.allclose(cross_product(w, w), 0.0)
-    assert np.allclose(cross_product([1j, 0, 0], [0, 1, 0]), [0, 0, 1j])
+    assert np.allclose(np.cross(w, w), 0.0)
+    assert np.array_equal(np.cross([1j, 0, 0], [0, 1, 0]), [0, 0, 1j])
 
 
 @settings(deadline=None)
@@ -124,9 +131,9 @@ def test_cross_product_examples():
 def test_cross_product_antisymmetry_and_conj_identity(parts):
     u = np.array(parts[0:3]) + 1j * np.array(parts[3:6])
     v = np.array(parts[6:9]) + 1j * np.array(parts[9:12])
-    assert np.allclose(cross_product(u, v), -cross_product(v, u), atol=1e-12)
+    assert np.allclose(np.cross(u, v), -np.cross(v, u), atol=1e-12)
     # [w, conj(w)] is purely imaginary componentwise
-    c = cross_product(u, np.conj(u))
+    c = np.cross(u, np.conj(u))
     assert np.max(np.abs(c + np.conj(c))) <= 1e-12
 
 
@@ -134,9 +141,14 @@ def test_cross_product_broadcasts():
     rng = np.random.default_rng(4)
     us = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
     vs = rng.standard_normal((10, 3))
-    batch = cross_product(us, vs)
+    batch = np.cross(us, vs)
     for i in range(10):
-        assert np.allclose(batch[i], cross_product(us[i], vs[i]))
+        assert np.allclose(batch[i], np.cross(us[i], vs[i]))
+    # broadcast over the pairs of basis vectors, it gives the Levi-Civita symbol ks builds on
+    table = np.cross(np.eye(3)[:, None, :], np.eye(3)[None, :, :])
+    for (j, k, l), sign in np.ndenumerate(table):
+        assert sign == ((j - k) * (k - l) * (l - j)) / 2
+    assert np.array_equal(table, _LEVI_CIVITA)
 
 
 # ---------------------------------------------------------------- eigen kernel

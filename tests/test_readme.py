@@ -1,0 +1,34 @@
+"""The README's library quick start runs as written and says what it returns."""
+
+import ast
+import pathlib
+import re
+
+import numpy as np
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_values():
+    """Run the quick-start block statement by statement; return the value of each bare expression."""
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_quick_start_matches_its_comments():
+    positive, cp, min_eig, (converged, limit), points = quick_start_values()
+    assert positive is True
+    assert cp is False
+    assert round(min_eig, 2) == -0.91
+    assert converged is True
+    assert np.linalg.norm(limit) <= 1e-12
+    # at coupling 1/sqrt(3): the origin and the diagonal corner of the ball
+    assert len(points) == 2
+    assert np.array_equal(points[0], np.zeros(3))
+    assert np.allclose(points[1], np.ones(3) / np.sqrt(3.0), atol=1e-12)
