@@ -98,6 +98,19 @@ def dual_pair_apply(b, f, p) -> np.ndarray:
     return out
 
 
+def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
+    """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*.
+
+    |v_j|^2 and, over j < l, Re and (complex v only) Im of conj(v_j) v_l weigh blocks[j, j],
+    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for hermitian_lowest_eigvals.
+    """
+    d, (j, l) = np.arange(v.shape[1]), np.triu_indices(v.shape[1], 1)
+    z, keep = np.conj(v[:, j]) * v[:, l], 3 if np.iscomplexobj(v) else 2
+    coeffs = (np.real(np.conj(v) * v), z.real, z.imag)[:keep]
+    table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))[:keep]
+    return np.column_stack(coeffs), np.concatenate(table)
+
+
 def _spectral_norm_with_vectors(m: np.ndarray):
     """Largest singular value of a real 3x3 matrix, or of each in a stack, with its right singular vector v."""
     vals, vecs = hermitian_eigh(np.swapaxes(m, -1, -2) @ m)
@@ -172,20 +185,18 @@ def state_preservation_check(
     """Injective norm of the dual action: the max of |b(f, p, .)| over unit f and p.
 
     This is the package's one tensor-norm routine.  The dual image
-    b(f, p, .)_k = sum_ij b[i][j][k] f_i p_j is bilinear, so for each f of
-    a Fibonacci scan the worst p is the leading right-singular vector of
-    N(f); the best candidates are refined by alternating that step in f
-    and p (the higher-order power method), and the norm is re-evaluated
-    at the final pair.  The certificate passes iff the maximum stays
-    within 1 + 1e-9.
+    b(f, p, .)_k = sum_ij b[i][j][k] f_i p_j = (N(f) p)_k is bilinear; for
+    each f of a Fibonacci scan the kernel gets f_i f_l on the grams
+    N_i^T N_l and builds only the N(f)^T N(f) whose norm can rank.  The
+    best are refined by alternating singular vectors in f and p (the
+    higher-order power method), and the norm is re-evaluated at the
+    final pair.  The certificate passes iff it stays within 1 + 1e-9.
     """
     arr = as_coeff_tensor(b)
     pts = fibonacci_sphere(samples, seed)
-    # b(f, p, .) = N(f) p with N(f)[k, j] = sum_i b[i][j][k] f_i
-    mats = np.einsum("ijk,ni->nkj", arr, pts)
-    grams = np.einsum("nkj,nkl->njl", mats, mats)
-    # the largest eigenvalues of the grams, as the lowest of their negatives
-    largest = -hermitian_lowest_eigvals(-grams)
+    # b(f, p, .) = N(f) p, N(f)[k, j] = sum_i b[i][j][k] f_i, N(f)^T N(f) = sum_il f_i f_l grams[i, l]
+    grams = np.einsum("ijk,lmk->iljm", arr, arr)
+    largest = -hermitian_lowest_eigvals(*_sesquilinear_family(pts, -grams))
     norms = np.sqrt(np.maximum(largest, 0.0))
     _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
     max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
@@ -250,13 +261,13 @@ def sampled_positivity_check(
     """Positivity of the map probed on sampled boundary elements 1 + w.sigma.
 
     Positivity on rank-one projectors is enough by convexity, and scaling
-    reduces those to w0 = 1 with a real unit w.  The margin is the
-    smallest eigenvalue of the image over a Fibonacci scan, refined by
-    exact alternating descent from the worst candidates.
+    reduces those to w0 = 1 with a real unit w.  The margin is the lowest
+    eigenvalue of the image over a Fibonacci scan, given to the kernel as
+    (1, w) on (I, Dsigma), refined by exact alternating descent from the worst.
     """
     ds = delta_sigma_images(as_coeff_tensor(b))
     pts = fibonacci_sphere(samples, seed)
-    vals = hermitian_lowest_eigvals(ID4 + np.einsum("nk,kab->nab", pts, ds))
+    vals = hermitian_lowest_eigvals(np.column_stack([np.ones(len(pts)), pts]), np.concatenate([ID4[None], ds]))
     margin, w, _ = scan_then_refine(pts, vals, _positivity_step(ds))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),

@@ -18,12 +18,12 @@ matrix M (ks_form) with 4x4 blocks
 Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
-spheres.  A scan builds every sampled defect with one matrix product and
-hands the stack to the guarded lowest-eigenvalue kernel, which solves
-only the defects that can rank among the best; exact alternating
-eigen-descent then polishes the best candidates (psi := lowest
-eigenvector of defect(w), then w := lowest eigenvector of T(psi);
-neither half-step can raise the value).  A violation witness is any unit
+spheres.  A scan hands the guarded lowest-eigenvalue kernel the real
+coordinates of conj(w) w^T and nine hermitian combinations of the M_jk,
+and the kernel builds and solves only the defects that can rank among the
+best; exact alternating eigen-descent then polishes the best candidates
+(psi := lowest eigenvector of defect(w), then w := lowest eigenvector of
+T(psi); neither half-step can raise the value).  A violation witness is any unit
 w whose defect has a negative eigenvalue; the search certifies
 violations only, never the property itself.  ks_necessary_check
 evaluates the two scalar necessary conditions and reports both sides of
@@ -39,12 +39,13 @@ import numpy as np
 
 from .core import (
     _eigen_descent_step,
+    _sesquilinear_family,
     as_coeff_tensor,
     beta_matrix,
     delta_sigma_images,
     scan_then_refine,
 )
-from .pauli import ID4, hermitian_eigh, hermitian_lowest_eigvals
+from .pauli import ID4, _hermitian_part, hermitian_eigh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -81,11 +82,6 @@ class KSNecessaryReport:
     abcd: tuple
     holds11: bool
     holds2: bool
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2 over the last two axes; exactly hermitian in floating point."""
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def ks_form(b) -> np.ndarray:
@@ -156,22 +152,21 @@ def ks_global_check(
     """Search unit complex directions for a defect with a negative eigenvalue.
 
     Scans `samples` normalized complex Gaussian directions drawn from
-    np.random.default_rng(seed): all defects come from one (N, 9) @ (9, 16)
-    product with the blocks of ks_form and go through the guarded
-    lowest-eigenvalue kernel, exact for every defect that can rank among
-    the eight lowest.  scan_then_refine then polishes the eight most negative
-    candidates by exact alternating eigen-descent on the form (see the
-    module docstring).  The witness has its largest-modulus component real and
-    positive, and min_eig is lambda_min of the defect re-evaluated there.
-    Returns the worst witness found (min eigenvalue below -tol) or None;
-    absence of a witness at finite budget is not a proof.  Deterministic
-    for a fixed seed.
+    np.random.default_rng(seed); the guarded lowest-eigenvalue kernel gets the
+    real coordinates of conj(w) w^T and a table from the blocks of ks_form, and
+    builds and solves exactly only the defects that can rank among the eight
+    lowest.  scan_then_refine then polishes the eight most negative candidates
+    by exact alternating eigen-descent on the form (see the module docstring).
+    The witness has its largest-modulus component real and positive, and
+    min_eig is lambda_min of the defect re-evaluated there.  Returns the worst
+    witness found (min eigenvalue below -tol) or None; absence of a witness at
+    finite budget is not a proof.  Deterministic for a fixed seed.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     w_table, psi_table = _tables(ks_form(b))
     ws = _scan_directions(samples, seed)
-    vals = hermitian_lowest_eigvals(_contract(w_table, ws))
+    vals = hermitian_lowest_eigvals(*_sesquilinear_family(ws, w_table.reshape(3, 3, 4, 4)))
     _, best_w, _ = scan_then_refine(ws, vals, _descent_step(w_table, psi_table))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])

@@ -4,11 +4,12 @@ Every matrix is expanded in the basis {1, sigma_1, sigma_2, sigma_3} and
 stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
 module also provides the one hermitian eigen kernel the certifiers build
 on: LAPACK (``np.linalg.eigh`` for one matrix or a stack; ``eigvalsh``
-for the lowest eigenvalues of a stack, called only on the matrices whose
-trace bound lets them rank among the few lowest) behind a guard that
+for the lowest eigenvalues of a scan's family, real coefficients on a table
+of matrices, building only the members whose trace bound lets them rank
+among the few lowest) behind a guard that
 rejects non-finite, non-square or non-hermitian input on both paths.
 ``lowest_indices`` picks the few lowest entries of an array in stable
-order without sorting all of it; the stack kernel and
+order without sorting all of it; the family kernel and
 ``core.scan_then_refine`` select with it.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
@@ -98,45 +99,58 @@ def lowest_indices(values, k: int = REFINE_STARTS) -> np.ndarray:
     return cand[np.argsort(values[cand], kind="stable")[:k]]
 
 
-def hermitian_lowest_eigvals(ms: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalues of a stack (N, n, n), exact wherever they can rank among the lowest few.
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 over the last two axes; exactly hermitian in floating point."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
-    The whole stack passes the hermitian guard.  Each matrix A gets the
-    trace bound lambda_min >= m - s*sqrt(n - 1), with m = tr(A)/n and
-    s^2 = ||A - m*I||_F^2 / n (Wolkowicz & Styan, Linear Algebra Appl. 29,
-    1980), taken over the triangle LAPACK reads and lowered by a rounding
-    margin far above LAPACK's backward error.  The REFINE_STARTS lowest
-    bounds are eigensolved first; a matrix can rank among the
-    REFINE_STARTS lowest only if its bound is at most the largest of those
-    exact values, so only those candidates go on, best bound first, in
-    doubling blocks, until the next bound exceeds the REFINE_STARTS-th
-    lowest eigenvalue found so far.  Solved entries hold LAPACK's
-    lambda_min, the others their bound, which lies strictly above that
-    value; so the first REFINE_STARTS entries of a stable argsort, and
-    their values, equal those of the full eigvalsh(ms)[:, 0].
+
+def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
+    """Lowest eigenvalues of the members sum_i coeffs[k, i] table[i], exact wherever they can rank among the lowest few.
+
+    coeffs is real (N, q), table (q, n, n).  The table passes the hermitian guard, so every member is
+    covered, built or not; non-finite coefficients raise NonHermitianInput.  Each member A gets the
+    trace bound lambda_min >= m - s*sqrt(n - 1), m = tr(A)/n, s^2 = ||A - m*I||_F^2 / n (Wolkowicz &
+    Styan, Linear Algebra Appl. 29, 1980), without building A: m = coeffs @ tr(table)/n and
+    sqrt(n)*s = ||coeffs @ R.T||, R the QR factor of the table's traceless parts in real coordinates.
+    QR is backward stable, so s (with no square root of a cancelled difference), m and the built A
+    are off by O(u*||c||*||table||_F), c the member's coefficients, and LAPACK by O(u*||A||); the
+    bound is lowered by 1e-12*(|m| + s + ||c||*||table||_F + 1), far above all three.  The
+    REFINE_STARTS lowest bounds are solved first; only a member whose bound is at most the largest of
+    those exact values can rank, so only those go on, best bound first, in doubling blocks, until the
+    next bound exceeds the REFINE_STARTS-th lowest value found.  A member is built as the hermitian
+    part of an einsum, which rounds alike whichever rows are built with it (a one-row BLAS product
+    does not), and passes the guard before LAPACK reads it.  Solved entries hold LAPACK's lambda_min,
+    the others their bound, strictly above that value; so the first REFINE_STARTS of a stable
+    argsort, and their values, equal those over every member built.
     """
-    ms = require_hermitian(ms)
-    if ms.ndim != 3:
-        raise ValueError(f"expected a stack of shape (N, n, n), got {ms.shape}")
-    n = ms.shape[-1]
-    # LAPACK reads the lower triangle and the real part of the diagonal
-    diag = np.real(np.diagonal(ms, axis1=1, axis2=2))
-    mean = diag.sum(axis=1) / n
-    rows, cols = np.tril_indices(n, -1)
-    lower = np.abs(ms[:, rows, cols])
-    centred = np.sum((diag - mean[:, None]) ** 2, axis=1)
-    spread = np.sqrt((centred + 2 * np.sum(lower**2, axis=1)) / n)
-    bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + 1.0)
+    table, coeffs = require_hermitian(table), np.asarray(coeffs, dtype=float)
+    if table.ndim != 3 or coeffs.ndim != 2 or coeffs.shape[1] != len(table):
+        raise ValueError(f"expected coefficients (N, q) and a table (q, n, n), got {coeffs.shape} and {table.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise NonHermitianInput("coefficients have non-finite entries")
+    n, herm = table.shape[-1], _hermitian_part(table)
+    trace = np.real(np.trace(herm, axis1=1, axis2=2)) / n
+    # real coordinates: a complex matrix as 2*n*n floats, a real one as n*n
+    flat = herm.reshape(len(herm), -1).view(float)
+    free = (herm - trace[:, None, None] * np.eye(n)).reshape(len(herm), -1).view(float)
+    mean, y = coeffs @ trace, coeffs @ np.linalg.qr(free.T, mode="r").T
+    spread = np.sqrt(np.einsum("ki,ki->k", y, y) / n)
+    size = np.sqrt(np.einsum("ki,ki->k", coeffs, coeffs)) * np.linalg.norm(flat)
+    bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + size + 1.0)
     vals = bound.copy()
+
+    def solve(idx):
+        members = np.einsum("ki,ic->kc", coeffs[idx], flat).view(herm.dtype).reshape(-1, n, n)
+        vals[idx] = np.linalg.eigvalsh(require_hermitian(_hermitian_part(members)))[:, 0]
+
     first = lowest_indices(bound)
-    vals[first] = np.linalg.eigvalsh(ms[first])[:, 0]
+    solve(first)
     # only a bound at most the largest exact value so far can rank; in stable order the solved come first
     can_rank = np.count_nonzero(bound <= np.max(vals[first], initial=-np.inf))
     order = lowest_indices(bound, can_rank)
     done, block, kth = len(first), 2 * REFINE_STARTS, REFINE_STARTS - 1
     while done < len(order) and bound[order[done]] <= np.partition(vals[order[:done]], kth)[kth]:
         idx = order[done : done + block]
-        vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]
+        solve(idx)
         done, block = done + len(idx), 2 * block
     return vals
-

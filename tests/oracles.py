@@ -6,7 +6,16 @@ from qqocert import PauliCoeffs, delta_apply, delta_eps_apply
 from qqocert.core import REFINE_CAP, REFINE_RTOL
 from qqocert.dynamics import _check_eps_domain, _v_eps_raw
 from qqocert.ks import _contract
-from qqocert.pauli import ID2, ID4, SIGMA, hermitian_eigh, lowest_indices, pauli_decompose
+from qqocert.pauli import (
+    ID2,
+    ID4,
+    REFINE_STARTS,
+    SIGMA,
+    hermitian_eigh,
+    lowest_indices,
+    pauli_decompose,
+    require_hermitian,
+)
 
 
 def pauli_compose(c):
@@ -154,3 +163,41 @@ def choi_matrix_blocks(b):
     units = np.eye(4).reshape(2, 2, 2, 2)
     blocks = [[delta_apply(b, pauli_decompose(units[i, j])) for j in range(2)] for i in range(2)]
     return 2.0 * np.block(blocks)
+
+
+# ------------------------------------------------- whole-stack eigen kernel
+# The kernel that took every member of a scan already built; the factored
+# pauli.hermitian_lowest_eigvals must select the same lowest members.
+
+
+def stack_lowest_eigvals(ms):
+    """Lowest eigenvalue of each matrix of a built stack (N, n, n), exact wherever it can rank among the lowest few.
+
+    The whole stack passes the hermitian guard; each matrix gets the trace
+    bound m - s*sqrt(n - 1), taken over the triangle LAPACK reads and
+    lowered by 1e-12*(|m| + s + 1); then the REFINE_STARTS lowest bounds
+    are eigensolved, and the other candidates in doubling blocks while the
+    next bound is at most the REFINE_STARTS-th lowest exact value.
+    """
+    ms = require_hermitian(ms)
+    if ms.ndim != 3:
+        raise ValueError(f"expected a stack of shape (N, n, n), got {ms.shape}")
+    n = ms.shape[-1]
+    diag = np.real(np.diagonal(ms, axis1=1, axis2=2))
+    mean = diag.sum(axis=1) / n
+    rows, cols = np.tril_indices(n, -1)
+    lower = np.abs(ms[:, rows, cols])
+    centred = np.sum((diag - mean[:, None]) ** 2, axis=1)
+    spread = np.sqrt((centred + 2 * np.sum(lower**2, axis=1)) / n)
+    bound = mean - spread * np.sqrt(n - 1) - 1e-12 * (np.abs(mean) + spread + 1.0)
+    vals = bound.copy()
+    first = lowest_indices(bound)
+    vals[first] = np.linalg.eigvalsh(ms[first])[:, 0]
+    can_rank = np.count_nonzero(bound <= np.max(vals[first], initial=-np.inf))
+    order = lowest_indices(bound, can_rank)
+    done, block, kth = len(first), 2 * REFINE_STARTS, REFINE_STARTS - 1
+    while done < len(order) and bound[order[done]] <= np.partition(vals[order[:done]], kth)[kth]:
+        idx = order[done : done + block]
+        vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]
+        done, block = done + len(idx), 2 * block
+    return vals

@@ -257,6 +257,26 @@ def test_runtime_does_not_import_scipy():
     assert done.stdout.strip() == "False"
 
 
+def test_import_runs_no_linear_algebra():
+    # an import-time factorization would cost every call, dynamics included, its BLAS buffers
+    probe = (
+        "import numpy as np\n"
+        "called = []\n"
+        "for name in ('qr', 'eigh', 'eigvalsh', 'svd'):\n"
+        "    def wrapped(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):\n"
+        "        called.append(_name)\n"
+        "        return _fn(*args, **kwargs)\n"
+        "    setattr(np.linalg, name, wrapped)\n"
+        "import qqocert, qqocert.cli\n"
+        "qqocert.cli.build_parser()\n"
+        "print(sorted(called))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env()
+    )
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--epsilon", "0.2", "choi"], ["--epsilon", "0.5", "--init", "0.6,0,0", "simulate"]],

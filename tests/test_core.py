@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from qqocert import (
     sampled_positivity_check,
     state_preservation_check,
 )
-from qqocert.core import REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
+from qqocert import pauli
+from qqocert.core import DEFAULT_SAMPLES, REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
 
 from oracles import choi_matrix_blocks, choi_matrix_family, state_eval
@@ -286,6 +289,23 @@ def test_state_preservation_fails_above_threshold():
     assert not rep.passes
 
 
+def test_state_preservation_builds_few_grams(monkeypatch):
+    # every matrix LAPACK reads passes the guard, and the pruned grams are never
+    # built; the count includes the table and the refine
+    built = []
+    guard = pauli.require_hermitian
+
+    def counting(m):
+        if np.ndim(m) == 3:
+            built.append(len(m))
+        return guard(m)
+
+    monkeypatch.setattr(pauli, "require_hermitian", counting)
+    rep = state_preservation_check(rand_tensor(np.random.default_rng(5), 0.25))
+    assert rep.max_norm > 0
+    assert 0 < sum(built) < 0.1 * DEFAULT_SAMPLES
+
+
 def test_preservation_cross_validates_b_norm_sup():
     # against an independent reference: the dual image norm over 100k
     # random pairs of unit vectors, a lower bound of the sup
@@ -368,6 +388,19 @@ def test_sampled_positivity_margin_reevaluates_below_scan():
             scan = np.linalg.eigvalsh(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
             assert rep.margin <= np.min(scan)
             assert abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-12
+
+
+def test_sampled_positivity_peak_memory():
+    # the whole stack of 20,000 images alone takes 5.1 MB
+    b = rand_tensor(np.random.default_rng(5), 0.25)
+    sampled_positivity_check(b)
+    tracemalloc.start()
+    try:
+        sampled_positivity_check(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------- choi assembly

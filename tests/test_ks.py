@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,23 +11,35 @@ from qqocert import (
     build_coeff_tensor,
     delta_apply,
     delta_sigma_images,
+    fibonacci_sphere,
     hermitian_eigh,
+    hermitian_lowest_eigvals,
     ks_defect,
     ks_form,
     ks_global_check,
     ks_necessary_check,
     pauli_decompose,
+    sampled_positivity_check,
+    state_preservation_check,
 )
-from qqocert import core, ks
+from qqocert import core, ks, pauli
 from qqocert.core import (
+    DEFAULT_SAMPLES,
     REFINE_CAP,
     _norm_step,
     _positivity_step,
     _spectral_norm_with_vectors,
     scan_then_refine,
 )
-from qqocert.ks import _auxiliaries, _descent_step, _scan_directions, _tables
-from qqocert.pauli import ID4, SIGMA
+from qqocert.ks import (
+    KS_DEFAULT_SAMPLES,
+    _auxiliaries,
+    _contract,
+    _descent_step,
+    _scan_directions,
+    _tables,
+)
+from qqocert.pauli import ID4, SIGMA, lowest_indices
 
 from oracles import (
     ABCD_EXACT,
@@ -34,6 +48,7 @@ from oracles import (
     serial_norm_step,
     serial_positivity_step,
     serial_scan_then_refine,
+    stack_lowest_eigvals,
 )
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -463,6 +478,86 @@ def test_global_check_sorts_no_whole_scan(monkeypatch):
     wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
     assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
     assert sizes and max(sizes) < 0.1 * 50_000
+
+
+def test_global_check_builds_few_defects(monkeypatch):
+    # counts matrices, not seconds: every matrix LAPACK reads passes the guard, and
+    # the pruned defects are never built; the count includes the table and the refine
+    built = []
+    guard = pauli.require_hermitian
+
+    def counting(m):
+        if np.ndim(m) == 3:
+            built.append(len(m))
+        return guard(m)
+
+    monkeypatch.setattr(pauli, "require_hermitian", counting)
+    wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
+    assert 0 < sum(built) < 0.1 * KS_DEFAULT_SAMPLES
+
+
+def test_global_check_peak_memory():
+    # the whole stack of 50,000 defects alone takes 12.8 MB
+    b = build_coeff_tensor(1.0 / 3.0)
+    ks_global_check(b)
+    tracemalloc.start()
+    try:
+        ks_global_check(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
+
+
+def _stacks_built_whole(b, seed):
+    """The members of the KS, positivity and preservation scans, built whole as the stack kernel took them."""
+    pts = fibonacci_sphere(DEFAULT_SAMPLES, seed)
+    mats = np.einsum("ijk,ni->nkj", b, pts)
+    return (
+        _contract(_tables(ks_form(b))[0], _scan_directions(KS_DEFAULT_SAMPLES, seed)),
+        ID4 + np.einsum("nk,kab->nab", pts, delta_sigma_images(b)),
+        -np.einsum("nkj,nkl->njl", mats, mats),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 801])
+def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
+    # each scan's family, as handed to the kernel, against its stack built whole
+    solved, handed = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(ms, *args, **kwargs):
+        solved.append(len(ms))
+        return eigvalsh(ms, *args, **kwargs)
+
+    def recording(coeffs, table):
+        solved.clear()
+        vals = hermitian_lowest_eigvals(coeffs, table)
+        handed.append((vals, sum(solved)))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(ks, "hermitian_lowest_eigvals", recording)
+    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording)
+    rng = np.random.default_rng(29)
+    tensors = [build_coeff_tensor(e) for e in (0.1, 0.2254, 1.0 / 3.0, -0.4, 0.5, 0.6)]
+    tensors += [rand_tensor(rng, scale) for scale in (0.05, 0.25, 1.0, 10.0)]
+    for b in tensors:
+        handed.clear()
+        ks_global_check(b, seed=seed)
+        sampled_positivity_check(b, seed=seed)
+        state_preservation_check(b, seed=seed)
+        assert len(handed) == 3
+        for (vals, count), stack in zip(handed, _stacks_built_whole(b, seed)):
+            solved.clear()
+            ref = stack_lowest_eigvals(stack)
+            top = lowest_indices(ref)
+            assert np.array_equal(lowest_indices(vals), top)
+            ulps = 8 * np.finfo(float).eps * np.linalg.norm(stack[top], axis=(1, 2))
+            assert np.all(np.abs(vals[top] - ref[top]) <= ulps)
+            # no scan sends more matrices to LAPACK than the stack kernel
+            assert count <= sum(solved)
 
 
 def test_global_check_deterministic():

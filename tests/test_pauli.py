@@ -177,10 +177,18 @@ def test_eigh_matches_numpy_and_reconstructs():
             assert np.max(np.abs(rec - m)) <= 1e-10
 
 
-def assert_lowest_matches_full(ms):
-    """Never above the exact minimum; the REFINE_STARTS lowest (stable order) are bitwise LAPACK's."""
-    got = hermitian_lowest_eigvals(ms)
-    ref = np.linalg.eigvalsh(ms)[:, 0]
+def members(coeffs, table):
+    """Every member sum_i coeffs[k, i] table[i], built as the kernel builds those it solves."""
+    herm = 0.5 * (table + np.conj(np.swapaxes(table, -1, -2)))
+    flat = np.einsum("ki,ic->kc", coeffs, herm.reshape(len(herm), -1).view(float))
+    ms = flat.view(herm.dtype).reshape((-1,) + herm.shape[1:])
+    return 0.5 * (ms + np.conj(np.swapaxes(ms, -1, -2)))
+
+
+def assert_lowest_matches_full(coeffs, table):
+    """Never above the exact minimum; the REFINE_STARTS lowest (stable order) are bitwise LAPACK's on every member built."""
+    got = hermitian_lowest_eigvals(coeffs, table)
+    ref = np.linalg.eigvalsh(members(coeffs, table))[:, 0]
     assert got.shape == ref.shape
     assert np.all(got <= ref)
     top = np.argsort(ref, kind="stable")[:REFINE_STARTS]
@@ -191,10 +199,11 @@ def assert_lowest_matches_full(ms):
 def test_lowest_eigvals_matches_numpy():
     rng = np.random.default_rng(6)
     for n in (3, 4, 8):
-        # fewer matrices than REFINE_STARTS, and enough for several doubling blocks
-        for count in (1, 5, 200, 5000):
-            ms = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-            assert_lowest_matches_full(ms + np.conj(np.swapaxes(ms, 1, 2)))
+        for q in (1, 4, 9):
+            table = np.array([rand_hermitian(rng, n) for _ in range(q)])
+            # fewer members than REFINE_STARTS, and enough for several doubling blocks
+            for count in (1, 5, 200, 5000):
+                assert_lowest_matches_full(rng.standard_normal((count, q)), table)
 
 
 def _unitary(rng, n, real):
@@ -206,12 +215,21 @@ def _unitary(rng, n, real):
 
 
 @st.composite
-def _stacks(draw):
-    """Stacks with ties, spectra where the trace bound is tight, and scales 1e-6 to 1e6."""
+def _families(draw):
+    """Families with ties, members whose trace bound is tight, and scales 1e-6 to 1e6.
+
+    The table holds q matrices of one kind.  Its members are the table's
+    own matrices repeated ("onehot": ties, and the drawn spectra exactly),
+    shifts and scalings a*I + c*T of them, which keep the diag(a, a, a, b)
+    and diag(a, b, b, b) spectra where the bound is tight ("shift"), or
+    random real combinations ("random"; identity tables cancel there).
+    """
     n = draw(st.sampled_from([3, 4]))
+    q = draw(st.integers(1, 12))
     count = draw(st.integers(1, 40))
     real = draw(st.booleans())
     kind = draw(st.sampled_from(["random", "identity", "zero", "equal", "aaab", "abbb", "mixed"]))
+    mixing = draw(st.sampled_from(["onehot", "shift", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.floats(-6.0, 6.0))
 
@@ -228,37 +246,83 @@ def _stacks(draw):
         return 0.5 * (m + np.conj(m.T))
 
     if kind in ("identity", "zero"):
-        ms = np.stack([np.eye(n) * (kind == "identity")] * count)
+        table = np.stack([np.eye(n) * (kind == "identity")] * q)
     elif kind == "equal":
-        ms = np.stack([matrix("random")] * count)
+        table = np.stack([matrix("random")] * q)
     else:
-        kinds = rng.choice(["random", "aaab", "abbb"], count) if kind == "mixed" else [kind] * count
-        ms = np.stack([matrix(k) for k in kinds])
-    ms = ms * scale
-    return ms.real if real else ms.astype(complex)
+        kinds = rng.choice(["random", "aaab", "abbb"], q) if kind == "mixed" else [kind] * q
+        table = np.stack([matrix(k) for k in kinds])
+    table = table * scale
+    table = table.real if real else table.astype(complex)
+    pick = rng.integers(0, q, count)
+    if mixing == "onehot":
+        coeffs = np.eye(q)[pick]
+    elif mixing == "shift":
+        table = np.concatenate([scale * np.eye(n, dtype=table.dtype)[None], table])
+        coeffs = np.zeros((count, q + 1))
+        coeffs[:, 0] = rng.standard_normal(count)
+        coeffs[np.arange(count), 1 + pick] = rng.standard_normal(count)
+    else:
+        coeffs = rng.standard_normal((count, q))
+    return coeffs, table
 
 
 @settings(max_examples=300, deadline=None)
-@given(ms=_stacks())
-def test_lowest_eigvals_property(ms):
-    assert_lowest_matches_full(ms)
+@given(family=_families())
+def test_lowest_eigvals_property(family):
+    assert_lowest_matches_full(*family)
+
+
+@pytest.mark.parametrize("lift", [0.0, 1e5])
+def test_lowest_eigvals_margin_covers_cancelling_members(lift):
+    # members (1 + k*1e-7)*T - T of a table of size 1e6, with tight bounds: building them and
+    # their mean round by about 1e-10, far above 1e-12*(|m| + s + 1); lifted by a multiple
+    # of I, the table's traceless part is small too, so only ||c||*||table||_F covers it
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        u = _unitary(rng, 4, False)
+        a = (u * np.array([1.0, 1.0, 1.0, -1.0])) @ np.conj(u.T)
+        a = 0.5 * (a + np.conj(a.T)) + lift * np.eye(4)
+        table = 1e6 / max(lift, 1.0) * np.stack([a, a])
+        coeffs = np.column_stack([1.0 + (rng.permutation(40) + 1) * 1e-7, -np.ones(40)])
+        assert_lowest_matches_full(coeffs, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(1, 9),
+    at=st.integers(0, 8),
+    entry=st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
+)
+def test_lowest_eigvals_guards_a_table_defect(q, at, entry):
+    # the defect is in the upper triangle, which neither the bound nor LAPACK reads,
+    # of a table matrix whose every member is pruned by its bound alone
+    table = np.stack([np.eye(4, dtype=complex)] * q)
+    coeffs = np.ones((REFINE_STARTS, q))
+    hermitian_lowest_eigvals(coeffs, table)
+    table[at % q][entry] += 1e-9
+    with pytest.raises(NonHermitianInput):
+        hermitian_lowest_eigvals(coeffs, table)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     count=st.integers(REFINE_STARTS, 30),
     at=st.integers(0, 30),
-    entry=st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
-    bad=st.sampled_from([np.nan, np.inf, 1e-9]),
+    column=st.integers(0, 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
 )
-def test_lowest_eigvals_guards_matrices_it_would_prune(count, at, entry, bad):
-    # the bad matrix sits far above REFINE_STARTS or more others, so its bound
-    # alone would prune it; the defect is in the upper triangle, which neither the bound nor LAPACK reads
-    ms = np.stack([np.eye(4, dtype=complex)] * count + [100.0 * np.eye(4, dtype=complex)])
-    ms[[count, at % count]] = ms[[at % count, count]]
-    ms[at % count][entry] += bad
+def test_lowest_eigvals_guards_matrices_it_would_prune(count, at, column, bad):
+    # the bad row sits far above REFINE_STARTS or more others, so its bound
+    # alone would prune it; no member is built from it
+    table = np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0])])
+    coeffs = np.ones((count + 1, 2))
+    coeffs[count] = 100.0
+    coeffs[[count, at % count]] = coeffs[[at % count, count]]
+    hermitian_lowest_eigvals(coeffs, table)
+    coeffs[at % count, column] = bad
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(ms)
+        hermitian_lowest_eigvals(coeffs, table)
 
 
 def _lowest_indices_cases():
@@ -290,7 +354,7 @@ def test_lowest_indices_property(values, k):
 
 
 def test_lowest_eigvals_empty_stack():
-    assert hermitian_lowest_eigvals(np.zeros((0, 4, 4))).shape == (0,)
+    assert hermitian_lowest_eigvals(np.zeros((0, 2)), np.zeros((2, 4, 4))).shape == (0,)
 
 
 def test_eigh_deterministic():
@@ -318,17 +382,18 @@ def test_eigen_kernel_rejects_non_finite(bad):
     with pytest.raises(NonHermitianInput):
         hermitian_eigh(m)
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(np.stack([np.eye(4), m]))
+        hermitian_lowest_eigvals(np.ones((3, 2)), np.stack([np.eye(4), m]))
 
 
 def test_lowest_eigvals_rejects_one_non_hermitian_matrix():
     rng = np.random.default_rng(9)
-    ms = np.array([rand_hermitian(rng, 4) for _ in range(50)])
-    hermitian_lowest_eigvals(ms)
+    table = np.array([rand_hermitian(rng, 4) for _ in range(50)])
+    coeffs = rng.standard_normal((200, 50))
+    hermitian_lowest_eigvals(coeffs, table)
     # LAPACK reads one triangle only; the guard must still see the other
-    ms[37, 0, 3] += 1e-9
+    table[37, 0, 3] += 1e-9
     with pytest.raises(NonHermitianInput):
-        hermitian_lowest_eigvals(ms)
+        hermitian_lowest_eigvals(coeffs, table)
 
 
 def test_eigen_kernel_rejects_wrong_rank():
@@ -337,7 +402,11 @@ def test_eigen_kernel_rejects_wrong_rank():
     with pytest.raises(ValueError):
         hermitian_eigh(np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
-        hermitian_lowest_eigvals(np.eye(4))
+        hermitian_lowest_eigvals(np.ones((3, 1)), np.eye(4))
+    with pytest.raises(ValueError):
+        hermitian_lowest_eigvals(np.ones(2), np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError):
+        hermitian_lowest_eigvals(np.ones((3, 3)), np.zeros((2, 4, 4)))
 
 
 def test_eigh_stack_matches_one_at_a_time_and_guards_every_matrix():
