@@ -10,10 +10,10 @@ This module evaluates that map, its dual action on product states and
 the 3x3 matrix field beta(f), and builds every certificate on shared
 pieces: one scan-then-refine loop (a batch scan, then an exact
 monotone step repeated from the eight best points, all eight advanced
-together with one stacked eigensolve per half-step), one tensor-norm
-routine (state_preservation_check, the injective norm of the dual
-action) and one complete-positivity check on the Choi matrix, which
-is built for all four matrix units at once.
+together with one stacked eigensolve per half-step, every matrix built
+by pauli._members), one product-form step that the KS search and the
+tensor norm (state_preservation_check) share, and one complete-positivity
+check on the Choi matrix, built for all four matrix units at once.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pauli import (
     SIGMA,
     POSITIVITY_EIG_TOL,
     PauliCoeffs,
+    _members,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     lowest_indices,
@@ -47,6 +48,8 @@ _SIGMA_PAIRS = np.array(
 # read off SIGMA: a matrix product here would make every import pay for BLAS buffers
 _UNIT_W0 = np.eye(2, dtype=complex) / 2
 _UNIT_W = SIGMA.transpose(2, 1, 0) / 2
+# diagonal and upper-triangle indices for w, f, p and psi; np.triu_indices takes ~10 us a call
+_PAIRS = {n: (np.arange(n), *np.triu_indices(n, 1)) for n in (3, 4)}
 
 
 def as_coeff_tensor(b) -> np.ndarray:
@@ -102,19 +105,61 @@ def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
     """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*.
 
     |v_j|^2 and, over j < l, Re and (complex v only) Im of conj(v_j) v_l weigh blocks[j, j],
-    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for hermitian_lowest_eigvals.
+    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for hermitian_lowest_eigvals
+    and pauli._members.
     """
-    d, (j, l) = np.arange(v.shape[1]), np.triu_indices(v.shape[1], 1)
+    d, j, l = _PAIRS[v.shape[1]]
     z, keep = np.conj(v[:, j]) * v[:, l], 3 if np.iscomplexobj(v) else 2
     coeffs = (np.real(np.conj(v) * v), z.real, z.imag)[:keep]
     table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))[:keep]
     return np.column_stack(coeffs), np.concatenate(table)
 
 
-def _spectral_norm_with_vectors(m: np.ndarray):
-    """Largest singular value of a real 3x3 matrix, or of each in a stack, with its right singular vector v."""
-    vals, vecs = hermitian_eigh(np.swapaxes(m, -1, -2) @ m)
-    return np.sqrt(np.maximum(vals[..., -1], 0.0)), vecs[..., :, -1]
+def _eigen_descent_step(matrix_of, update):
+    """A scan_then_refine step that alternates points w and eigenvectors psi, for a stack of w.
+
+    psi (the carry) is the lowest eigenvector of the hermitian
+    matrix_of(w); update(psi) returns unit w minimizing
+    <psi, matrix_of(w) psi>, so lambda_min(matrix_of(w)) never rises.
+    The new points' psi is kept, so a round costs one stacked eigensolve
+    plus whatever update needs.
+    """
+
+    def lowest(w):
+        vals, vecs = hermitian_eigh(matrix_of(w))
+        return vals[:, 0], vecs[:, :, 0]
+
+    def step(w, psi):
+        if psi is None:
+            psi = lowest(w)[1]
+        w = update(psi)
+        val, psi = lowest(w)
+        return w, psi, val
+
+    return step
+
+
+def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
+    """A hermitian form M on x (x) y, indexed (i, a) -> ny*i + a, as blocks in x and in y.
+
+    x_blocks[i, j] = M[(i, .), (j, .)] gives M(x) = sum_ij conj(x_i) x_j x_blocks[i, j] on y, and
+    y_blocks[a, b] = M[(., a), (., b)] gives M(y) on x, so <y, M(x) y> = <x, M(y) x>.
+    """
+    f = form.reshape(nx, ny, nx, ny)
+    return f.transpose(0, 2, 1, 3), f.transpose(1, 3, 0, 2)
+
+
+def _product_step(x_blocks: np.ndarray, y_blocks: np.ndarray):
+    """Alternating eigen-descent on a form's value at unit product vectors x (x) y, for a stack of x.
+
+    y (the carry) becomes the lowest eigenvector of M(x), then x that of M(y); both matrices are
+    built from _sesquilinear_family by pauli._members, as the scans build theirs.
+    """
+
+    def lowest_vectors(y):
+        return hermitian_eigh(_members(*_sesquilinear_family(y, y_blocks)))[1][:, :, 0]
+
+    return _eigen_descent_step(lambda x: _members(*_sesquilinear_family(x, x_blocks)), lowest_vectors)
 
 
 def scan_then_refine(points, values, step) -> tuple:
@@ -163,43 +208,28 @@ class PreservationReport:
     passes: bool
 
 
-def _norm_step(arr: np.ndarray):
-    """One round of alternating singular-vector ascent on |b(f, p, .)|, negated, for a stack of f.
-
-    p becomes the leading right-singular vector of N(f), then f that of
-    N'(p), where b(f, p, .) = N(f) p = N'(p) f; each half-step picks the
-    best partner for the other, so the norm never falls.  No carry.
-    """
-
-    def step(f, _):
-        _, p = _spectral_norm_with_vectors(np.einsum("ijk,ni->nkj", arr, f))
-        val, f = _spectral_norm_with_vectors(np.einsum("ijk,nj->nki", arr, p))
-        return f, None, -val
-
-    return step
-
-
 def state_preservation_check(
     b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PreservationReport:
     """Injective norm of the dual action: the max of |b(f, p, .)| over unit f and p.
 
-    This is the package's one tensor-norm routine.  The dual image
-    b(f, p, .)_k = sum_ij b[i][j][k] f_i p_j = (N(f) p)_k is bilinear; for
-    each f of a Fibonacci scan the kernel gets f_i f_l on the grams
-    N_i^T N_l and builds only the N(f)^T N(f) whose norm can rank.  The
-    best are refined by alternating singular vectors in f and p (the
-    higher-order power method), and the norm is re-evaluated at the
-    final pair.  The certificate passes iff it stays within 1 + 1e-9.
+    This is the package's one tensor-norm routine, a product-form search
+    like the KS one: |b(f, p, .)|^2 = (f x p)^T G (f x p) with
+    G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], so the norm squared
+    is the largest eigenvalue of G(f) = N(f)^T N(f), N(f)[k, j] =
+    sum_i b[i][j][k] f_i.  The kernel scans -G(f) over a Fibonacci scan
+    of f, building only the members that can rank; _product_step then
+    refines the best on -G (p := top eigenvector of G(f), f := that of
+    G(p)), and max_norm and witness_p are read off G at the final f.
+    The certificate passes iff max_norm stays within 1 + 1e-9.
     """
     arr = as_coeff_tensor(b)
     pts = fibonacci_sphere(samples, seed)
-    # b(f, p, .) = N(f) p, N(f)[k, j] = sum_i b[i][j][k] f_i, N(f)^T N(f) = sum_il f_i f_l grams[i, l]
-    grams = np.einsum("ijk,lmk->iljm", arr, arr)
-    largest = -hermitian_lowest_eigvals(*_sesquilinear_family(pts, -grams))
-    norms = np.sqrt(np.maximum(largest, 0.0))
-    _, f, _ = scan_then_refine(pts, -norms, _norm_step(arr))
-    max_norm, p = _spectral_norm_with_vectors(np.einsum("ijk,i->kj", arr, f))
+    blocks = _product_blocks(-np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9), 3, 3)
+    vals = hermitian_lowest_eigvals(*_sesquilinear_family(pts, blocks[0]))
+    _, f, _ = scan_then_refine(pts, vals, _product_step(*blocks))
+    lowest, vecs = hermitian_eigh(_members(*_sesquilinear_family(f[None], blocks[0])))
+    max_norm, p = np.sqrt(max(-lowest[0, 0], 0.0)), vecs[0, :, 0]
     return PreservationReport(
         max_norm=float(max_norm),
         witness_f=np.array(f),
@@ -217,32 +247,9 @@ class PositivityReport:
     margin: float
 
 
-def _eigen_descent_step(matrix_of, update):
-    """A scan_then_refine step that alternates points w and eigenvectors psi, for a stack of w.
-
-    psi (the carry) is the lowest eigenvector of the hermitian
-    matrix_of(w); update(psi) returns unit w minimizing
-    <psi, matrix_of(w) psi>, so lambda_min(matrix_of(w)) never rises.
-    The new points' psi is kept, so a round costs one stacked eigensolve
-    plus whatever update needs.
-    """
-
-    def lowest(w):
-        vals, vecs = hermitian_eigh(matrix_of(w))
-        return vals[:, 0], vecs[:, :, 0]
-
-    def step(w, psi):
-        if psi is None:
-            psi = lowest(w)[1]
-        w = update(psi)
-        val, psi = lowest(w)
-        return w, psi, val
-
-    return step
-
-
-def _positivity_step(ds: np.ndarray):
-    """Exact descent on <psi, (1 + w.Dsigma) psi>: w = -g/|g| with g_k = <psi, Dsigma_k psi>."""
+def _positivity_step(table: np.ndarray):
+    """Exact descent on <psi, (1 + w.Dsigma) psi>: w = -g/|g|, g_k = <psi, Dsigma_k psi>; table is (I, Dsigma)."""
+    ds = table[1:]
 
     def update(psi):
         g = np.real(np.einsum("na,kab,nb->nk", np.conj(psi), ds, psi))
@@ -252,7 +259,7 @@ def _positivity_step(ds: np.ndarray):
         zero = gn == 0.0
         return np.where(zero, np.eye(3)[0], -g / np.where(zero, 1.0, gn))
 
-    return _eigen_descent_step(lambda w: ID4 + np.einsum("nk,kab->nab", w, ds), update)
+    return _eigen_descent_step(lambda w: _members(np.column_stack([np.ones(len(w)), w]), table), update)
 
 
 def sampled_positivity_check(
@@ -265,10 +272,10 @@ def sampled_positivity_check(
     eigenvalue of the image over a Fibonacci scan, given to the kernel as
     (1, w) on (I, Dsigma), refined by exact alternating descent from the worst.
     """
-    ds = delta_sigma_images(as_coeff_tensor(b))
+    table = np.concatenate([ID4[None], delta_sigma_images(b)])
     pts = fibonacci_sphere(samples, seed)
-    vals = hermitian_lowest_eigvals(np.column_stack([np.ones(len(pts)), pts]), np.concatenate([ID4[None], ds]))
-    margin, w, _ = scan_then_refine(pts, vals, _positivity_step(ds))
+    vals = hermitian_lowest_eigvals(np.column_stack([np.ones(len(pts)), pts]), table)
+    margin, w, _ = scan_then_refine(pts, vals, _positivity_step(table))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=np.array(w),

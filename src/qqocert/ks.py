@@ -21,9 +21,12 @@ The search seeks the minimum of this biquadratic form over the two unit
 spheres.  A scan hands the guarded lowest-eigenvalue kernel the real
 coordinates of conj(w) w^T and nine hermitian combinations of the M_jk,
 and the kernel builds and solves only the defects that can rank among the
-best; exact alternating eigen-descent then polishes the best candidates
-(psi := lowest eigenvector of defect(w), then w := lowest eigenvector of
-T(psi); neither half-step can raise the value).  A violation witness is any unit
+best; core._product_step, the step the tensor norm shares, then polishes
+the best candidates (psi := lowest eigenvector of defect(w), then w :=
+lowest eigenvector of T(psi); neither half-step can raise the value).
+Every defect and T(psi) is built by pauli._members, as the kernel builds
+the scanned defects, so ks_defect at a scanned direction has bitwise its
+scan value under eigvalsh.  A violation witness is any unit
 w whose defect has a negative eigenvalue; the search certifies
 violations only, never the property itself.  ks_necessary_check
 evaluates the two scalar necessary conditions and reports both sides of
@@ -38,14 +41,15 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _eigen_descent_step,
+    _product_blocks,
+    _product_step,
     _sesquilinear_family,
     as_coeff_tensor,
     beta_matrix,
     delta_sigma_images,
     scan_then_refine,
 )
-from .pauli import ID4, _hermitian_part, hermitian_eigh, hermitian_lowest_eigvals
+from .pauli import ID4, _hermitian_part, _members, hermitian_eigh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -90,7 +94,7 @@ def ks_form(b) -> np.ndarray:
     Rows and columns are indexed (j, a) -> 4*j + a, so the 4x4 block
     M[4j:4j+4, 4k:4k+4] is M_jk and defect(w) = sum_jk conj(w_j) w_k M_jk.
     """
-    ds = delta_sigma_images(as_coeff_tensor(b))
+    ds = delta_sigma_images(b)
     blocks = (
         np.eye(3)[:, :, None, None] * ID4
         - np.einsum("jab,kbc->jkac", ds, ds)
@@ -99,30 +103,10 @@ def ks_form(b) -> np.ndarray:
     return _hermitian_part(blocks.transpose(0, 2, 1, 3).reshape(12, 12))
 
 
-def _contract(table: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_jk conj(v_j) v_k T_jk for v of shape (..., n); table[n*j + k] is the block T_jk.
-
-    The blocks of one entry and of its mirror are summed in different
-    orders, so the raw product is hermitian only to a few ulps of |M|;
-    that exceeds the eigen kernel's absolute guard once the tensor's
-    entries reach about 5, hence the exact hermitian part.
-    """
-    n = v.shape[-1]
-    pairs = (np.conj(v)[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (n * n,))
-    flat = pairs @ table.reshape(n * n, -1)
-    return _hermitian_part(flat.reshape(v.shape[:-1] + table.shape[1:]))
-
-
-def _tables(form: np.ndarray) -> tuple:
-    """The form's blocks two ways: M_jk as (9, 4, 4) for defect(w), M[(., a), (., b)] as (16, 3, 3) for T(psi)."""
-    f = form.reshape(3, 4, 3, 4)
-    return f.transpose(0, 2, 1, 3).reshape(9, 4, 4), f.transpose(1, 3, 0, 2).reshape(16, 3, 3)
-
-
 def ks_defect(b, w) -> np.ndarray:
     """Defect operator at direction w; hermitian, PSD for all unit w iff the map is KS."""
-    w = np.asarray(w, dtype=complex).reshape(3)
-    return _contract(_tables(ks_form(b))[0], w)
+    w = np.asarray(w, dtype=complex).reshape(1, 3)
+    return _members(*_sesquilinear_family(w, _product_blocks(ks_form(b), 3, 4)[0]))[0]
 
 
 def _scan_directions(samples: int, seed: int) -> np.ndarray:
@@ -132,15 +116,6 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed).standard_normal((samples, 3, 2))
     z = g[..., 0] + 1j * g[..., 1]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _descent_step(w_table: np.ndarray, psi_table: np.ndarray):
-    """Alternating eigen-descent on the form for a stack of w: w becomes the lowest eigenvector of T(psi)."""
-    # one (1, n^2) row per start, as for a single w: a (k, n^2) matrix product can round differently
-    return _eigen_descent_step(
-        lambda w: _contract(w_table, w[:, None])[:, 0],
-        lambda psi: hermitian_eigh(_contract(psi_table, psi[:, None])[:, 0])[1][:, :, 0],
-    )
 
 
 def ks_global_check(
@@ -164,13 +139,13 @@ def ks_global_check(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    w_table, psi_table = _tables(ks_form(b))
+    blocks = _product_blocks(ks_form(b), 3, 4)
     ws = _scan_directions(samples, seed)
-    vals = hermitian_lowest_eigvals(*_sesquilinear_family(ws, w_table.reshape(3, 3, 4, 4)))
-    _, best_w, _ = scan_then_refine(ws, vals, _descent_step(w_table, psi_table))
+    vals = hermitian_lowest_eigvals(*_sesquilinear_family(ws, blocks[0]))
+    _, best_w, _ = scan_then_refine(ws, vals, _product_step(*blocks))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(hermitian_eigh(_contract(w_table, best_w))[0][0])
+    best_val = float(hermitian_eigh(ks_defect(b, best_w))[0][0])
     if best_val < -tol:
         return KSWitness(w=best_w, min_eig=best_val)
     return None

@@ -104,6 +104,19 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
+def _members(coeffs, table) -> np.ndarray:
+    """The members sum_i coeffs[k, i] table[i] of a linear family, shape (N, n, n), each exactly hermitian.
+
+    Each is the hermitian part of one einsum row on the table's hermitian part in real coordinates,
+    which rounds alike whichever rows are built with it (a one-row BLAS product does not); the raw
+    row is hermitian only to a few ulps of the table, beyond the guard for large tensors.  Every
+    matrix a scan, a refine step or ks_defect eigensolves is built here.
+    """
+    herm = _hermitian_part(np.asarray(table))
+    rows = np.einsum("ki,ic->kc", np.asarray(coeffs, dtype=float), herm.reshape(len(herm), -1).view(float))
+    return _hermitian_part(rows.view(herm.dtype).reshape(-1, *herm.shape[1:]))
+
+
 def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
     """Lowest eigenvalues of the members sum_i coeffs[k, i] table[i], exact wherever they can rank among the lowest few.
 
@@ -117,9 +130,9 @@ def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
     bound is lowered by 1e-12*(|m| + s + ||c||*||table||_F + 1), far above all three.  The
     REFINE_STARTS lowest bounds are solved first; only a member whose bound is at most the largest of
     those exact values can rank, so only those go on, best bound first, in doubling blocks, until the
-    next bound exceeds the REFINE_STARTS-th lowest value found.  A member is built as the hermitian
-    part of an einsum, which rounds alike whichever rows are built with it (a one-row BLAS product
-    does not), and passes the guard before LAPACK reads it.  Solved entries hold LAPACK's lambda_min,
+    next bound exceeds the REFINE_STARTS-th lowest value found.  Members are built by _members, as
+    the refine steps build theirs, and pass the guard before LAPACK reads them; so a member rebuilt
+    alone gets the same lambda_min from eigvalsh.  Solved entries hold LAPACK's lambda_min,
     the others their bound, strictly above that value; so the first REFINE_STARTS of a stable
     argsort, and their values, equal those over every member built.
     """
@@ -140,8 +153,7 @@ def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
     vals = bound.copy()
 
     def solve(idx):
-        members = np.einsum("ki,ic->kc", coeffs[idx], flat).view(herm.dtype).reshape(-1, n, n)
-        vals[idx] = np.linalg.eigvalsh(require_hermitian(_hermitian_part(members)))[:, 0]
+        vals[idx] = np.linalg.eigvalsh(require_hermitian(_members(coeffs[idx], herm)))[:, 0]
 
     first = lowest_indices(bound)
     solve(first)

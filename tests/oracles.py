@@ -3,14 +3,13 @@
 import numpy as np
 
 from qqocert import PauliCoeffs, delta_apply, delta_eps_apply
-from qqocert.core import REFINE_CAP, REFINE_RTOL
+from qqocert.core import REFINE_CAP, REFINE_RTOL, _sesquilinear_family
 from qqocert.dynamics import _check_eps_domain, _v_eps_raw
-from qqocert.ks import _contract
 from qqocert.pauli import (
     ID2,
-    ID4,
     REFINE_STARTS,
     SIGMA,
+    _members,
     hermitian_eigh,
     lowest_indices,
     pauli_decompose,
@@ -107,22 +106,6 @@ def serial_scan_then_refine(points, values, step):
     return best_val, best_x, most
 
 
-def _serial_spectral_norm(m):
-    vals, vecs = hermitian_eigh(m.T @ m)
-    return float(np.sqrt(max(vals[-1], 0.0))), vecs[:, -1]
-
-
-def serial_norm_step(arr):
-    """One round of alternating singular-vector ascent on |b(f, p, .)| for one f, negated."""
-
-    def step(state):
-        _, p = _serial_spectral_norm(np.einsum("ijk,i->kj", arr, state[0]))
-        val, f = _serial_spectral_norm(np.einsum("ijk,j->ki", arr, p))
-        return (f, None), -val
-
-    return step
-
-
 def _serial_eigen_descent_step(matrix_of, update):
     def lowest(w):
         vals, vecs = hermitian_eigh(matrix_of(w))
@@ -139,22 +122,26 @@ def _serial_eigen_descent_step(matrix_of, update):
     return step
 
 
-def serial_positivity_step(ds):
-    """Exact descent on <psi, (1 + w.Dsigma) psi> for one w: w = -g/|g|."""
+def serial_positivity_step(table):
+    """Exact descent on <psi, (1 + w.Dsigma) psi> for one w: w = -g/|g|; table is (I, Dsigma)."""
+    ds = table[1:]
 
     def update(psi):
         g = np.real(np.einsum("a,kab,b->k", np.conj(psi), ds, psi))
         gn = np.linalg.norm(g)
         return -g / gn if gn > 0.0 else np.array([1.0, 0.0, 0.0])
 
-    return _serial_eigen_descent_step(lambda w: ID4 + np.einsum("k,kab->ab", w, ds), update)
+    return _serial_eigen_descent_step(lambda w: _members([np.concatenate([[1.0], w])], table)[0], update)
 
 
-def serial_ks_step(w_table, psi_table):
-    """Alternating eigen-descent on the KS form for one direction w."""
+def serial_product_step(x_blocks, y_blocks):
+    """Alternating eigen-descent on a form at x (x) y for one x: y, then x, the lowest eigenvector of M(x), M(y)."""
+
+    def member(v, blocks):
+        return _members(*_sesquilinear_family(v[None], blocks))[0]
+
     return _serial_eigen_descent_step(
-        lambda w: _contract(w_table, w),
-        lambda psi: hermitian_eigh(_contract(psi_table, psi))[1][:, 0],
+        lambda x: member(x, x_blocks), lambda y: hermitian_eigh(member(y, y_blocks))[1][:, 0]
     )
 
 

@@ -19,7 +19,7 @@ from qqocert import (
     state_preservation_check,
 )
 from qqocert import pauli
-from qqocert.core import DEFAULT_SAMPLES, REFINE_CAP, _spectral_norm_with_vectors, scan_then_refine
+from qqocert.core import DEFAULT_SAMPLES, REFINE_CAP, scan_then_refine
 from qqocert.pauli import ID2, ID4, SIGMA
 
 from oracles import choi_matrix_blocks, choi_matrix_family, state_eval
@@ -134,17 +134,18 @@ def test_beta_matrix_linear_in_f():
 # ---------------------------------------------------------------- sup norm
 
 
-def test_spectral_norm_with_vectors_matches_svd():
+def test_preservation_witness_matches_svd():
+    # the certificate read off -G at its final f is sigma_1 of N(f), and p its right singular vector
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        m = rng.standard_normal((3, 3))
-        smax, v = _spectral_norm_with_vectors(m)
-        _, ss, vh = np.linalg.svd(m)
-        assert smax == pytest.approx(ss[0], rel=1e-12)
+    for _ in range(50):
+        b = rng.standard_normal((3, 3, 3))
+        rep = state_preservation_check(b, 200, 0)
+        _, ss, vh = np.linalg.svd(np.einsum("ijk,i->kj", b, rep.witness_f))
+        assert rep.max_norm == pytest.approx(ss[0], rel=1e-12)
         # the right singular vector is unique up to sign
-        sign = np.sign(np.dot(v, vh[0]))
-        assert np.max(np.abs(v - sign * vh[0])) <= 1e-9
-        assert not np.iscomplexobj(v)
+        sign = np.sign(np.dot(rep.witness_p, vh[0]))
+        assert np.max(np.abs(rep.witness_p - sign * vh[0])) <= 1e-9
+        assert not np.iscomplexobj(rep.witness_p)
 
 
 # The sup norm of b, the injective norm of the dual action, is the

@@ -26,27 +26,20 @@ from qqocert import core, ks, pauli
 from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
-    _norm_step,
     _positivity_step,
-    _spectral_norm_with_vectors,
+    _product_blocks,
+    _product_step,
+    _sesquilinear_family,
     scan_then_refine,
 )
-from qqocert.ks import (
-    KS_DEFAULT_SAMPLES,
-    _auxiliaries,
-    _contract,
-    _descent_step,
-    _scan_directions,
-    _tables,
-)
-from qqocert.pauli import ID4, SIGMA, lowest_indices
+from qqocert.ks import KS_DEFAULT_SAMPLES, _auxiliaries, _scan_directions
+from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 
 from oracles import (
     ABCD_EXACT,
     ABCD_W,
-    serial_ks_step,
-    serial_norm_step,
     serial_positivity_step,
+    serial_product_step,
     serial_scan_then_refine,
     stack_lowest_eigvals,
 )
@@ -56,6 +49,21 @@ unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 def rand_tensor(rng, scale=1.0):
     return scale * rng.standard_normal((3, 3, 3))
+
+
+def ks_blocks(b):
+    """ks_form(b) as blocks in w and in psi, the views the KS search refines on."""
+    return _product_blocks(ks_form(b), 3, 4)
+
+
+def gram_blocks(b):
+    """-G, G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], as blocks in f and in p."""
+    return _product_blocks(-np.einsum("ijk,lmk->ijlm", b, b).reshape(9, 9), 3, 3)
+
+
+def positivity_table(b):
+    """(I, Dsigma), the table the positivity scan and its refine build 1 + w.Dsigma on."""
+    return np.concatenate([ID4[None], delta_sigma_images(b)])
 
 
 def rand_unit_w(rng):
@@ -304,23 +312,22 @@ def test_descent_never_rises_and_stops_before_cap():
     rng = np.random.default_rng(16)
     b = rand_tensor(rng, scale=0.7)
     ds = delta_sigma_images(b)
-    w_table, psi_table = _tables(ks_form(b))
     real_starts = rng.standard_normal((20, 3))
     real_starts /= np.linalg.norm(real_starts, axis=1, keepdims=True)
     cases = [
-        # (step, starts, value at a point), the tensor norm negated
+        # (step, starts, value at a point), the tensor norm squared negated
         (
-            _norm_step(b),
+            _product_step(*gram_blocks(b)),
             real_starts,
-            lambda f: -_spectral_norm_with_vectors(np.einsum("ijk,i->kj", b, f))[0],
+            lambda f: -np.linalg.norm(np.einsum("ijk,i->kj", b, f), 2) ** 2,
         ),
         (
-            _positivity_step(ds),
+            _positivity_step(positivity_table(b)),
             real_starts,
             lambda w: hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, ds))[0][0],
         ),
         (
-            _descent_step(w_table, psi_table),
+            _product_step(*ks_blocks(b)),
             _scan_directions(20, 1),
             lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
@@ -350,11 +357,10 @@ def _bits(x):
 def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
     # every certificate's refine, replayed one start at a time with the single-matrix steps
     b = _ORACLE_TENSORS[index]
-    w_table, psi_table = _tables(ks_form(b))
     serial_steps = {
-        "preservation": serial_norm_step(b),
-        "positivity": serial_positivity_step(delta_sigma_images(b)),
-        "ks": serial_ks_step(w_table, psi_table),
+        "preservation": serial_product_step(*gram_blocks(b)),
+        "positivity": serial_positivity_step(positivity_table(b)),
+        "ks": serial_product_step(*ks_blocks(b)),
     }
     for name, run in (
         ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
@@ -373,6 +379,54 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
         (points, values, (val, x, rounds)), = seen
         s_val, s_x, s_rounds = serial_scan_then_refine(points, values, serial_steps[name])
         assert _bits(val) == _bits(s_val) and _bits(x) == _bits(s_x) and rounds == s_rounds, name
+
+
+@pytest.mark.parametrize("b", [build_coeff_tensor(e) for e in (0.1, 1.0 / 3.0, 0.5)] + [
+    rand_tensor(np.random.default_rng(60 + i), scale) for i, scale in enumerate((0.1, 1.0, 10.0))
+])
+def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
+    # the kernel and ks_defect build through one builder, so eigvalsh (not eigh, which can
+    # differ from it by an ulp) of a rebuilt defect is bitwise the scan value at every start
+    seen = []
+
+    def recording(points, values, step):
+        seen.append((points, values))
+        return scan_then_refine(points, values, step)
+
+    monkeypatch.setattr(ks, "scan_then_refine", recording)
+    ks_global_check(b)
+    (ws, vals), = seen
+    for i in lowest_indices(vals):
+        assert _bits(np.linalg.eigvalsh(ks_defect(b, ws[i]))[0]) == _bits(vals[i])
+
+
+def test_product_step_views_are_one_form(monkeypatch):
+    # <y, M(x) y> = <x, M(y) x> for the views each certificate hands _product_step; a wrong
+    # transpose would only show as worse witnesses, since scan_then_refine discards a rising round
+    handed = []
+
+    def recording(x_blocks, y_blocks):
+        handed.append((x_blocks, y_blocks))
+        return _product_step(x_blocks, y_blocks)
+
+    monkeypatch.setattr(core, "_product_step", recording)
+    monkeypatch.setattr(ks, "_product_step", recording)
+    rng = np.random.default_rng(61)
+    for scale in (0.1, 1.0, 10.0):
+        b = rand_tensor(rng, scale)
+        for run, complex_ in ((state_preservation_check, False), (ks_global_check, True)):
+            handed.clear()
+            run(b, 200, 0)
+            (x_blocks, y_blocks), = handed
+            x, y = (rng.standard_normal((20, len(blocks))) for blocks in (x_blocks, y_blocks))
+            if complex_:
+                x, y = x + 1j * rng.standard_normal(x.shape), y + 1j * rng.standard_normal(y.shape)
+            x, y = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (x, y))
+            mx = _members(*_sesquilinear_family(x, x_blocks))
+            my = _members(*_sesquilinear_family(y, y_blocks))
+            lhs = np.einsum("ka,kab,kb->k", np.conj(y), mx, y)
+            rhs = np.einsum("ka,kab,kb->k", np.conj(x), my, x)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.linalg.norm(x_blocks)
 
 
 def test_stacked_refine_stops_starts_in_different_rounds():
@@ -510,12 +564,19 @@ def test_global_check_peak_memory():
     assert peak <= 30 * 2**20
 
 
+def _defect_stack(form, w):
+    """sum_jk conj(w_j) w_k M_jk for a stack of w, as one product with the (9, 16) table of blocks."""
+    table = form.reshape(3, 4, 3, 4).transpose(0, 2, 1, 3).reshape(9, 16)
+    pairs = (np.conj(w)[:, :, None] * w[:, None, :]).reshape(-1, 9)
+    return _hermitian_part((pairs @ table).reshape(-1, 4, 4))
+
+
 def _stacks_built_whole(b, seed):
     """The members of the KS, positivity and preservation scans, built whole as the stack kernel took them."""
     pts = fibonacci_sphere(DEFAULT_SAMPLES, seed)
     mats = np.einsum("ijk,ni->nkj", b, pts)
     return (
-        _contract(_tables(ks_form(b))[0], _scan_directions(KS_DEFAULT_SAMPLES, seed)),
+        _defect_stack(ks_form(b), _scan_directions(KS_DEFAULT_SAMPLES, seed)),
         ID4 + np.einsum("nk,kab->nab", pts, delta_sigma_images(b)),
         -np.einsum("nkj,nkl->njl", mats, mats),
     )
