@@ -86,7 +86,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family", **kw(None))
     parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file", **kw(None))
     parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)", **kw(None))
-    parser.add_argument("--seed", type=_int_at_least(0), help="seed for the deterministic scans", **kw(0))
+    parser.add_argument("--seed", type=_int_at_least(0), help="seed for the deterministic scans", **kw(core.DEFAULT_SEED))
     parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)", **kw(None))
     parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate", **kw(None))
     parser.add_argument("--init", type=_parse_init, metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))

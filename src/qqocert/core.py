@@ -10,9 +10,9 @@ This module evaluates that map, its dual action on product states and
 the 3x3 matrix field beta(f), and builds every certificate on shared
 pieces: one scan-then-refine loop (a batch scan, then an exact
 monotone step repeated from the eight best points, all eight advanced
-together with one stacked eigensolve per half-step, every matrix built
-by pauli._members), one product-form step that the KS search and the
-tensor norm (state_preservation_check) share, and one complete-positivity
+together, every matrix built by pauli._members), one product-form step
+that every sampled certificate refines with (KS on ks_form, the tensor
+norm on -G, positivity on the Choi matrix), and one complete-positivity
 check on the Choi matrix, built for all four matrix units at once.
 """
 
@@ -48,8 +48,8 @@ _SIGMA_PAIRS = np.array(
 # read off SIGMA: a matrix product here would make every import pay for BLAS buffers
 _UNIT_W0 = np.eye(2, dtype=complex) / 2
 _UNIT_W = SIGMA.transpose(2, 1, 0) / 2
-# diagonal and upper-triangle indices for w, f, p and psi; np.triu_indices takes ~10 us a call
-_PAIRS = {n: (np.arange(n), *np.triu_indices(n, 1)) for n in (3, 4)}
+# diagonal and upper-triangle indices for v, w, f, p and psi; np.triu_indices takes ~10 us a call
+_PAIRS = {n: (np.arange(n), *np.triu_indices(n, 1)) for n in (2, 3, 4)}
 
 
 def as_coeff_tensor(b) -> np.ndarray:
@@ -115,30 +115,6 @@ def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
     return np.column_stack(coeffs), np.concatenate(table)
 
 
-def _eigen_descent_step(matrix_of, update):
-    """A scan_then_refine step that alternates points w and eigenvectors psi, for a stack of w.
-
-    psi (the carry) is the lowest eigenvector of the hermitian
-    matrix_of(w); update(psi) returns unit w minimizing
-    <psi, matrix_of(w) psi>, so lambda_min(matrix_of(w)) never rises.
-    The new points' psi is kept, so a round costs one stacked eigensolve
-    plus whatever update needs.
-    """
-
-    def lowest(w):
-        vals, vecs = hermitian_eigh(matrix_of(w))
-        return vals[:, 0], vecs[:, :, 0]
-
-    def step(w, psi):
-        if psi is None:
-            psi = lowest(w)[1]
-        w = update(psi)
-        val, psi = lowest(w)
-        return w, psi, val
-
-    return step
-
-
 def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
     """A hermitian form M on x (x) y, indexed (i, a) -> ny*i + a, as blocks in x and in y.
 
@@ -152,14 +128,22 @@ def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
 def _product_step(x_blocks: np.ndarray, y_blocks: np.ndarray):
     """Alternating eigen-descent on a form's value at unit product vectors x (x) y, for a stack of x.
 
-    y (the carry) becomes the lowest eigenvector of M(x), then x that of M(y); both matrices are
-    built from _sesquilinear_family by pauli._members, as the scans build theirs.
+    y (the carry) is the lowest eigenvector of M(x); a round sets x to that of M(y), then y to that of
+    M(x), so lambda_min(M(x)) never rises.  Both are built as the scans build theirs, by pauli._members.
     """
 
-    def lowest_vectors(y):
-        return hermitian_eigh(_members(*_sesquilinear_family(y, y_blocks)))[1][:, :, 0]
+    def lowest(v, blocks):
+        vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v, blocks)))
+        return vals[:, 0], vecs[:, :, 0]
 
-    return _eigen_descent_step(lambda x: _members(*_sesquilinear_family(x, x_blocks)), lowest_vectors)
+    def step(x, y):
+        if y is None:
+            y = lowest(x, x_blocks)[1]
+        x = lowest(y, y_blocks)[1]
+        val, y = lowest(x, x_blocks)
+        return x, y, val
+
+    return step
 
 
 def scan_then_refine(points, values, step) -> tuple:
@@ -247,38 +231,41 @@ class PositivityReport:
     margin: float
 
 
-def _positivity_step(table: np.ndarray):
-    """Exact descent on <psi, (1 + w.Dsigma) psi>: w = -g/|g|, g_k = <psi, Dsigma_k psi>; table is (I, Dsigma)."""
-    ds = table[1:]
+def _spinors(w: np.ndarray) -> np.ndarray:
+    """Unit v = conj(u) in C^2 for each Bloch vector w, u the spinor with |u><u| = (1 + w.sigma)/2.
 
-    def update(psi):
-        g = np.real(np.einsum("na,kab,nb->nk", np.conj(psi), ds, psi))
-        # |g| from one dot product per row, the way np.linalg.norm takes it for one g
-        gn = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
-        # g = 0 makes every unit w a minimizer
-        zero = gn == 0.0
-        return np.where(zero, np.eye(3)[0], -g / np.where(zero, 1.0, gn))
+    u = (1 + w3, w1 + i w2) / sqrt(2 + 2 w3) for w3 >= 0 and (w1 - i w2, 1 - w3) / sqrt(2 - 2 w3) below:
+    every divisor is at least sqrt(2), so w3 = -1 stays finite.
+    """
+    north, big = w[:, 2] >= 0, 1.0 + np.abs(w[:, 2])
+    c = w[:, 0] + 1j * w[:, 1]
+    v = np.column_stack([np.where(north, big, c), np.where(north, np.conj(c), big)])
+    return v / np.sqrt(2.0 * big)[:, None]
 
-    return _eigen_descent_step(lambda w: _members(np.column_stack([np.ones(len(w)), w]), table), update)
+
+def _bloch_vector(v: np.ndarray) -> np.ndarray:
+    """The Bloch vector w of u = conj(v) for unit v in C^2 (last axis), the inverse of _spinors."""
+    z = v[..., 0] * np.conj(v[..., 1])
+    return np.stack([2.0 * z.real, 2.0 * z.imag, abs(v[..., 0]) ** 2 - abs(v[..., 1]) ** 2], axis=-1)
 
 
 def sampled_positivity_check(
     b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PositivityReport:
-    """Positivity of the map probed on sampled boundary elements 1 + w.sigma.
+    """Positivity on rank-one projectors |u><u| (enough by convexity), as the Choi matrix's product-form minimum.
 
-    Positivity on rank-one projectors is enough by convexity, and scaling
-    reduces those to w0 = 1 with a real unit w.  The margin is the lowest
-    eigenvalue of the image over a Fibonacci scan, given to the kernel as
-    (1, w) on (I, Dsigma), refined by exact alternating descent from the worst.
+    2*Delta(|u><u|) = 1 + w.Dsigma, w the Bloch vector of u, is sum_ij conj(v_i) v_j C_ij at v = conj(u),
+    C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
+    and psi, never below lambda_min(C).  The kernel scans C(v) at the spinors of a Fibonacci scan of w,
+    _product_step refines the worst on C as the KS search does on ks_form, and worst_w is read off v.
     """
-    table = np.concatenate([ID4[None], delta_sigma_images(b)])
-    pts = fibonacci_sphere(samples, seed)
-    vals = hermitian_lowest_eigvals(np.column_stack([np.ones(len(pts)), pts]), table)
-    margin, w, _ = scan_then_refine(pts, vals, _positivity_step(table))
+    blocks = _product_blocks(choi_matrix_from_tensor(b), 2, 4)
+    vs = _spinors(fibonacci_sphere(samples, seed))
+    vals = hermitian_lowest_eigvals(*_sesquilinear_family(vs, blocks[0]))
+    margin, v, _ = scan_then_refine(vs, vals, _product_step(*blocks))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
-        worst_w=np.array(w),
+        worst_w=_bloch_vector(v),
         margin=margin,
     )
 

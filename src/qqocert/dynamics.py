@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import DEFAULT_SAMPLES, dual_pair_apply, state_preservation_check
+from .core import DEFAULT_SAMPLES, DEFAULT_SEED, dual_pair_apply, state_preservation_check
 from .epsilon import PRESERVATION_THRESHOLD, build_coeff_tensor
 from .pauli import hermitian_eigh
 
@@ -135,7 +135,7 @@ class BallInvarianceReport:
 
 
 def ball_invariance_check(
-    eps: float, samples: int = DEFAULT_SAMPLES, seed: int = 0
+    eps: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> BallInvarianceReport:
     """Sup of ||V(f)|| over the ball for the family dynamics, with a witness f.
 

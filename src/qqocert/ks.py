@@ -21,9 +21,9 @@ The search seeks the minimum of this biquadratic form over the two unit
 spheres.  A scan hands the guarded lowest-eigenvalue kernel the real
 coordinates of conj(w) w^T and nine hermitian combinations of the M_jk,
 and the kernel builds and solves only the defects that can rank among the
-best; core._product_step, the step the tensor norm shares, then polishes
-the best candidates (psi := lowest eigenvector of defect(w), then w :=
-lowest eigenvector of T(psi); neither half-step can raise the value).
+best; core._product_step, the step every sampled certificate shares,
+then polishes the best candidates (psi := lowest eigenvector of defect(w),
+then w := lowest eigenvector of T(psi); neither half-step can raise it).
 Every defect and T(psi) is built by pauli._members, as the kernel builds
 the scanned defects, so ks_defect at a scanned direction has bitwise its
 scan value under eigvalsh.  A violation witness is any unit
@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     _product_blocks,
     _product_step,
     _sesquilinear_family,
@@ -121,7 +122,7 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     tol: float = KS_DEFAULT_TOL,
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue.
@@ -145,7 +146,7 @@ def ks_global_check(
     _, best_w, _ = scan_then_refine(ws, vals, _product_step(*blocks))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(hermitian_eigh(ks_defect(b, best_w))[0][0])
+    best_val = float(hermitian_eigh(_members(*_sesquilinear_family(best_w[None], blocks[0])))[0][0, 0])
     if best_val < -tol:
         return KSWitness(w=best_w, min_eig=best_val)
     return None

@@ -106,43 +106,22 @@ def serial_scan_then_refine(points, values, step):
     return best_val, best_x, most
 
 
-def _serial_eigen_descent_step(matrix_of, update):
-    def lowest(w):
-        vals, vecs = hermitian_eigh(matrix_of(w))
+def serial_product_step(x_blocks, y_blocks):
+    """Alternating eigen-descent on a form at x (x) y for one x: x, then y, the lowest eigenvector of M(y), M(x)."""
+
+    def lowest(v, blocks):
+        vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v[None], blocks))[0])
         return vals[0], vecs[:, 0]
 
     def step(state):
-        w, psi = state
-        if psi is None:
-            psi = lowest(w)[1]
-        w = update(psi)
-        val, psi = lowest(w)
-        return (w, psi), val
+        x, y = state
+        if y is None:
+            y = lowest(x, x_blocks)[1]
+        x = lowest(y, y_blocks)[1]
+        val, y = lowest(x, x_blocks)
+        return (x, y), val
 
     return step
-
-
-def serial_positivity_step(table):
-    """Exact descent on <psi, (1 + w.Dsigma) psi> for one w: w = -g/|g|; table is (I, Dsigma)."""
-    ds = table[1:]
-
-    def update(psi):
-        g = np.real(np.einsum("a,kab,b->k", np.conj(psi), ds, psi))
-        gn = np.linalg.norm(g)
-        return -g / gn if gn > 0.0 else np.array([1.0, 0.0, 0.0])
-
-    return _serial_eigen_descent_step(lambda w: _members([np.concatenate([[1.0], w])], table)[0], update)
-
-
-def serial_product_step(x_blocks, y_blocks):
-    """Alternating eigen-descent on a form at x (x) y for one x: y, then x, the lowest eigenvector of M(x), M(y)."""
-
-    def member(v, blocks):
-        return _members(*_sesquilinear_family(v[None], blocks))[0]
-
-    return _serial_eigen_descent_step(
-        lambda x: member(x, x_blocks), lambda y: hermitian_eigh(member(y, y_blocks))[1][:, 0]
-    )
 
 
 def choi_matrix_blocks(b):

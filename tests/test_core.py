@@ -9,6 +9,7 @@ from qqocert import (
     beta_matrix,
     build_coeff_tensor,
     choi_matrix_from_tensor,
+    cp_check,
     delta_apply,
     delta_sigma_images,
     dual_pair_apply,
@@ -19,8 +20,16 @@ from qqocert import (
     state_preservation_check,
 )
 from qqocert import pauli
-from qqocert.core import DEFAULT_SAMPLES, REFINE_CAP, scan_then_refine
-from qqocert.pauli import ID2, ID4, SIGMA
+from qqocert.core import (
+    DEFAULT_SAMPLES,
+    REFINE_CAP,
+    _bloch_vector,
+    _product_blocks,
+    _sesquilinear_family,
+    _spinors,
+    scan_then_refine,
+)
+from qqocert.pauli import ID2, ID4, SIGMA, _members
 
 from oracles import choi_matrix_blocks, choi_matrix_family, state_eval
 
@@ -389,6 +398,48 @@ def test_sampled_positivity_margin_reevaluates_below_scan():
             scan = np.linalg.eigvalsh(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
             assert rep.margin <= np.min(scan)
             assert abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-12
+
+
+def test_choi_product_form_at_conj_u_is_positivity_member():
+    # 2*Delta(|u><u|) = 1 + w.Dsigma, w the Bloch vector <u, sigma u> of u, is the Choi form at conj(u)
+    rng = np.random.default_rng(12)
+    for scale in (0.05, 0.3, 1.0, 3.0, 10.0):
+        for _ in range(10):
+            b = rand_tensor(rng, scale)
+            choi = choi_matrix_from_tensor(b)
+            u = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            w = np.real(np.einsum("na,kab,nb->nk", np.conj(u), SIGMA, u))
+            member = _members(*_sesquilinear_family(np.conj(u), _product_blocks(choi, 2, 4)[0]))
+            image = ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b))
+            assert np.max(np.abs(member - image)) <= 1e-12 * np.linalg.norm(choi)
+
+
+def test_spinors_round_trip_through_bloch_vectors():
+    rng = np.random.default_rng(13)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 50)
+    random = rng.standard_normal((500, 3))
+    w = np.concatenate([
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+        # the equator w3 = 0 is the edge between the two branches
+        np.column_stack([np.cos(phi), np.sin(phi), np.zeros(50)]),
+        random / np.linalg.norm(random, axis=1, keepdims=True),
+    ])
+    v = _spinors(w)
+    assert np.all(np.isfinite(v))
+    assert np.max(np.abs(_bloch_vector(v) - w)) <= 1e-15
+    # u = conj(v) has Bloch vector w: <u, sigma_k u> = w_k
+    assert np.max(np.abs(np.einsum("na,kab,nb->nk", v, SIGMA, np.conj(v)) - w)) <= 1e-15
+
+
+def test_sampled_positivity_margin_not_below_min_choi_eig():
+    # the margin is C's minimum on product vectors, so the Rayleigh bound holds: CP implies positive
+    rng = np.random.default_rng(14)
+    for scale in (0.05, 0.3, 1.0, 3.0, 10.0):
+        for _ in range(4):
+            b = rand_tensor(rng, scale)
+            tol = 1e-12 * np.linalg.norm(choi_matrix_from_tensor(b))
+            assert sampled_positivity_check(b, 500, 0).margin >= cp_check(b).min_choi_eig - tol
 
 
 def test_sampled_positivity_peak_memory():

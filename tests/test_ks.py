@@ -26,10 +26,12 @@ from qqocert import core, ks, pauli
 from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
-    _positivity_step,
+    _bloch_vector,
     _product_blocks,
     _product_step,
     _sesquilinear_family,
+    _spinors,
+    choi_matrix_from_tensor,
     scan_then_refine,
 )
 from qqocert.ks import KS_DEFAULT_SAMPLES, _auxiliaries, _scan_directions
@@ -38,7 +40,6 @@ from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 from oracles import (
     ABCD_EXACT,
     ABCD_W,
-    serial_positivity_step,
     serial_product_step,
     serial_scan_then_refine,
     stack_lowest_eigvals,
@@ -61,9 +62,9 @@ def gram_blocks(b):
     return _product_blocks(-np.einsum("ijk,lmk->ijlm", b, b).reshape(9, 9), 3, 3)
 
 
-def positivity_table(b):
-    """(I, Dsigma), the table the positivity scan and its refine build 1 + w.Dsigma on."""
-    return np.concatenate([ID4[None], delta_sigma_images(b)])
+def choi_blocks(b):
+    """The Choi matrix as blocks in v and in psi, the views the positivity search refines on."""
+    return _product_blocks(choi_matrix_from_tensor(b), 2, 4)
 
 
 def rand_unit_w(rng):
@@ -322,9 +323,9 @@ def test_descent_never_rises_and_stops_before_cap():
             lambda f: -np.linalg.norm(np.einsum("ijk,i->kj", b, f), 2) ** 2,
         ),
         (
-            _positivity_step(positivity_table(b)),
-            real_starts,
-            lambda w: hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, ds))[0][0],
+            _product_step(*choi_blocks(b)),
+            _spinors(real_starts),
+            lambda v: hermitian_eigh(ID4 + np.einsum("k,kab->ab", _bloch_vector(v), ds))[0][0],
         ),
         (
             _product_step(*ks_blocks(b)),
@@ -359,7 +360,7 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
     b = _ORACLE_TENSORS[index]
     serial_steps = {
         "preservation": serial_product_step(*gram_blocks(b)),
-        "positivity": serial_positivity_step(positivity_table(b)),
+        "positivity": serial_product_step(*choi_blocks(b)),
         "ks": serial_product_step(*ks_blocks(b)),
     }
     for name, run in (
@@ -414,7 +415,11 @@ def test_product_step_views_are_one_form(monkeypatch):
     rng = np.random.default_rng(61)
     for scale in (0.1, 1.0, 10.0):
         b = rand_tensor(rng, scale)
-        for run, complex_ in ((state_preservation_check, False), (ks_global_check, True)):
+        for run, complex_ in (
+            (state_preservation_check, False),
+            (sampled_positivity_check, True),
+            (ks_global_check, True),
+        ):
             handed.clear()
             run(b, 200, 0)
             (x_blocks, y_blocks), = handed
