@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Common flags may be given before or after the subcommand; values given
-after win.  Exit codes: 0 all requested certificates pass, 1 at least
-one fails, 2 on input errors (bad files, out-of-domain parameters).
+Flags may be given before or after the command; a flag given twice
+keeps its later value.  Exit codes: 0 all requested certificates pass,
+1 at least one fails, 2 on input errors (bad files, out-of-domain
+parameters).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _parse_init(text: str) -> np.ndarray:
     return np.array([_finite_float(p) for p in parts])
 
 
-# What main fills in for each flag left unset, per subcommand.  certify scans
+# What main fills in for each flag left unset, per command.  certify scans
 # preservation and positivity with samples and the KS search with ks_samples;
 # a given --samples sets both.
 _DEFAULTS = {
@@ -79,38 +80,36 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    def kw(default):
-        return {"default": argparse.SUPPRESS} if suppress else {"default": default}
-
-    parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family", **kw(None))
-    parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file", **kw(None))
-    parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)", **kw(None))
-    parser.add_argument("--seed", type=_int_at_least(0), help="seed for the deterministic scans", **kw(core.DEFAULT_SEED))
-    parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)", **kw(None))
-    parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate", **kw(None))
-    parser.add_argument("--init", type=_parse_init, metavar="a,b,c", help="initial Bloch vector for simulate", **kw(None))
-    parser.add_argument("--output", metavar="PATH", help="write the report or trajectory here", **kw(None))
-    parser.add_argument("--count", type=_int_at_least(1), help="number of grid points for sweep", **kw(None))
+# the commands, with the help line the epilog of -h gives each
+_COMMANDS = {
+    "certify": "state preservation, positivity, complete positivity and a KS-violation search",
+    "ks": "Kadison-Schwarz witness search and necessary-condition report",
+    "choi": "assemble the Choi block matrix and test complete positivity",
+    "simulate": "iterate the quadratic dynamics and write a trajectory file",
+    "fixed-points": "fixed points of the dynamics inside the ball",
+    "sweep": "classify a grid of couplings",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qqocert",
         description="Certify quadratic operators on the qubit algebra and simulate their Bloch-ball dynamics.",
+        epilog="commands:\n" + "".join(f"  {name:<14}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("certify", "state preservation, positivity, complete positivity and a KS-violation search"),
-        ("ks", "Kadison-Schwarz witness search and necessary-condition report"),
-        ("choi", "assemble the Choi block matrix and test complete positivity"),
-        ("simulate", "iterate the quadratic dynamics and write a trajectory file"),
-        ("fixed-points", "fixed points of the dynamics inside the ball"),
-        ("sweep", "classify a grid of couplings"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, suppress=True)
+    parser.add_argument("command", choices=_COMMANDS, help="what to run (listed below)")
+    parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family")
+    parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file")
+    parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)")
+    parser.add_argument(
+        "--seed", type=_int_at_least(0), default=core.DEFAULT_SEED, help="seed for the deterministic scans"
+    )
+    parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)")
+    parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate")
+    parser.add_argument("--init", type=_parse_init, metavar="a,b,c", help="initial Bloch vector for simulate")
+    parser.add_argument("--output", metavar="PATH", help="write the report or trajectory here")
+    parser.add_argument("--count", type=_int_at_least(1), help="number of grid points for sweep")
     return parser
 
 
@@ -130,7 +129,7 @@ def _resolve_tensor(args) -> tuple:
 
 
 def _family_coupling(args) -> float:
-    """The coupling of a subcommand that runs on the family alone."""
+    """The coupling of a command that runs on the family alone."""
     if args.epsilon is None or args.tensor is not None:
         raise ValueError(f"{args.command} requires --epsilon and takes no --tensor")
     return args.epsilon
@@ -247,7 +246,7 @@ def _cmd_sweep(args) -> tuple:
     return 0, {"samples": args.samples, "seed": args.seed, "rows": rows}
 
 
-# the subcommands that print a JSON report; each returns (exit code, report body)
+# the commands that print a JSON report; each returns (exit code, report body)
 _REPORTS = {
     "certify": _cmd_certify,
     "ks": _cmd_ks,

@@ -8,12 +8,13 @@ real numbers b[m][l][k]:
 
 This module evaluates that map, its dual action on product states and
 the 3x3 matrix field beta(f), and builds every certificate on shared
-pieces: one scan-then-refine loop (a batch scan, then an exact
-monotone step repeated from the eight best points, all eight advanced
-together, every matrix built by pauli._members), one product-form step
-that every sampled certificate refines with (KS on ks_form, the tensor
-norm on -G, positivity on the Choi matrix), and one complete-positivity
-check on the Choi matrix, built for all four matrix units at once.
+pieces: one search, product_form_minimum, that every sampled
+certificate runs on its own hermitian form (KS on ks_form, the tensor
+norm on -G, positivity on the Choi matrix) at its own scan points; its
+one scan-then-refine loop (a batch scan, then an exact monotone step
+repeated from the eight best points, all eight advanced together, every
+matrix built by pauli._members); and one complete-positivity check on
+the Choi matrix, built for all four matrix units at once.
 """
 
 from __future__ import annotations
@@ -125,29 +126,17 @@ def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
     return f.transpose(0, 2, 1, 3), f.transpose(1, 3, 0, 2)
 
 
-def _product_step(x_blocks: np.ndarray, y_blocks: np.ndarray):
-    """Alternating eigen-descent on a form's value at unit product vectors x (x) y, for a stack of x.
+def _lowest(v: np.ndarray, blocks: np.ndarray) -> tuple:
+    """lambda_min of M(v) = sum_jk conj(v_j) v_k blocks[j, k] and its eigenvector, for a stack of v.
 
-    y (the carry) is the lowest eigenvector of M(x); a round sets x to that of M(y), then y to that of
-    M(x), so lambda_min(M(x)) never rises.  Both are built as the scans build theirs, by pauli._members.
+    Built as the scans build theirs, by pauli._members, so a scanned point gets its scan value.
     """
-
-    def lowest(v, blocks):
-        vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v, blocks)))
-        return vals[:, 0], vecs[:, :, 0]
-
-    def step(x, y):
-        if y is None:
-            y = lowest(x, x_blocks)[1]
-        x = lowest(y, y_blocks)[1]
-        val, y = lowest(x, x_blocks)
-        return x, y, val
-
-    return step
+    vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v, blocks)))
+    return vals[:, 0], vecs[:, :, 0]
 
 
 def scan_then_refine(points, values, step) -> tuple:
-    """Minimize from the best scanned points by repeating an exact monotone step.
+    """Minimize from the best scanned points by repeating an exact monotone step (product_form_minimum's refine).
 
     values[i] is the scan value of points[i], exact at least where it
     ranks among the lowest; maximizers pass negated values.  The
@@ -182,6 +171,28 @@ def scan_then_refine(points, values, step) -> tuple:
     return float(val[best]), x[best], rounds
 
 
+def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray) -> tuple:
+    """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
+
+    The one search every sampled certificate runs: the kernel scans lambda_min(M(x)) at the given
+    points x, then scan_then_refine polishes the best by alternating eigen-descent, with y (the carry)
+    the lowest eigenvector of M(x): a round sets x to that of M(y), then y to that of M(x), so
+    lambda_min(M(x)) never rises.  Returns (value, x, x_blocks), x_blocks for reading M(x) off.
+    """
+    x_blocks, y_blocks = _product_blocks(form, nx, ny)
+    vals = hermitian_lowest_eigvals(*_sesquilinear_family(points, x_blocks))
+
+    def step(x, y):
+        if y is None:
+            y = _lowest(x, x_blocks)[1]
+        x = _lowest(y, y_blocks)[1]
+        val, y = _lowest(x, x_blocks)
+        return x, y, val
+
+    value, x, _ = scan_then_refine(points, vals, step)
+    return value, x, x_blocks
+
+
 @dataclass
 class PreservationReport:
     """Outcome of the product-state preservation certificate."""
@@ -202,22 +213,20 @@ def state_preservation_check(
     G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], so the norm squared
     is the largest eigenvalue of G(f) = N(f)^T N(f), N(f)[k, j] =
     sum_i b[i][j][k] f_i.  The kernel scans -G(f) over a Fibonacci scan
-    of f, building only the members that can rank; _product_step then
-    refines the best on -G (p := top eigenvector of G(f), f := that of
-    G(p)), and max_norm and witness_p are read off G at the final f.
+    of f, building only the members that can rank; product_form_minimum
+    then refines the best on -G (p := top eigenvector of G(f), f := that
+    of G(p)), and max_norm and witness_p are read off G at the final f.
     The certificate passes iff max_norm stays within 1 + 1e-9.
     """
     arr = as_coeff_tensor(b)
-    pts = fibonacci_sphere(samples, seed)
-    blocks = _product_blocks(-np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9), 3, 3)
-    vals = hermitian_lowest_eigvals(*_sesquilinear_family(pts, blocks[0]))
-    _, f, _ = scan_then_refine(pts, vals, _product_step(*blocks))
-    lowest, vecs = hermitian_eigh(_members(*_sesquilinear_family(f[None], blocks[0])))
-    max_norm, p = np.sqrt(max(-lowest[0, 0], 0.0)), vecs[0, :, 0]
+    gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
+    _, f, f_blocks = product_form_minimum(-gram, 3, 3, fibonacci_sphere(samples, seed))
+    lowest, p = _lowest(f[None], f_blocks)
+    max_norm = np.sqrt(max(-lowest[0], 0.0))
     return PreservationReport(
         max_norm=float(max_norm),
         witness_f=np.array(f),
-        witness_p=p,
+        witness_p=p[0],
         passes=bool(max_norm <= 1.0 + 1e-9),
     )
 
@@ -256,13 +265,11 @@ def sampled_positivity_check(
 
     2*Delta(|u><u|) = 1 + w.Dsigma, w the Bloch vector of u, is sum_ij conj(v_i) v_j C_ij at v = conj(u),
     C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
-    and psi, never below lambda_min(C).  The kernel scans C(v) at the spinors of a Fibonacci scan of w,
-    _product_step refines the worst on C as the KS search does on ks_form, and worst_w is read off v.
+    and psi, never below lambda_min(C).  product_form_minimum scans C(v) at the spinors of a Fibonacci
+    scan of w and refines the worst, as the KS search does on ks_form, and worst_w is read off v.
     """
-    blocks = _product_blocks(choi_matrix_from_tensor(b), 2, 4)
     vs = _spinors(fibonacci_sphere(samples, seed))
-    vals = hermitian_lowest_eigvals(*_sesquilinear_family(vs, blocks[0]))
-    margin, v, _ = scan_then_refine(vs, vals, _product_step(*blocks))
+    margin, v, _ = product_form_minimum(choi_matrix_from_tensor(b), 2, 4, vs)
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=_bloch_vector(v),

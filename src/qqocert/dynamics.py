@@ -79,8 +79,8 @@ def iterate(
     digits would otherwise drift away and blow up doubly exponentially.)
     """
     e = _check_eps_domain(eps)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     f = np.asarray(f0, dtype=float).reshape(3).copy()
     if not np.linalg.norm(f) <= 1.0 + _EPS_DOMAIN_SLACK:
         raise DomainError("initial point lies outside the Bloch ball")

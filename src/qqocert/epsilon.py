@@ -28,11 +28,16 @@ class NonRealInput(ValueError):
     """Raised when a real 3-vector is required but complex entries were passed."""
 
 
+def _finite(eps: float) -> float:
+    e = float(eps)
+    if not np.isfinite(e):
+        raise ValueError("epsilon must be finite")
+    return e
+
+
 def classify_epsilon(eps: float) -> str:
     """Band of the coupling: 'cp', 'positive', 'state-preserving' or 'invalid'."""
-    a = abs(float(eps))
-    if not np.isfinite(a):
-        raise ValueError("epsilon must be finite")
+    a = abs(_finite(eps))
     if a <= CP_THRESHOLD:
         return "cp"
     if a <= POSITIVITY_THRESHOLD:
@@ -134,7 +139,7 @@ def positivity_check(eps: float) -> PositivityReport:
     ties keep the first of them.  Positive iff the margin stays above the
     shared eigenvalue tolerance.
     """
-    e = float(eps)
+    e = _finite(eps)
     span = np.sqrt(3.0)
     ts = np.array([-1.0, 1.0, -span, span])
     l1, l2, l3 = _sphere_lambdas(ts)

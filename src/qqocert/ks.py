@@ -18,12 +18,13 @@ matrix M (ks_form) with 4x4 blocks
 Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
-spheres.  A scan hands the guarded lowest-eigenvalue kernel the real
-coordinates of conj(w) w^T and nine hermitian combinations of the M_jk,
-and the kernel builds and solves only the defects that can rank among the
-best; core._product_step, the step every sampled certificate shares,
-then polishes the best candidates (psi := lowest eigenvector of defect(w),
-then w := lowest eigenvector of T(psi); neither half-step can raise it).
+spheres with core.product_form_minimum, the one search every sampled
+certificate runs: its scan hands the guarded lowest-eigenvalue kernel the
+real coordinates of conj(w) w^T and nine hermitian combinations of the
+M_jk, the kernel builds and solves only the defects that can rank among
+the best, and its refine polishes the best candidates (psi := lowest
+eigenvector of defect(w), then w := lowest eigenvector of T(psi); neither
+half-step can raise it).
 Every defect and T(psi) is built by pauli._members, as the kernel builds
 the scanned defects, so ks_defect at a scanned direction has bitwise its
 scan value under eigvalsh.  A violation witness is any unit
@@ -40,17 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    DEFAULT_SEED,
-    _product_blocks,
-    _product_step,
-    _sesquilinear_family,
-    as_coeff_tensor,
-    beta_matrix,
-    delta_sigma_images,
-    scan_then_refine,
-)
-from .pauli import ID4, _hermitian_part, _members, hermitian_eigh, hermitian_lowest_eigvals
+from . import core
+from .pauli import ID4, _hermitian_part, _members
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -95,7 +87,7 @@ def ks_form(b) -> np.ndarray:
     Rows and columns are indexed (j, a) -> 4*j + a, so the 4x4 block
     M[4j:4j+4, 4k:4k+4] is M_jk and defect(w) = sum_jk conj(w_j) w_k M_jk.
     """
-    ds = delta_sigma_images(b)
+    ds = core.delta_sigma_images(b)
     blocks = (
         np.eye(3)[:, :, None, None] * ID4
         - np.einsum("jab,kbc->jkac", ds, ds)
@@ -107,7 +99,7 @@ def ks_form(b) -> np.ndarray:
 def ks_defect(b, w) -> np.ndarray:
     """Defect operator at direction w; hermitian, PSD for all unit w iff the map is KS."""
     w = np.asarray(w, dtype=complex).reshape(1, 3)
-    return _members(*_sesquilinear_family(w, _product_blocks(ks_form(b), 3, 4)[0]))[0]
+    return _members(*core._sesquilinear_family(w, core._product_blocks(ks_form(b), 3, 4)[0]))[0]
 
 
 def _scan_directions(samples: int, seed: int) -> np.ndarray:
@@ -122,31 +114,27 @@ def _scan_directions(samples: int, seed: int) -> np.ndarray:
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    seed: int = core.DEFAULT_SEED,
     tol: float = KS_DEFAULT_TOL,
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue.
 
-    Scans `samples` normalized complex Gaussian directions drawn from
-    np.random.default_rng(seed); the guarded lowest-eigenvalue kernel gets the
-    real coordinates of conj(w) w^T and a table from the blocks of ks_form, and
-    builds and solves exactly only the defects that can rank among the eight
-    lowest.  scan_then_refine then polishes the eight most negative candidates
+    Runs core.product_form_minimum on ks_form at `samples` normalized complex
+    Gaussian directions drawn from np.random.default_rng(seed): the guarded
+    lowest-eigenvalue kernel builds and solves exactly only the defects that
+    can rank among the eight lowest, and the eight most negative are polished
     by exact alternating eigen-descent on the form (see the module docstring).
     The witness has its largest-modulus component real and positive, and
     min_eig is lambda_min of the defect re-evaluated there.  Returns the worst
     witness found (min eigenvalue below -tol) or None; absence of a witness at
     finite budget is not a proof.  Deterministic for a fixed seed.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    blocks = _product_blocks(ks_form(b), 3, 4)
-    ws = _scan_directions(samples, seed)
-    vals = hermitian_lowest_eigvals(*_sesquilinear_family(ws, blocks[0]))
-    _, best_w, _ = scan_then_refine(ws, vals, _product_step(*blocks))
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    _, best_w, w_blocks = core.product_form_minimum(ks_form(b), 3, 4, _scan_directions(samples, seed))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(hermitian_eigh(_members(*_sesquilinear_family(best_w[None], blocks[0])))[0][0, 0])
+    best_val = float(core._lowest(best_w[None], w_blocks)[0][0])
     if best_val < -tol:
         return KSWitness(w=best_w, min_eig=best_val)
     return None
@@ -170,7 +158,7 @@ def _auxiliaries(arr: np.ndarray, f: np.ndarray, w: np.ndarray) -> tuple:
     for m in range(3):
         for l in range(3):
             gamma[m, l] = np.cross(x[m], np.conj(x[l])) + np.cross(np.conj(x[m]), x[l])
-    q = beta_matrix(arr, f) @ np.conj(np.cross(w, np.conj(w)))
+    q = core.beta_matrix(arr, f) @ np.conj(np.cross(w, np.conj(w)))
     return x, alpha, gamma, q
 
 
@@ -187,7 +175,7 @@ def ks_necessary_check(b, f, w) -> KSNecessaryReport:
     """
     f = np.asarray(f, dtype=float).reshape(3)
     w = np.asarray(w, dtype=complex).reshape(3)
-    x, alpha, gamma, q = _auxiliaries(as_coeff_tensor(b), f, w)
+    x, alpha, gamma, q = _auxiliaries(core.as_coeff_tensor(b), f, w)
 
     nw2 = float(np.sum(np.abs(w) ** 2))
     sum_x2 = float(np.sum(np.abs(x) ** 2))

@@ -406,7 +406,7 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     build_parser()
-    per_build = len(built)  # the root parser and one per subcommand
+    per_build = len(built)  # one parser per build, the command a positional of it
     built.clear()
     cli._parser.cache_clear()
     for _ in range(2):

@@ -167,7 +167,7 @@ def test_iterate_rejects_bad_inputs():
         iterate(0.7, [0.1, 0, 0])
     with pytest.raises(DomainError):
         iterate(0.5, [1.1, 0, 0])
-    for tol in (0.0, -1.0):
+    for tol in (0.0, -1.0, np.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             iterate(0.5, [0.6, 0, 0], tol=tol)
 

@@ -248,6 +248,11 @@ def test_threshold_ordering_and_bands():
     assert classify_epsilon(-0.3) == "positive"
     assert classify_epsilon(0.5) == "state-preserving"
     assert classify_epsilon(0.9) == "invalid"
+    # positivity_check refuses what classify_epsilon refuses, not a NaN margin
+    for bad in (np.nan, np.inf, -np.inf):
+        for check in (classify_epsilon, positivity_check):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                check(bad)
 
 
 def test_cp_implies_positive_implies_preserving():

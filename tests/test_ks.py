@@ -22,16 +22,16 @@ from qqocert import (
     sampled_positivity_check,
     state_preservation_check,
 )
-from qqocert import core, ks, pauli
+from qqocert import core, pauli
 from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
     _bloch_vector,
     _product_blocks,
-    _product_step,
     _sesquilinear_family,
     _spinors,
     choi_matrix_from_tensor,
+    product_form_minimum,
     scan_then_refine,
 )
 from qqocert.ks import KS_DEFAULT_SAMPLES, _auxiliaries, _scan_directions
@@ -57,9 +57,14 @@ def ks_blocks(b):
     return _product_blocks(ks_form(b), 3, 4)
 
 
+def neg_gram(b):
+    """-G, G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], the form the tensor norm search minimizes."""
+    return -np.einsum("ijk,lmk->ijlm", b, b).reshape(9, 9)
+
+
 def gram_blocks(b):
-    """-G, G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], as blocks in f and in p."""
-    return _product_blocks(-np.einsum("ijk,lmk->ijlm", b, b).reshape(9, 9), 3, 3)
+    """-G as blocks in f and in p."""
+    return _product_blocks(neg_gram(b), 3, 3)
 
 
 def choi_blocks(b):
@@ -308,35 +313,45 @@ def test_global_check_witness_normalized_and_reevaluates():
     assert abs(np.linalg.eigvalsh(defect_direct(b, wit.w))[0] - wit.min_eig) <= 1e-10
 
 
-def test_descent_never_rises_and_stops_before_cap():
-    # every step of scan_then_refine, each run alone from one scanned point
+def test_descent_never_rises_and_stops_before_cap(monkeypatch):
+    # every certificate's search, each run alone from one point; its start value and rounds
+    # are read through scan_then_refine
     rng = np.random.default_rng(16)
     b = rand_tensor(rng, scale=0.7)
     ds = delta_sigma_images(b)
     real_starts = rng.standard_normal((20, 3))
     real_starts /= np.linalg.norm(real_starts, axis=1, keepdims=True)
+    seen = []
+
+    def recording(points, values, step):
+        seen.append((values, scan_then_refine(points, values, step)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(core, "scan_then_refine", recording)
     cases = [
-        # (step, starts, value at a point), the tensor norm squared negated
+        # (form, nx, ny, starts, value at a point), the tensor norm squared negated
         (
-            _product_step(*gram_blocks(b)),
+            neg_gram(b), 3, 3,
             real_starts,
             lambda f: -np.linalg.norm(np.einsum("ijk,i->kj", b, f), 2) ** 2,
         ),
         (
-            _product_step(*choi_blocks(b)),
+            choi_matrix_from_tensor(b), 2, 4,
             _spinors(real_starts),
             lambda v: hermitian_eigh(ID4 + np.einsum("k,kab->ab", _bloch_vector(v), ds))[0][0],
         ),
         (
-            _product_step(*ks_blocks(b)),
+            ks_form(b), 3, 4,
             _scan_directions(20, 1),
             lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
     ]
-    for step, starts, value in cases:
+    for form, nx, ny, starts, value in cases:
         for x0 in starts:
-            start = value(x0)
-            val, x, rounds = scan_then_refine([x0], [start], step)
+            seen.clear()
+            val, x, _ = product_form_minimum(form, nx, ny, x0[None])
+            ((start,), (_, _, rounds)), = seen
+            assert abs(value(x0) - start) <= 1e-12
             assert val <= start
             assert rounds < REFINE_CAP
             assert abs(value(x) - val) <= 1e-12
@@ -375,7 +390,6 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
             return seen[-1][2]
 
         monkeypatch.setattr(core, "scan_then_refine", recording)
-        monkeypatch.setattr(ks, "scan_then_refine", recording)
         run()
         (points, values, (val, x, rounds)), = seen
         s_val, s_x, s_rounds = serial_scan_then_refine(points, values, serial_steps[name])
@@ -394,24 +408,43 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
         seen.append((points, values))
         return scan_then_refine(points, values, step)
 
-    monkeypatch.setattr(ks, "scan_then_refine", recording)
+    monkeypatch.setattr(core, "scan_then_refine", recording)
     ks_global_check(b)
     (ws, vals), = seen
     for i in lowest_indices(vals):
         assert _bits(np.linalg.eigvalsh(ks_defect(b, ws[i]))[0]) == _bits(vals[i])
 
 
+def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
+    # at the default budgets: the form's size, (nx, ny), complex points or not, and their count
+    handed = []
+
+    def recording(form, nx, ny, points):
+        handed.append((form.shape, nx, ny, np.iscomplexobj(points), len(points)))
+        return product_form_minimum(form, nx, ny, points)
+
+    monkeypatch.setattr(core, "product_form_minimum", recording)
+    b = rand_tensor(np.random.default_rng(62))
+    for run, expected in (
+        (state_preservation_check, ((9, 9), 3, 3, False, 20_000)),
+        (sampled_positivity_check, ((8, 8), 2, 4, True, 20_000)),
+        (ks_global_check, ((12, 12), 3, 4, True, 50_000)),
+    ):
+        handed.clear()
+        run(b)
+        assert handed == [expected], run.__name__
+
+
 def test_product_step_views_are_one_form(monkeypatch):
-    # <y, M(x) y> = <x, M(y) x> for the views each certificate hands _product_step; a wrong
+    # <y, M(x) y> = <x, M(y) x> for the views each certificate's search refines on; a wrong
     # transpose would only show as worse witnesses, since scan_then_refine discards a rising round
     handed = []
 
-    def recording(x_blocks, y_blocks):
-        handed.append((x_blocks, y_blocks))
-        return _product_step(x_blocks, y_blocks)
+    def recording(form, nx, ny):
+        handed.append(_product_blocks(form, nx, ny))
+        return handed[-1]
 
-    monkeypatch.setattr(core, "_product_step", recording)
-    monkeypatch.setattr(ks, "_product_step", recording)
+    monkeypatch.setattr(core, "_product_blocks", recording)
     rng = np.random.default_rng(61)
     for scale in (0.1, 1.0, 10.0):
         b = rand_tensor(rng, scale)
@@ -486,6 +519,9 @@ def test_global_check_validates_arguments():
         ks_global_check(np.zeros((3, 3, 3)), 0, 0, 1e-8)
     with pytest.raises(ValueError):
         ks_global_check(np.zeros((3, 3, 3)), 10, 0, 0.0)
+    # an infinite tol would hide the -0.91 defect at 1/3 as "no violation"
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ks_global_check(build_coeff_tensor(1.0 / 3.0), 2000, 0, np.inf)
 
 
 def test_global_check_finds_witness_at_one_third():
@@ -604,7 +640,6 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
         return vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    monkeypatch.setattr(ks, "hermitian_lowest_eigvals", recording)
     monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording)
     rng = np.random.default_rng(29)
     tensors = [build_coeff_tensor(e) for e in (0.1, 0.2254, 1.0 / 3.0, -0.4, 0.5, 0.6)]
