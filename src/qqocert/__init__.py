@@ -31,13 +31,10 @@ from .epsilon import (
     CP_THRESHOLD,
     POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
-    NonRealInput,
-    b_matrix,
     build_coeff_tensor,
     classify_epsilon,
     delta_eps_apply,
     positivity_check,
-    spectrum_closed_form,
 )
 from .ks import (
     KS_DEFAULT_SAMPLES,

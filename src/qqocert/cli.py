@@ -25,30 +25,27 @@ SWEEP_HALF_WIDTH = 0.6
 SWEEP_COUNT = 25
 SWEEP_SAMPLES = 5_000
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor NaN."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _value(convert, valid, need: str):
+    """argparse type: convert(text), refused unless valid(value); need says what valid asks for."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _value(float, math.isfinite, "a finite number")
 
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
-        return value
-
-    return parse
+    return _value(int, lambda value: value >= low, f">= {low}")
 
 
 def _parse_init(text: str) -> np.ndarray:
@@ -57,17 +54,6 @@ def _parse_init(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expects three comma-separated numbers, got {text!r}")
     return np.array([_finite_float(p) for p in parts])
-
-
-# What main fills in for each flag left unset, per command.  certify scans
-# preservation and positivity with samples and the KS search with ks_samples;
-# a given --samples sets both.
-_DEFAULTS = {
-    "certify": {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "ks": {"samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "sweep": {"epsilon": SWEEP_HALF_WIDTH, "count": SWEEP_COUNT, "samples": SWEEP_SAMPLES, "tol": ks.KS_DEFAULT_TOL},
-    "simulate": {"steps": dynamics.DEFAULT_MAX_STEPS, "tol": dynamics.DEFAULT_CONV_TOL, "init": _parse_init("0.6,0,0")},
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,22 +66,11 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-# the commands, with the help line the epilog of -h gives each
-_COMMANDS = {
-    "certify": "state preservation, positivity, complete positivity and a KS-violation search",
-    "ks": "Kadison-Schwarz witness search and necessary-condition report",
-    "choi": "assemble the Choi block matrix and test complete positivity",
-    "simulate": "iterate the quadratic dynamics and write a trajectory file",
-    "fixed-points": "fixed points of the dynamics inside the ball",
-    "sweep": "classify a grid of couplings",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qqocert",
         description="Certify quadratic operators on the qubit algebra and simulate their Bloch-ball dynamics.",
-        epilog="commands:\n" + "".join(f"  {name:<14}{text}\n" for name, text in _COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {name:<14}{row[0]}\n" for name, row in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="what to run (listed below)")
@@ -120,12 +95,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tensor(args) -> tuple:
-    """Return (tensor, epsilon-or-None); exactly one input source must be set."""
+    """Return (tensor, epsilon-or-None, the report's input block); exactly one input source must be set."""
     if (args.epsilon is None) == (args.tensor is None):
         raise ValueError("provide exactly one of --epsilon or --tensor")
     if args.epsilon is not None:
-        return epsilon.build_coeff_tensor(args.epsilon), float(args.epsilon)
-    return files.load_tensor_file(args.tensor), None
+        return epsilon.build_coeff_tensor(args.epsilon), args.epsilon, {"epsilon": args.epsilon}
+    return files.load_tensor_file(args.tensor), None, {"tensor": args.tensor}
 
 
 def _family_coupling(args) -> float:
@@ -133,12 +108,6 @@ def _family_coupling(args) -> float:
     if args.epsilon is None or args.tensor is not None:
         raise ValueError(f"{args.command} requires --epsilon and takes no --tensor")
     return args.epsilon
-
-
-def _input_block(args) -> dict:
-    if args.epsilon is not None:
-        return {"epsilon": float(args.epsilon)}
-    return {"tensor": args.tensor}
 
 
 def _witness_block(witness) -> dict:
@@ -157,8 +126,14 @@ def _emit(args, render) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _cmd_certify(args) -> tuple:
-    b, eps = _resolve_tensor(args)
+def _report(args, code: int, body: dict) -> int:
+    """Emit the JSON report of args.command with body and return the exit code."""
+    _emit(args, functools.partial(files.dump_report, {"command": args.command, **body}))
+    return code
+
+
+def _cmd_certify(args) -> int:
+    b, eps, source = _resolve_tensor(args)
     # first, so that a bad --tol is refused before any scan runs
     witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
     pres = core.state_preservation_check(b, args.samples, args.seed)
@@ -169,8 +144,8 @@ def _cmd_certify(args) -> tuple:
     cp = core.cp_check(b)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
-    return (0 if all_pass else 1), {
-        "input": _input_block(args),
+    return _report(args, 0 if all_pass else 1, {
+        "input": source,
         "samples": args.samples,
         "seed": args.seed,
         "state_preservation": vars(pres),
@@ -178,33 +153,34 @@ def _cmd_certify(args) -> tuple:
         "complete_positivity": {"is_cp": cp.is_cp, "min_choi_eig": cp.min_choi_eig},
         "ks_violation": _witness_block(witness),
         "all_pass": all_pass,
-    }
+    })
 
 
-def _cmd_ks(args) -> tuple:
-    b, _ = _resolve_tensor(args)
+def _cmd_ks(args) -> int:
+    b, _, source = _resolve_tensor(args)
     witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
-    return (1 if witness is not None else 0), {
-        "input": _input_block(args),
+    return _report(args, 1 if witness is not None else 0, {
+        "input": source,
         "samples": args.samples,
         "seed": args.seed,
         "tol": args.tol,
         **vars(nec),
         "witness": _witness_block(witness),
-    }
+    })
 
 
-def _cmd_choi(args) -> tuple:
-    cp = core.cp_check(_resolve_tensor(args)[0])
-    return (0 if cp.is_cp else 1), {
-        "input": _input_block(args),
+def _cmd_choi(args) -> int:
+    b, _, source = _resolve_tensor(args)
+    cp = core.cp_check(b)
+    return _report(args, 0 if cp.is_cp else 1, {
+        "input": source,
         "eigenvalues": cp.eigenvalues,
         "min_eig": cp.min_choi_eig,
         "max_abs_eig": np.abs(cp.eigenvalues).max(),
         "is_cp": cp.is_cp,
-    }
+    })
 
 
 def _cmd_simulate(args) -> int:
@@ -218,12 +194,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_fixed_points(args) -> tuple:
-    rep = dynamics.fixed_points(_family_coupling(args))
-    return 0, {"input": _input_block(args), **vars(rep)}
+def _cmd_fixed_points(args) -> int:
+    eps = _family_coupling(args)
+    return _report(args, 0, {"input": {"epsilon": eps}, **vars(dynamics.fixed_points(eps))})
 
 
-def _cmd_sweep(args) -> tuple:
+def _cmd_sweep(args) -> int:
     half = abs(_family_coupling(args))
     rows = []
     for e in np.linspace(-half, half, args.count).tolist():
@@ -231,43 +207,45 @@ def _cmd_sweep(args) -> tuple:
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
         witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
-        rows.append(
-            {
-                "epsilon": e,
-                "band": epsilon.classify_epsilon(e),
-                "is_positive": pos.is_positive,
-                "positivity_margin": pos.margin,
-                "is_cp": cp.is_cp,
-                "min_choi_eig": cp.min_choi_eig,
-                "ks_violation_found": witness is not None,
-                "ks_min_eig": witness.min_eig if witness is not None else None,
-            }
-        )
-    return 0, {"samples": args.samples, "seed": args.seed, "rows": rows}
+        rows.append({
+            "epsilon": e,
+            "band": epsilon.classify_epsilon(e),
+            "is_positive": pos.is_positive,
+            "positivity_margin": pos.margin,
+            "is_cp": cp.is_cp,
+            "min_choi_eig": cp.min_choi_eig,
+            "ks_violation_found": witness is not None,
+            "ks_min_eig": witness.min_eig if witness is not None else None,
+        })
+    return _report(args, 0, {"samples": args.samples, "seed": args.seed, "rows": rows})
 
 
-# the commands that print a JSON report; each returns (exit code, report body)
-_REPORTS = {
-    "certify": _cmd_certify,
-    "ks": _cmd_ks,
-    "choi": _cmd_choi,
-    "fixed-points": _cmd_fixed_points,
-    "sweep": _cmd_sweep,
+# Each command: (the help line the epilog of -h gives it, its handler, what main
+# fills in for each flag left unset).  certify scans preservation and positivity
+# with samples and the KS search with ks_samples; a given --samples sets both.
+_COMMANDS = {
+    "certify": ("state preservation, positivity, complete positivity and a KS-violation search", _cmd_certify,
+                {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL}),
+    "ks": ("Kadison-Schwarz witness search and necessary-condition report", _cmd_ks,
+           {"samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL}),
+    "choi": ("assemble the Choi block matrix and test complete positivity", _cmd_choi, {}),
+    "simulate": ("iterate the quadratic dynamics and write a trajectory file", _cmd_simulate,
+                 {"steps": dynamics.DEFAULT_MAX_STEPS, "tol": dynamics.DEFAULT_CONV_TOL, "init": _parse_init("0.6,0,0")}),
+    "fixed-points": ("fixed points of the dynamics inside the ball", _cmd_fixed_points, {}),
+    "sweep": ("classify a grid of couplings", _cmd_sweep,
+              {"epsilon": SWEEP_HALF_WIDTH, "count": SWEEP_COUNT, "samples": SWEEP_SAMPLES, "tol": ks.KS_DEFAULT_TOL}),
 }
 
 
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
+    _, handler, defaults = _COMMANDS[args.command]
     args.ks_samples = args.samples
-    for name, default in _DEFAULTS.get(args.command, {}).items():
+    for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        code, body = _REPORTS[args.command](args)
-        _emit(args, functools.partial(files.dump_report, {"command": args.command, **body}))
-        return code
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -139,7 +139,7 @@ def scan_then_refine(points, values, step) -> tuple:
     """Minimize from the best scanned points by repeating an exact monotone step (product_form_minimum's refine).
 
     values[i] is the scan value of points[i], exact at least where it
-    ranks among the lowest; maximizers pass negated values.  The
+    ranks among the lowest; preservation maximizes by searching -G.  The
     REFINE_STARTS lowest, in stable order so that ties keep scan order
     (lowest_indices, which sorts only the candidates), each start a
     descent over states (point, carry), advance together: step maps the

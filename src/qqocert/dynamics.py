@@ -81,6 +81,8 @@ def iterate(
     e = _check_eps_domain(eps)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     f = np.asarray(f0, dtype=float).reshape(3).copy()
     if not np.linalg.norm(f) <= 1.0 + _EPS_DOMAIN_SLACK:
         raise DomainError("initial point lies outside the Bloch ball")
@@ -90,9 +92,10 @@ def iterate(
         if converged:
             break
         prev, f = f, _v_eps_raw(e, f)
-        steps.append((n, f, float(np.dot(f, f))))
-        converged = np.linalg.norm(f) < tol
-        if converged or np.linalg.norm(f - prev) <= 1e-9 * np.linalg.norm(f):
+        rho = float(np.dot(f, f))  # numpy's 2-norm of a real f is sqrt(dot(f, f)): bitwise sqrt(rho)
+        steps.append((n, f, rho))
+        converged = np.sqrt(rho) < tol
+        if converged or np.linalg.norm(f - prev) <= 1e-9 * np.sqrt(rho):
             break
     return Trajectory(steps=steps, converged=bool(converged), limit=f.copy())
 

@@ -24,10 +24,6 @@ POSITIVITY_THRESHOLD = 1.0 / 3.0
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
 
-class NonRealInput(ValueError):
-    """Raised when a real 3-vector is required but complex entries were passed."""
-
-
 def _finite(eps: float) -> float:
     e = float(eps)
     if not np.isfinite(e):
@@ -84,39 +80,6 @@ def delta_eps_apply(eps: float, x: PauliCoeffs) -> np.ndarray:
     return out
 
 
-def _require_real3(w) -> np.ndarray:
-    arr = np.asarray(w)
-    if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 0.0:
-        raise NonRealInput("w must be a real 3-vector")
-    return np.asarray(arr.real if np.iscomplexobj(arr) else arr, dtype=float).reshape(3)
-
-
-def b_matrix(w) -> np.ndarray:
-    """The 4x4 hermitian matrix B(w) with family image 1 + eps*B at coupling eps."""
-    o1, o2, o3 = _require_real3(w)
-    return np.array(
-        [
-            [o3, o2 - 1j * o1, o2 - 1j * o1, o1 - 2j * o3 - o2],
-            [o2 + 1j * o1, -o3, o1 + o2, -o2 + 1j * o1],
-            [o2 + 1j * o1, o1 + o2, -o3, -o2 + 1j * o1],
-            [o1 + 2j * o3 - o2, -o2 - 1j * o1, -o2 - 1j * o1, o3],
-        ],
-        dtype=complex,
-    )
-
-
-def spectrum_closed_form(w) -> np.ndarray:
-    """Eigenvalues of B(w) for real w: [t + 2*sqrt(R), t - 2*sqrt(R), -t, -t].
-
-    Here t = w1+w2+w3 and R = sum w_i^2 - sum_{i<j} w_i w_j >= 0.
-    """
-    o = _require_real3(w)
-    t = float(o.sum())
-    r = float(np.dot(o, o) - o[0] * o[1] - o[0] * o[2] - o[1] * o[2])
-    root = 2.0 * np.sqrt(max(r, 0.0))
-    return np.array([t + root, t - root, -t, -t])
-
-
 def _sphere_lambdas(t: np.ndarray):
     """Closed-form eigenvalues on the unit sphere as functions of t = w1+w2+w3."""
     root = np.sqrt(2.0 * np.maximum(3.0 - t * t, 0.0))
@@ -130,7 +93,7 @@ def _witness_from_t(t: float) -> np.ndarray:
 
 
 def positivity_check(eps: float) -> PositivityReport:
-    """Worst eigenvalue of 1 + eps*B(w) over the unit ball, via the closed forms.
+    """Worst eigenvalue of 1 + eps*B(w), the family image of 1 + w.sigma, over the unit ball, via the closed forms.
 
     On the unit sphere all four eigenvalue branches are functions of
     t = w1+w2+w3 alone.  The branches t +/- sqrt(2(3 - t^2)) reach +/-3 at

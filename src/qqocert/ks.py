@@ -175,6 +175,8 @@ def ks_necessary_check(b, f, w) -> KSNecessaryReport:
     """
     f = np.asarray(f, dtype=float).reshape(3)
     w = np.asarray(w, dtype=complex).reshape(3)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(w))):
+        raise ValueError("f and w must be finite")
     x, alpha, gamma, q = _auxiliaries(core.as_coeff_tensor(b), f, w)
 
     nw2 = float(np.sum(np.abs(w) ** 2))

@@ -167,3 +167,45 @@ def stack_lowest_eigvals(ms):
         vals[idx] = np.linalg.eigvalsh(ms[idx])[:, 0]
         done, block = done + len(idx), 2 * block
     return vals
+
+
+# ------------------------------------------------- closed-form family spectrum
+# B(w) and its eigenvalues written out by hand, the references for the
+# family image and for the closed forms behind epsilon.positivity_check.
+
+
+class NonRealInput(ValueError):
+    """Raised when a real 3-vector is required but complex entries were passed."""
+
+
+def _require_real3(w) -> np.ndarray:
+    arr = np.asarray(w)
+    if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 0.0:
+        raise NonRealInput("w must be a real 3-vector")
+    return np.asarray(arr.real if np.iscomplexobj(arr) else arr, dtype=float).reshape(3)
+
+
+def b_matrix(w) -> np.ndarray:
+    """The 4x4 hermitian matrix B(w) with family image 1 + eps*B at coupling eps."""
+    o1, o2, o3 = _require_real3(w)
+    return np.array(
+        [
+            [o3, o2 - 1j * o1, o2 - 1j * o1, o1 - 2j * o3 - o2],
+            [o2 + 1j * o1, -o3, o1 + o2, -o2 + 1j * o1],
+            [o2 + 1j * o1, o1 + o2, -o3, -o2 + 1j * o1],
+            [o1 + 2j * o3 - o2, -o2 - 1j * o1, -o2 - 1j * o1, o3],
+        ],
+        dtype=complex,
+    )
+
+
+def spectrum_closed_form(w) -> np.ndarray:
+    """Eigenvalues of B(w) for real w: [t + 2*sqrt(R), t - 2*sqrt(R), -t, -t].
+
+    Here t = w1+w2+w3 and R = sum w_i^2 - sum_{i<j} w_i w_j >= 0.
+    """
+    o = _require_real3(w)
+    t = float(o.sum())
+    r = float(np.dot(o, o) - o[0] * o[1] - o[0] * o[2] - o[1] * o[2])
+    root = 2.0 * np.sqrt(max(r, 0.0))
+    return np.array([t + root, t - root, -t, -t])

@@ -10,7 +10,6 @@ import numpy as np
 
 from qqocert import (
     PauliCoeffs,
-    b_matrix,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     cp_check,
@@ -25,7 +24,6 @@ from qqocert import (
     ks_necessary_check,
     pauli_decompose,
     positivity_check,
-    spectrum_closed_form,
 )
 from qqocert.pauli import SIGMA
 
@@ -33,8 +31,10 @@ from oracles import (
     ABCD_EXACT,
     ABCD_W,
     CHOI_BLOCK_UNIT,
+    b_matrix,
     choi_matrix_family,
     pauli_compose,
+    spectrum_closed_form,
     state_eval,
     v_eps_apply,
 )

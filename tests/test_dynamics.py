@@ -170,6 +170,8 @@ def test_iterate_rejects_bad_inputs():
     for tol in (0.0, -1.0, np.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             iterate(0.5, [0.6, 0, 0], tol=tol)
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        iterate(0.5, [0.6, 0, 0], max_steps=-1)
 
 
 def test_iterate_accepts_ten_digit_critical_inputs():

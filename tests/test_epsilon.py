@@ -5,9 +5,7 @@ from qqocert import (
     CP_THRESHOLD,
     POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
-    NonRealInput,
     PauliCoeffs,
-    b_matrix,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     classify_epsilon,
@@ -16,12 +14,11 @@ from qqocert import (
     delta_eps_apply,
     hermitian_eigh,
     positivity_check,
-    spectrum_closed_form,
     state_preservation_check,
 )
 from qqocert.pauli import SIGMA
 
-from oracles import CHOI_BLOCK_UNIT, choi_matrix_family
+from oracles import CHOI_BLOCK_UNIT, NonRealInput, b_matrix, choi_matrix_family, spectrum_closed_form
 
 
 def choi_matrix(eps):

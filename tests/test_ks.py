@@ -280,6 +280,14 @@ def test_norm_side_consistency():
         assert rep.rhs2 == rep.abcd[3]
 
 
+def test_necessary_check_refuses_non_finite_inputs():
+    b = build_coeff_tensor(0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for f, w in (([bad, 0, 0], [1, 0, 0]), ([1, 0, 0], [0, bad, 0]), ([1, 0, 0], [0, 0, 1j * bad])):
+            with pytest.raises(ValueError, match="f and w must be finite"):
+                ks_necessary_check(b, f, w)
+
+
 # ---------------------------------------------------------------- global search
 
 

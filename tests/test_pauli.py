@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qqocert import (
     NonHermitianInput,
     PauliCoeffs,
-    b_matrix,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     pauli_decompose,
@@ -14,7 +13,7 @@ from qqocert import (
 from qqocert.ks import _LEVI_CIVITA
 from qqocert.pauli import ID2, REFINE_STARTS, SIGMA, lowest_indices
 
-from oracles import pauli_compose, state_eval
+from oracles import b_matrix, pauli_compose, state_eval
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
