@@ -80,12 +80,6 @@ def delta_eps_apply(eps: float, x: PauliCoeffs) -> np.ndarray:
     return out
 
 
-def _sphere_lambdas(t: np.ndarray):
-    """Closed-form eigenvalues on the unit sphere as functions of t = w1+w2+w3."""
-    root = np.sqrt(2.0 * np.maximum(3.0 - t * t, 0.0))
-    return t + root, t - root, -t
-
-
 def _witness_from_t(t: float) -> np.ndarray:
     """A unit vector with coordinate sum t (any point of that circle works)."""
     radial = np.sqrt(max(0.0, 1.0 - t * t / 3.0))
@@ -93,24 +87,20 @@ def _witness_from_t(t: float) -> np.ndarray:
 
 
 def positivity_check(eps: float) -> PositivityReport:
-    """Worst eigenvalue of 1 + eps*B(w), the family image of 1 + w.sigma, over the unit ball, via the closed forms.
+    """Worst eigenvalue of 1 + eps*B(w), the family image of 1 + w.sigma, over the unit ball, in closed form.
 
-    On the unit sphere all four eigenvalue branches are functions of
-    t = w1+w2+w3 alone.  The branches t +/- sqrt(2(3 - t^2)) reach +/-3 at
-    t = +/-1 and -t reaches its extremes at the ends t = +/-sqrt(3), so
-    the minimum over these four points is exact and no scan is needed;
-    ties keep the first of them.  Positive iff the margin stays above the
-    shared eigenvalue tolerance.
+    On the unit sphere the eigenvalues of B(w) are t +/- sqrt(2(3 - t^2))
+    and -t (twice), functions of t = w1+w2+w3 alone; they span [-3, 3],
+    with -3 at t = -1 and 3 at t = 1.  So the margin is 1 - 3|eps|, reached
+    at t = -1 for eps > 0 and at t = 1 for eps < 0; where 1 + 3*eps and
+    1 + eps round to the same float (eps = 0, or eps < 0 of size below
+    about 1e-17) the witness keeps t = -1.  No scan is needed.  Positive
+    iff the margin stays above the shared eigenvalue tolerance.
     """
     e = _finite(eps)
-    span = np.sqrt(3.0)
-    ts = np.array([-1.0, 1.0, -span, span])
-    l1, l2, l3 = _sphere_lambdas(ts)
-    objective = np.minimum(np.minimum(1.0 + e * l1, 1.0 + e * l2), 1.0 + e * l3)
-    best = int(np.argmin(objective))
-    margin = float(objective[best])
+    margin = 1.0 - 3.0 * abs(e)
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
-        worst_w=_witness_from_t(ts[best]),
+        worst_w=_witness_from_t(1.0 if 1.0 + 3.0 * e < 1.0 + e else -1.0),
         margin=margin,
     )

@@ -29,8 +29,13 @@ Every defect and T(psi) is built by pauli._members, as the kernel builds
 the scanned defects, so ks_defect at a scanned direction has bitwise its
 scan value under eigvalsh.  A violation witness is any unit
 w whose defect has a negative eigenvalue; the search certifies
-violations only, never the property itself.  ks_necessary_check
-evaluates the two scalar necessary conditions and reports both sides of
+violations only, never the property itself.
+
+ks_necessary_check reads the two scalar necessary conditions off the
+same defect: with c the Pauli coordinates of E(w) = ||w||^2 I4 - defect(w)
+in the basis P_a x P_c, P = (1, sigma_1, sigma_2, sigma_3), condition 1
+is the expectation of defect(w) in rho_f x 1/2 and condition 2 bounds the
+vector c_0k + i sum_m f_m c_mk by it.  The report gives both sides of
 each, with the component split abcd.
 """
 
@@ -42,14 +47,15 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .pauli import ID4, _hermitian_part, _members
+from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
 KS_COND_TOL = 1e-12
 
-# cyclic index map: PI[m], PI[m+1] pair the three conditions
-PI = (1, 2, 0, 1)
+# P_a x P_c for P = (1, sigma_1, sigma_2, sigma_3), shape (4, 4, 4, 4)
+_PAULI = np.concatenate([ID2[None], SIGMA])
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in _PAULI] for p in _PAULI])
 # _LEVI_CIVITA[j, k] = e_j x e_k, so its entry [j, k, l] is eps_jkl
 _LEVI_CIVITA = np.cross(np.eye(3)[:, None, :], np.eye(3)[None, :, :])
 
@@ -140,68 +146,46 @@ def ks_global_check(
     return None
 
 
-def _auxiliaries(arr: np.ndarray, f: np.ndarray, w: np.ndarray) -> tuple:
-    """(x, alpha, gamma, q) of the necessary conditions at a state f and direction w.
-
-    x is the 3x3 array whose row m is the vector x_m; alpha the
-    skew-symmetric scalar array; gamma the 3x3 array of 3-vectors; q the
-    3-vector coupling beta(f) to the cross product [w, conj(w)].
-    Conventions are locked by the exact-fraction calibration of the
-    necessary conditions (see ks_necessary_check): x_m carries no
-    conjugation of w, the skew products alpha conjugate their first
-    argument, and q pairs beta(f) with the conjugated cross product.
-    """
-    x = np.einsum("mli,i->ml", arr, w)
-    inner = np.conj(x) @ x.T  # inner[m, l] = <x_m, x_l>, conjugate-first
-    alpha = inner - inner.T
-    gamma = np.empty((3, 3, 3), dtype=complex)
-    for m in range(3):
-        for l in range(3):
-            gamma[m, l] = np.cross(x[m], np.conj(x[l])) + np.cross(np.conj(x[m]), x[l])
-    q = core.beta_matrix(arr, f) @ np.conj(np.cross(w, np.conj(w)))
-    return x, alpha, gamma, q
-
-
 def ks_necessary_check(b, f, w) -> KSNecessaryReport:
     """Evaluate both necessary conditions for the Kadison-Schwarz property.
 
-    Condition 1:  ||w||^2 >= Re(i * sum_m f_m alpha_{pi(m), pi(m+1)}) + sum_m ||x_m||^2.
-    Condition 2:  || q - i * sum_m ( f_m gamma_{pi(m), pi(m+1)} + [x_m, conj(x_m)] ) ||
-                  <= the slack of condition 1.
+    Both conditions read the Pauli coordinates c_ac = tr[(P_a x P_c) E]/4,
+    P = (1, sigma_1, sigma_2, sigma_3), of the 4x4 hermitian matrix
 
-    The scope of the i factor and the conjugation sides are fixed so the
-    f = (1, 0, 0) specialization reproduces the known closed-form
-    quantities A, B, C, D exactly; that calibration is a mandatory test.
+        E(w) = ||w||^2 I4 - defect(w) = i (w x conj(w)).Dsigma + (w.Dsigma)^* (w.Dsigma).
+
+    Condition 1:  ||w||^2 >= c_00 + sum_m f_m c_m0.  Its slack rhs2 is
+                  tr[(rho_f x 1/2) defect(w)] with rho_f = (1 + f.sigma)/2.
+    Condition 2:  |v| <= rhs2, with v_k = c_0k + i sum_m f_m c_mk.
+
+    These are the paper's conditions, stated there through the vectors
+    (x_m)_l = sum_i b[m][l][i] w_i, their skew products alpha and cross
+    products gamma, and beta(f) (w x conj(w)); tests/oracles.py keeps that
+    route as the reference.  At f = (1, 0, 0) the report reproduces the
+    closed-form quantities A, B, C, D exactly; that calibration is a
+    mandatory test.
     """
     f = np.asarray(f, dtype=float).reshape(3)
     w = np.asarray(w, dtype=complex).reshape(3)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(w))):
         raise ValueError("f and w must be finite")
-    x, alpha, gamma, q = _auxiliaries(core.as_coeff_tensor(b), f, w)
+    ds = core.delta_sigma_images(b)
+    wd = np.einsum("k,kab->ab", w, ds)
+    e = np.einsum("k,kab->ab", 1j * np.cross(w, np.conj(w)), ds) + np.conj(wd.T) @ wd
+    c = np.real(np.einsum("acij,ji->ac", _PAULI_PAIRS, e)) / 4
 
-    nw2 = float(np.sum(np.abs(w) ** 2))
-    sum_x2 = float(np.sum(np.abs(x) ** 2))
-    ialpha = 1j * sum(f[m] * alpha[PI[m], PI[m + 1]] for m in range(3))
-    lhs11 = nw2
-    rhs11 = float(np.real(ialpha)) + sum_x2
-    holds11 = lhs11 >= rhs11 - KS_COND_TOL
-
-    vec = q - 1j * sum(
-        f[m] * gamma[PI[m], PI[m + 1]] + np.cross(x[m], np.conj(x[m]))
-        for m in range(3)
-    )
-    lhs2 = float(np.linalg.norm(vec))
-    rhs2 = nw2 - float(np.real(ialpha)) - sum_x2
-    holds2 = lhs2 <= rhs2 + KS_COND_TOL
-
-    comps = np.abs(vec) ** 2
-    abcd = (float(comps[0]), float(comps[1]), float(comps[2]), rhs2)
+    lhs11 = float(np.sum(np.abs(w) ** 2))
+    rhs11 = float(c[0, 0] + f @ c[1:, 0])
+    rhs2 = lhs11 - rhs11
+    v = c[0, 1:] + 1j * (f @ c[1:, 1:])
+    lhs2 = float(np.linalg.norm(v))
+    comps = np.abs(v) ** 2
     return KSNecessaryReport(
         lhs11=lhs11,
         rhs11=rhs11,
         lhs2=lhs2,
         rhs2=rhs2,
-        abcd=abcd,
-        holds11=bool(holds11),
-        holds2=bool(holds2),
+        abcd=(float(comps[0]), float(comps[1]), float(comps[2]), rhs2),
+        holds11=bool(lhs11 >= rhs11 - KS_COND_TOL),
+        holds2=bool(lhs2 <= rhs2 + KS_COND_TOL),
     )

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from qqocert import PauliCoeffs, delta_apply, delta_eps_apply
-from qqocert.core import REFINE_CAP, REFINE_RTOL, _sesquilinear_family
+from qqocert import PauliCoeffs, beta_matrix, delta_apply, delta_eps_apply
+from qqocert.core import REFINE_CAP, REFINE_RTOL, _sesquilinear_family, as_coeff_tensor
 from qqocert.dynamics import _check_eps_domain, _v_eps_raw
+from qqocert.ks import KS_COND_TOL
 from qqocert.pauli import (
     ID2,
     REFINE_STARTS,
@@ -79,6 +80,66 @@ ABCD_EXACT = (
     589 / 17496,
 )
 ABCD_W = np.array([-1.0 / 9.0, 5.0 / 36.0, 5.0j / 27.0])
+
+
+# ------------------------------------------------- the paper's auxiliary vectors
+# The necessary conditions as the paper writes them, through x_m, alpha,
+# gamma and beta(f); ks.ks_necessary_check reads the same numbers off the
+# Pauli coordinates of the defect and must match this route.
+
+# cyclic index map: PI[m], PI[m+1] pair the three conditions
+PI = (1, 2, 0, 1)
+
+
+def _auxiliaries(arr: np.ndarray, f: np.ndarray, w: np.ndarray) -> tuple:
+    """(x, alpha, gamma, q) of the necessary conditions at a state f and direction w.
+
+    x is the 3x3 array whose row m is the vector x_m; alpha the
+    skew-symmetric scalar array; gamma the 3x3 array of 3-vectors; q the
+    3-vector coupling beta(f) to the cross product [w, conj(w)].
+    Conventions are locked by the exact-fraction calibration of the
+    necessary conditions: x_m carries no conjugation of w, the skew
+    products alpha conjugate their first argument, and q pairs beta(f)
+    with the conjugated cross product.
+    """
+    x = np.einsum("mli,i->ml", arr, w)
+    inner = np.conj(x) @ x.T  # inner[m, l] = <x_m, x_l>, conjugate-first
+    alpha = inner - inner.T
+    gamma = np.empty((3, 3, 3), dtype=complex)
+    for m in range(3):
+        for l in range(3):
+            gamma[m, l] = np.cross(x[m], np.conj(x[l])) + np.cross(np.conj(x[m]), x[l])
+    q = beta_matrix(arr, f) @ np.conj(np.cross(w, np.conj(w)))
+    return x, alpha, gamma, q
+
+
+def necessary_conditions_paper(b, f, w) -> dict:
+    """The fields of ks_necessary_check's report, from the auxiliaries.
+
+    Condition 1:  ||w||^2 >= Re(i * sum_m f_m alpha_{pi(m), pi(m+1)}) + sum_m ||x_m||^2.
+    Condition 2:  || q - i * sum_m ( f_m gamma_{pi(m), pi(m+1)} + [x_m, conj(x_m)] ) ||
+                  <= the slack of condition 1.
+    """
+    f = np.asarray(f, dtype=float).reshape(3)
+    w = np.asarray(w, dtype=complex).reshape(3)
+    x, alpha, gamma, q = _auxiliaries(as_coeff_tensor(b), f, w)
+    nw2 = float(np.sum(np.abs(w) ** 2))
+    sum_x2 = float(np.sum(np.abs(x) ** 2))
+    ialpha = float(np.real(1j * sum(f[m] * alpha[PI[m], PI[m + 1]] for m in range(3))))
+    vec = q - 1j * sum(f[m] * gamma[PI[m], PI[m + 1]] + np.cross(x[m], np.conj(x[m])) for m in range(3))
+    lhs2 = float(np.linalg.norm(vec))
+    rhs11 = ialpha + sum_x2
+    rhs2 = nw2 - ialpha - sum_x2
+    comps = np.abs(vec) ** 2
+    return {
+        "lhs11": nw2,
+        "rhs11": rhs11,
+        "lhs2": lhs2,
+        "rhs2": rhs2,
+        "abcd": (float(comps[0]), float(comps[1]), float(comps[2]), rhs2),
+        "holds11": nw2 >= rhs11 - KS_COND_TOL,
+        "holds2": lhs2 <= rhs2 + KS_COND_TOL,
+    }
 
 
 # ------------------------------------------------- serial refine and per-unit Choi
@@ -209,3 +270,18 @@ def spectrum_closed_form(w) -> np.ndarray:
     r = float(np.dot(o, o) - o[0] * o[1] - o[0] * o[2] - o[1] * o[2])
     root = 2.0 * np.sqrt(max(r, 0.0))
     return np.array([t + root, t - root, -t, -t])
+
+
+def family_positivity_at_candidates(eps) -> tuple:
+    """(margin, t) of the family's positivity as the four-candidate minimum over t = -1, 1, -sqrt(3), sqrt(3).
+
+    Each candidate takes the least of 1 + eps*l over the sphere branches
+    l = t +/- sqrt(2(3 - t^2)) and -t, and ties keep the first candidate:
+    the scan-free route that epsilon.positivity_check's closed form replaced.
+    """
+    ts = np.array([-1.0, 1.0, -np.sqrt(3.0), np.sqrt(3.0)])
+    root = np.sqrt(2.0 * np.maximum(3.0 - ts * ts, 0.0))
+    with np.errstate(over="ignore"):  # |eps| near the float maximum gives +/-inf, as it should
+        objective = np.minimum(np.minimum(1.0 + eps * (ts + root), 1.0 + eps * (ts - root)), 1.0 + eps * -ts)
+    best = int(np.argmin(objective))
+    return float(objective[best]), float(ts[best])

@@ -18,7 +18,14 @@ from qqocert import (
 )
 from qqocert.pauli import SIGMA
 
-from oracles import CHOI_BLOCK_UNIT, NonRealInput, b_matrix, choi_matrix_family, spectrum_closed_form
+from oracles import (
+    CHOI_BLOCK_UNIT,
+    NonRealInput,
+    b_matrix,
+    choi_matrix_family,
+    family_positivity_at_candidates,
+    spectrum_closed_form,
+)
 
 
 def choi_matrix(eps):
@@ -199,6 +206,36 @@ def test_positivity_negative_coupling_symmetric():
     rep = positivity_check(-0.34)
     assert not rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.34, abs=1e-9)
+
+
+def _positivity_grid():
+    """Couplings across every float scale, the thresholds, and tiny negatives where every candidate ties."""
+    big = np.geomspace(5e-324, 1e308, 4000)
+    specials = [0.0, 5e-324, 1e308, np.finfo(float).max, 1.0 / 3.0, 1.0 / (3.0 * np.sqrt(3.0)), 1.0 / np.sqrt(3.0)]
+    # every candidate rounds to 1.0 below about 1.85e-17; up to 6e-17, 1 + 3*eps leaves 1.0 before 1 + eps does
+    tiny_negative = -np.concatenate([np.geomspace(5e-324, 1.8e-17, 709), np.linspace(1.8e-17, 6e-17, 2000)])
+    grid = np.concatenate([np.linspace(-2.0, 2.0, 20001), big, -big, specials, np.negative(specials), tiny_negative])
+    return grid.tolist()
+
+
+def test_positivity_closed_form_matches_candidates_bitwise():
+    grid = _positivity_grid()
+    assert len(grid) > 30_000
+    images = []
+    for eps in grid:
+        rep = positivity_check(eps)
+        margin, t = family_positivity_at_candidates(eps)
+        assert np.float64(rep.margin).tobytes() == np.float64(margin).tobytes(), eps
+        assert abs(sum(rep.worst_w) - t) <= 1e-15 and abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-15, eps
+        if abs(eps) <= 1e6:
+            scale = max(1.0, 3.0 * abs(eps))
+            assert abs(np.min(1.0 + eps * spectrum_closed_form(rep.worst_w)) - rep.margin) <= 1e-15 * scale, eps
+            images.append((eps, rep.margin, scale, np.eye(4) + eps * b_matrix(rep.worst_w)))
+    # the witness attains the margin as the least eigenvalue of the family image of 1 + w.sigma;
+    # LAPACK is off by up to 7 ulps on the near-identity images of tiny couplings
+    lowest = np.linalg.eigvalsh(np.array([image for *_, image in images]))[:, 0]
+    for (eps, margin, scale, _), got in zip(images, lowest):
+        assert abs(got - margin) <= 4e-15 * scale, eps
 
 
 # ---------------------------------------------------------------- choi

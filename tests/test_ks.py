@@ -34,12 +34,14 @@ from qqocert.core import (
     product_form_minimum,
     scan_then_refine,
 )
-from qqocert.ks import KS_DEFAULT_SAMPLES, _auxiliaries, _scan_directions
+from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES, _scan_directions
 from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 
 from oracles import (
     ABCD_EXACT,
     ABCD_W,
+    _auxiliaries,
+    necessary_conditions_paper,
     serial_product_step,
     serial_scan_then_refine,
     stack_lowest_eigvals,
@@ -286,6 +288,50 @@ def test_necessary_check_refuses_non_finite_inputs():
         for f, w in (([bad, 0, 0], [1, 0, 0]), ([1, 0, 0], [0, bad, 0]), ([1, 0, 0], [0, 0, 1j * bad])):
             with pytest.raises(ValueError, match="f and w must be finite"):
                 ks_necessary_check(b, f, w)
+
+
+def rand_necessary_input(rng):
+    """(b, f, w): a tensor at scale 0.01-10, f in the unit ball, w complex and unnormalised."""
+    b = rand_tensor(rng, 10.0 ** rng.uniform(-2.0, 1.0))
+    return b, rand_ball(rng), rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+
+def test_necessary_check_matches_paper_auxiliaries():
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        b, f, w = rand_necessary_input(rng)
+        got = vars(ks_necessary_check(b, f, w))
+        want = necessary_conditions_paper(b, f, w)
+        for name in ("lhs11", "rhs11", "lhs2", "rhs2"):
+            assert abs(got[name] - want[name]) <= 1e-13 * max(1.0, abs(want[name])), name
+        for x, y in zip(got["abcd"], want["abcd"]):
+            assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+        # each verdict agrees unless either route sits within 1e-13 of its tie
+        for holds, lhs, rhs, side in (("holds11", "lhs11", "rhs11", -1), ("holds2", "lhs2", "rhs2", 1)):
+            if all(abs(r[lhs] - r[rhs] - side * KS_COND_TOL) > 1e-13 * max(1.0, abs(r[lhs]), abs(r[rhs]))
+                   for r in (got, want)):
+                assert got[holds] == want[holds], holds
+
+
+def pauli_pair_coordinates(m):
+    """c[a, c] = tr[(P_a x P_c) m]/4 for P = (1, sigma_1, sigma_2, sigma_3)."""
+    basis = [np.eye(2)] + list(SIGMA)
+    return np.array([[np.trace(np.kron(p, q) @ m) / 4 for q in basis] for p in basis])
+
+
+def test_necessary_conditions_read_the_defect():
+    # condition 1's slack is the expectation of the defect in rho_f x 1/2, and condition 2's
+    # vector its coordinates on sigma_k in the second factor, seen through f in the first
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        b, f, w = rand_necessary_input(rng)
+        d = pauli_pair_coordinates(ks_defect(b, w))
+        rep = ks_necessary_check(b, f, w)
+        tol = 1e-12 * (1.0 + np.sum(b**2)) * np.sum(np.abs(w) ** 2)
+        assert abs(rep.rhs2 - (d[0, 0] + f @ d[1:, 0])) <= tol
+        v = -d[0, 1:] - 1j * (f @ d[1:, 1:])
+        assert np.max(np.abs(np.abs(v) ** 2 - rep.abcd[:3])) <= tol * (1.0 + 2.0 * np.linalg.norm(v))
+        assert abs(np.linalg.norm(v) - rep.lhs2) <= tol
 
 
 # ---------------------------------------------------------------- global search
