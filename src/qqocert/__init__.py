@@ -56,6 +56,6 @@ from .dynamics import (
     iterate,
 )
 from .files import load_tensor_file, write_trajectory_csv
-from .sampling import fibonacci_sphere
+from .sampling import sphere_points
 
 __version__ = "0.1.0"

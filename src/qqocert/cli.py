@@ -201,6 +201,7 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_sweep(args) -> int:
     half = abs(_family_coupling(args))
+    epsilon.build_coeff_tensor(half)  # the tensor gate refuses a half-width above core.MAX_COEFF before linspace
     rows = []
     for e in np.linspace(-half, half, args.count).tolist():
         b = epsilon.build_coeff_tensor(e)

@@ -10,11 +10,13 @@ This module evaluates that map, its dual action on product states and
 the 3x3 matrix field beta(f), and builds every certificate on shared
 pieces: one search, product_form_minimum, that every sampled
 certificate runs on its own hermitian form (KS on ks_form, the tensor
-norm on -G, positivity on the Choi matrix) at its own scan points; its
-one scan-then-refine loop (a batch scan, then an exact monotone step
-repeated from the eight best points, all eight advanced together, every
-matrix built by pauli._members); and one complete-positivity check on
-the Choi matrix, built for all four matrix units at once.
+norm on -G, positivity on the Choi matrix) at scan points drawn by the
+one sampler, sampling.sphere_points; its one scan-then-refine loop (a
+batch scan, then an exact monotone step repeated from the eight best
+points, all eight advanced together, every matrix built by
+pauli._members); and one complete-positivity check on the Choi matrix,
+built for all four matrix units at once.  Every tensor enters through
+as_coeff_tensor, which refuses entries above MAX_COEFF in size.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
 from .pauli import (
     ID4,
     SIGMA,
@@ -33,13 +36,14 @@ from .pauli import (
     hermitian_lowest_eigvals,
     lowest_indices,
 )
-from .sampling import fibonacci_sphere
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
 # scan_then_refine: relative stop, round cap (it refines REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
+# bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
+MAX_COEFF = 1e64
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
@@ -54,12 +58,13 @@ _PAIRS = {n: (np.arange(n), *np.triu_indices(n, 1)) for n in (2, 3, 4)}
 
 
 def as_coeff_tensor(b) -> np.ndarray:
-    """Validate and return a coefficient tensor as a (3, 3, 3) float array."""
+    """Validate and return a coefficient tensor as a (3, 3, 3) float array, entries at most MAX_COEFF in size."""
     arr = np.asarray(b, dtype=float)
     if arr.shape != (3, 3, 3):
         raise ValueError(f"coefficient tensor must have shape (3, 3, 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficient tensor entries must be finite")
+    # written as "not <=" so that NaN fails the test
+    if not np.all(np.abs(arr) <= MAX_COEFF):
+        raise ValueError(f"coefficient tensor entries must be finite and at most {MAX_COEFF:g} in absolute value")
     return arr
 
 
@@ -212,15 +217,16 @@ def state_preservation_check(
     like the KS one: |b(f, p, .)|^2 = (f x p)^T G (f x p) with
     G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], so the norm squared
     is the largest eigenvalue of G(f) = N(f)^T N(f), N(f)[k, j] =
-    sum_i b[i][j][k] f_i.  The kernel scans -G(f) over a Fibonacci scan
-    of f, building only the members that can rank; product_form_minimum
-    then refines the best on -G (p := top eigenvector of G(f), f := that
-    of G(p)), and max_norm and witness_p are read off G at the final f.
-    The certificate passes iff max_norm stays within 1 + 1e-9.
+    sum_i b[i][j][k] f_i.  The kernel scans -G(f) at `samples` unit f in
+    R^3 from sampling.sphere_points, building only the members that can
+    rank; product_form_minimum then refines the best on -G (p := top
+    eigenvector of G(f), f := that of G(p)), and max_norm and witness_p
+    are read off G at the final f.  The certificate passes iff max_norm
+    stays within 1 + 1e-9.
     """
     arr = as_coeff_tensor(b)
     gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
-    _, f, f_blocks = product_form_minimum(-gram, 3, 3, fibonacci_sphere(samples, seed))
+    _, f, f_blocks = product_form_minimum(-gram, 3, 3, sampling.sphere_points(samples, seed, 3, False))
     lowest, p = _lowest(f[None], f_blocks)
     max_norm = np.sqrt(max(-lowest[0], 0.0))
     return PreservationReport(
@@ -240,20 +246,8 @@ class PositivityReport:
     margin: float
 
 
-def _spinors(w: np.ndarray) -> np.ndarray:
-    """Unit v = conj(u) in C^2 for each Bloch vector w, u the spinor with |u><u| = (1 + w.sigma)/2.
-
-    u = (1 + w3, w1 + i w2) / sqrt(2 + 2 w3) for w3 >= 0 and (w1 - i w2, 1 - w3) / sqrt(2 - 2 w3) below:
-    every divisor is at least sqrt(2), so w3 = -1 stays finite.
-    """
-    north, big = w[:, 2] >= 0, 1.0 + np.abs(w[:, 2])
-    c = w[:, 0] + 1j * w[:, 1]
-    v = np.column_stack([np.where(north, big, c), np.where(north, np.conj(c), big)])
-    return v / np.sqrt(2.0 * big)[:, None]
-
-
 def _bloch_vector(v: np.ndarray) -> np.ndarray:
-    """The Bloch vector w of u = conj(v) for unit v in C^2 (last axis), the inverse of _spinors."""
+    """The Bloch vector w of u = conj(v) for unit v in C^2 (last axis): w_k = <u, sigma_k u>."""
     z = v[..., 0] * np.conj(v[..., 1])
     return np.stack([2.0 * z.real, 2.0 * z.imag, abs(v[..., 0]) ** 2 - abs(v[..., 1]) ** 2], axis=-1)
 
@@ -265,10 +259,11 @@ def sampled_positivity_check(
 
     2*Delta(|u><u|) = 1 + w.Dsigma, w the Bloch vector of u, is sum_ij conj(v_i) v_j C_ij at v = conj(u),
     C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
-    and psi, never below lambda_min(C).  product_form_minimum scans C(v) at the spinors of a Fibonacci
-    scan of w and refines the worst, as the KS search does on ks_form, and worst_w is read off v.
+    and psi, never below lambda_min(C).  product_form_minimum scans C(v) at `samples` unit v in C^2 from
+    sampling.sphere_points and refines the worst, as the KS search does on ks_form, and worst_w is read
+    off the final v.
     """
-    vs = _spinors(fibonacci_sphere(samples, seed))
+    vs = sampling.sphere_points(samples, seed, 2, True)
     margin, v, _ = product_form_minimum(choi_matrix_from_tensor(b), 2, 4, vs)
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PositivityReport
+from .core import PositivityReport, as_coeff_tensor
 from .pauli import (
     ID4,
     SIGMA,
@@ -44,7 +44,7 @@ def classify_epsilon(eps: float) -> str:
 
 
 def build_coeff_tensor(eps: float) -> np.ndarray:
-    """The 27-entry coefficient tensor of the family, symmetric in the first two indices."""
+    """The 27-entry coefficient tensor of the family, symmetric in the first two indices, through the tensor gate."""
     e = float(eps)
     b = np.zeros((3, 3, 3))
     b[0, 0] = (e, 0.0, 0.0)
@@ -56,7 +56,7 @@ def build_coeff_tensor(eps: float) -> np.ndarray:
     for m in range(3):
         for l in range(m):
             b[m, l] = b[l, m]
-    return b
+    return as_coeff_tensor(b)
 
 
 # (m, l, component-of-w) triples of the nine tensor-product terms

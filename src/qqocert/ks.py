@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core
+from . import core, sampling
 from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members
 
 KS_DEFAULT_SAMPLES = 50_000
@@ -108,15 +108,6 @@ def ks_defect(b, w) -> np.ndarray:
     return _members(*core._sesquilinear_family(w, core._product_blocks(ks_form(b), 3, 4)[0]))[0]
 
 
-def _scan_directions(samples: int, seed: int) -> np.ndarray:
-    """samples unit vectors in C^3: normalized complex Gaussians, uniform on the sphere."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    g = np.random.default_rng(seed).standard_normal((samples, 3, 2))
-    z = g[..., 0] + 1j * g[..., 1]
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
@@ -125,8 +116,8 @@ def ks_global_check(
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue.
 
-    Runs core.product_form_minimum on ks_form at `samples` normalized complex
-    Gaussian directions drawn from np.random.default_rng(seed): the guarded
+    Runs core.product_form_minimum on ks_form at `samples` unit directions in
+    C^3 from sampling.sphere_points (normalized complex Gaussians): the guarded
     lowest-eigenvalue kernel builds and solves exactly only the defects that
     can rank among the eight lowest, and the eight most negative are polished
     by exact alternating eigen-descent on the form (see the module docstring).
@@ -137,7 +128,7 @@ def ks_global_check(
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    _, best_w, w_blocks = core.product_form_minimum(ks_form(b), 3, 4, _scan_directions(samples, seed))
+    _, best_w, w_blocks = core.product_form_minimum(ks_form(b), 3, 4, sampling.sphere_points(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
     best_val = float(core._lowest(best_w[None], w_blocks)[0][0])

@@ -1,33 +1,24 @@
-"""Deterministic low-discrepancy sampling on the unit sphere in R^3."""
+"""Seeded scan points on the unit sphere of R^n or C^n, one sampler for every sampled certificate.
+
+A normalized standard Gaussian vector is uniform on the unit sphere
+(Muller, Comm. ACM 2(4), 1959), in R^n and, with independent real and
+imaginary parts, in C^n.  So the C^2 points of the positivity scan give
+Bloch vectors uniform on S^2, the Hopf map carrying uniform S^3 onto
+uniform S^2.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
-
-def _seeded_rotation(seed: int) -> np.ndarray:
-    """Uniformly random rotation matrix, deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def fibonacci_sphere(n: int, seed: int = 0) -> np.ndarray:
-    """n near-uniform points on the unit sphere, rotated by a seeded rotation.
-
-    The Fibonacci lattice is deterministic; the seed only reorients it so
-    independent scans do not share alignment artifacts.
-    """
-    if n < 1:
+def sphere_points(samples: int, seed: int, n: int, complex_: bool) -> np.ndarray:
+    """samples unit vectors in C^n (complex_) or R^n, normalized Gaussians from np.random.default_rng(seed)."""
+    if samples < 1:
         raise ValueError("need at least one sample")
-    i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    theta = GOLDEN_ANGLE * i
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    return pts @ _seeded_rotation(seed).T
+    if complex_:
+        g = np.random.default_rng(seed).standard_normal((samples, n, 2))
+        z = g[..., 0] + 1j * g[..., 1]
+    else:
+        z = np.random.default_rng(seed).standard_normal((samples, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)

@@ -226,6 +226,40 @@ def test_non_finite_floats_exit_2_without_output(argv, capsys):
 
 
 
+
+@pytest.mark.parametrize("command, code", [("certify", 1), ("ks", 1), ("choi", 1), ("sweep", 0)])
+@pytest.mark.parametrize("eps", [core.MAX_COEFF, -core.MAX_COEFF])
+def test_couplings_at_the_tensor_bound_run_clean(eps, command, code, capsys):
+    # every quantity formed is at most quartic in the entries; an overflow warning fails under filterwarnings
+    got, out, err = run(["--epsilon", repr(eps), command], capsys)
+    assert (got, err) == (code, "")
+    strict_json(out)
+
+
+def test_tensor_file_at_the_bound_runs_clean(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    b = core.MAX_COEFF * np.sign(np.random.default_rng(5).standard_normal((3, 3, 3)))
+    path.write_text(json.dumps({"b": b.tolist()}))
+    for command in ("certify", "ks", "choi"):
+        code, out, err = run(["--tensor", str(path), command], capsys)
+        assert (code, err) == (1, "")
+        strict_json(out)
+
+
+@pytest.mark.parametrize("command", ["certify", "ks", "choi", "sweep"])
+def test_entries_above_the_tensor_bound_exit_2(command, tmp_path, capsys):
+    bound = f"at most {core.MAX_COEFF:g}"
+    for eps in ("1e308", "-1e308"):
+        code, out, err = run(["--epsilon", eps, command], capsys)
+        assert (code, out) == (2, "") and bound in err
+    if command != "sweep":
+        b = np.full((3, 3, 3), 0.1)
+        b[1, 2, 0] = 1e70
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"b": b.tolist()}))
+        code, out, err = run(["--tensor", str(path), command], capsys)
+        assert (code, out) == (2, "") and bound in err
+
 @pytest.mark.parametrize(
     "argv",
     [

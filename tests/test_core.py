@@ -13,20 +13,20 @@ from qqocert import (
     delta_apply,
     delta_sigma_images,
     dual_pair_apply,
-    fibonacci_sphere,
     hermitian_eigh,
     ks_global_check,
     sampled_positivity_check,
+    sphere_points,
     state_preservation_check,
 )
 from qqocert import pauli
 from qqocert.core import (
     DEFAULT_SAMPLES,
+    MAX_COEFF,
     REFINE_CAP,
     _bloch_vector,
     _product_blocks,
     _sesquilinear_family,
-    _spinors,
     scan_then_refine,
 )
 from qqocert.pauli import ID2, ID4, SIGMA, _members
@@ -51,6 +51,12 @@ def test_as_coeff_tensor_validates():
         as_coeff_tensor(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         as_coeff_tensor(np.full((3, 3, 3), np.nan))
+    assert np.array_equal(as_coeff_tensor(np.full((3, 3, 3), -MAX_COEFF)), np.full((3, 3, 3), -MAX_COEFF))
+    for big in (np.nextafter(MAX_COEFF, np.inf), 1e308):
+        b = np.zeros((3, 3, 3))
+        b[2, 0, 1] = -big
+        with pytest.raises(ValueError, match="at most 1e\\+64"):
+            as_coeff_tensor(b)
 
 
 def test_symmetry_flag():
@@ -394,7 +400,7 @@ def test_sampled_positivity_margin_reevaluates_below_scan():
             rep = sampled_positivity_check(b, 2000, 0)
             re_eval = hermitian_eigh(ID4 + np.einsum("k,kab->ab", rep.worst_w, ds))[0][0]
             assert abs(re_eval - rep.margin) <= 1e-12
-            pts = fibonacci_sphere(2000, 0)
+            pts = _bloch_vector(sphere_points(2000, 0, 2, True))
             scan = np.linalg.eigvalsh(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
             assert rep.margin <= np.min(scan)
             assert abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-12
@@ -416,19 +422,12 @@ def test_choi_product_form_at_conj_u_is_positivity_member():
 
 
 def test_spinors_round_trip_through_bloch_vectors():
-    rng = np.random.default_rng(13)
-    phi = rng.uniform(0.0, 2.0 * np.pi, 50)
-    random = rng.standard_normal((500, 3))
-    w = np.concatenate([
-        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
-        # the equator w3 = 0 is the edge between the two branches
-        np.column_stack([np.cos(phi), np.sin(phi), np.zeros(50)]),
-        random / np.linalg.norm(random, axis=1, keepdims=True),
-    ])
-    v = _spinors(w)
-    assert np.all(np.isfinite(v))
-    assert np.max(np.abs(_bloch_vector(v) - w)) <= 1e-15
-    # u = conj(v) has Bloch vector w: <u, sigma_k u> = w_k
+    # the positivity scan's points v and the poles: _bloch_vector(v) is the Bloch vector of u = conj(v)
+    v = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], sphere_points(500, 13, 2, True)])
+    w = _bloch_vector(v)
+    assert np.array_equal(w[:2], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-15
+    # <u, sigma_k u> = w_k
     assert np.max(np.abs(np.einsum("na,kab,nb->nk", v, SIGMA, np.conj(v)) - w)) <= 1e-15
 
 

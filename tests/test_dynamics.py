@@ -278,13 +278,13 @@ def test_newton_sweep_finds_only_listed_fixed_points(eps):
 
 
 def test_ball_invariance_critical():
-    rep = ball_invariance_check(CRIT, 20_000, 0)
+    rep = ball_invariance_check(CRIT)
     assert rep.invariant
     assert rep.worst_norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ball_invariance_violated_above_critical():
-    rep = ball_invariance_check(0.58, 20_000, 0)
+    rep = ball_invariance_check(0.58)
     assert not rep.invariant
     assert rep.worst_norm == pytest.approx(0.58 * np.sqrt(3.0), abs=1e-6)
     corner = np.ones(3) / np.sqrt(3.0)
@@ -295,7 +295,7 @@ def test_ball_invariance_violated_above_critical():
 
 @pytest.mark.parametrize("eps", [0.3, 0.58, 0.9])
 def test_ball_invariance_exact_sup_at_corner(eps):
-    rep = ball_invariance_check(eps, 20_000, 0)
+    rep = ball_invariance_check(eps)
     assert abs(rep.worst_norm - np.sqrt(3.0) * eps) <= 1e-12
     assert rep.invariant == (np.sqrt(3.0) * eps <= 1.0)
     v = dual_pair_apply(build_coeff_tensor(eps), rep.witness, rep.witness)
@@ -307,9 +307,15 @@ def test_ball_invariance_exact_sup_at_corner(eps):
 
 
 def test_ball_invariance_zero():
-    rep = ball_invariance_check(0.0, 2000, 0)
+    rep = ball_invariance_check(0.0)
     assert rep.invariant
     assert rep.worst_norm == 0.0
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 1e70, -1e65])
+def test_ball_invariance_refuses_what_the_tensor_gate_refuses(eps):
+    with pytest.raises(ValueError, match="finite and at most"):
+        ball_invariance_check(eps)
 
 
 def test_sphere_shrinks_at_critical_off_diagonal():

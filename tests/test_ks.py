@@ -11,7 +11,6 @@ from qqocert import (
     build_coeff_tensor,
     delta_apply,
     delta_sigma_images,
-    fibonacci_sphere,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     ks_defect,
@@ -20,6 +19,7 @@ from qqocert import (
     ks_necessary_check,
     pauli_decompose,
     sampled_positivity_check,
+    sphere_points,
     state_preservation_check,
 )
 from qqocert import core, pauli
@@ -29,12 +29,11 @@ from qqocert.core import (
     _bloch_vector,
     _product_blocks,
     _sesquilinear_family,
-    _spinors,
     choi_matrix_from_tensor,
     product_form_minimum,
     scan_then_refine,
 )
-from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES, _scan_directions
+from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES
 from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 
 from oracles import (
@@ -338,17 +337,16 @@ def test_necessary_conditions_read_the_defect():
 
 
 def test_scan_directions_unit_and_seeded():
-    a = _scan_directions(2000, 3)
-    assert a.shape == (2000, 3) and a.dtype == complex
-    assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) <= 1e-14
-    assert np.array_equal(a, _scan_directions(2000, 3))
-    assert not np.allclose(a, _scan_directions(2000, 4))
+    # the KS scan's directions are bitwise the normalized complex Gaussians it has always drawn
+    g = np.random.default_rng(3).standard_normal((2000, 3, 2))
+    z = g[..., 0] + 1j * g[..., 1]
+    assert np.array_equal(sphere_points(2000, 3, 3, True), z / np.linalg.norm(z, axis=1, keepdims=True))
 
 
 def test_global_check_refines_below_scan():
     b = rand_tensor(np.random.default_rng(14), scale=0.7)
     samples = 2000
-    ws = _scan_directions(samples, 0)
+    ws = sphere_points(samples, 0, 3, True)
     scan = min(hermitian_eigh(ks_defect(b, w))[0][0] for w in ws)
     wit = ks_global_check(b, samples, 0, 1e-8)
     assert wit is not None
@@ -391,12 +389,12 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
         ),
         (
             choi_matrix_from_tensor(b), 2, 4,
-            _spinors(real_starts),
+            sphere_points(20, 2, 2, True),
             lambda v: hermitian_eigh(ID4 + np.einsum("k,kab->ab", _bloch_vector(v), ds))[0][0],
         ),
         (
             ks_form(b), 3, 4,
-            _scan_directions(20, 1),
+            sphere_points(20, 1, 3, True),
             lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
     ]
@@ -668,11 +666,11 @@ def _defect_stack(form, w):
 
 def _stacks_built_whole(b, seed):
     """The members of the KS, positivity and preservation scans, built whole as the stack kernel took them."""
-    pts = fibonacci_sphere(DEFAULT_SAMPLES, seed)
-    mats = np.einsum("ijk,ni->nkj", b, pts)
+    w = _bloch_vector(sphere_points(DEFAULT_SAMPLES, seed, 2, True))
+    mats = np.einsum("ijk,ni->nkj", b, sphere_points(DEFAULT_SAMPLES, seed, 3, False))
     return (
-        _defect_stack(ks_form(b), _scan_directions(KS_DEFAULT_SAMPLES, seed)),
-        ID4 + np.einsum("nk,kab->nab", pts, delta_sigma_images(b)),
+        _defect_stack(ks_form(b), sphere_points(KS_DEFAULT_SAMPLES, seed, 3, True)),
+        ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b)),
         -np.einsum("nkj,nkl->njl", mats, mats),
     )
 

@@ -1,10 +1,14 @@
-"""The README's library quick start runs as written and says what it returns."""
+"""The README's library quick start and command-line examples run as written and say what they return."""
 
 import ast
+import json
 import pathlib
 import re
+import shlex
 
 import numpy as np
+
+from qqocert import build_coeff_tensor, cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +36,19 @@ def test_quick_start_matches_its_comments():
     assert len(points) == 2
     assert np.array_equal(points[0], np.zeros(3))
     assert np.allclose(points[1], np.ones(3) / np.sqrt(3.0), atol=1e-12)
+
+
+def test_command_line_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.splitlines()
+    monkeypatch.chdir(tmp_path)
+    # a completely positive tensor, so the second line's certify passes
+    (tmp_path / "tensor.json").write_text(json.dumps({"b": build_coeff_tensor(0.1).tolist()}))
+    codes = []
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "qqocert"
+        codes.append(cli.main(argv))
+        assert capsys.readouterr().out
+    assert codes == [0, 0, 1, 1, 0, 0, 0]
+    assert (tmp_path / "traj.csv").read_text().startswith("step,f1,f2,f3,rho\n")
