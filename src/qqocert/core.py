@@ -6,17 +6,18 @@ real numbers b[m][l][k]:
 
     Delta(w0*1 + w.sigma) = w0*(1 x 1) + sum_{m,l} (sum_i b[m][l][i] w_i) sigma_m x sigma_l
 
-This module evaluates that map, its dual action on product states and
-the 3x3 matrix field beta(f), and builds every certificate on shared
-pieces: one search, product_form_minimum, that every sampled
-certificate runs on its own hermitian form (KS on ks_form, the tensor
-norm on -G, positivity on the Choi matrix) at scan points drawn by the
-one sampler, sampling.sphere_points; its one scan-then-refine loop (a
-batch scan, then an exact monotone step repeated from the eight best
-points, all eight advanced together, every matrix built by
-pauli._members); and one complete-positivity check on the Choi matrix,
-built for all four matrix units at once.  Every tensor enters through
-as_coeff_tensor, which refuses entries above MAX_COEFF in size.
+This module evaluates that map, its dual action on product states and the
+3x3 matrix field beta(f), and builds every certificate on shared pieces:
+one search, product_form_minimum, that every sampled certificate runs on
+its own hermitian form (KS on ks_form, the tensor norm on -G, positivity
+on the Choi matrix) at scan points drawn by the one sampler,
+sampling.sphere_points, whose pair coordinates are made once per cached
+draw and held beside it, read-only; its one scan-then-refine loop (a batch
+scan, then an exact monotone step repeated from the eight best points, all
+eight advanced together, every matrix built by pauli._members); and one
+complete-positivity check on the Choi matrix, built for all four matrix
+units at once.  Every tensor enters through as_coeff_tensor, which
+refuses entries above MAX_COEFF in size.
 """
 
 from __future__ import annotations
@@ -107,18 +108,22 @@ def dual_pair_apply(b, f, p) -> np.ndarray:
     return out
 
 
+def _pair_coordinates(v: np.ndarray) -> np.ndarray:
+    """|v_j|^2 and, over j < l, Re and (complex v only) Im of conj(v_j) v_l, one row per point."""
+    _, j, l = _PAIRS[v.shape[1]]
+    z = np.conj(v[:, j]) * v[:, l]
+    return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
+
+
 def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
     """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*.
 
-    |v_j|^2 and, over j < l, Re and (complex v only) Im of conj(v_j) v_l weigh blocks[j, j],
-    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for hermitian_lowest_eigvals
-    and pauli._members.
+    The _pair_coordinates of v (made once for a cached draw, sampling._derived) weigh blocks[j, j],
+    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for the kernel and pauli._members.
     """
     d, j, l = _PAIRS[v.shape[1]]
-    z, keep = np.conj(v[:, j]) * v[:, l], 3 if np.iscomplexobj(v) else 2
-    coeffs = (np.real(np.conj(v) * v), z.real, z.imag)[:keep]
-    table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))[:keep]
-    return np.column_stack(coeffs), np.concatenate(table)
+    table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))
+    return sampling._derived(v, _pair_coordinates), np.concatenate(table[: 3 if np.iscomplexobj(v) else 2])
 
 
 def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:

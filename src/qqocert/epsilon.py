@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PositivityReport, as_coeff_tensor
+from .core import MAX_COEFF, PositivityReport, as_coeff_tensor
 from .pauli import (
     ID4,
     SIGMA,
@@ -26,8 +26,8 @@ PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
 def _finite(eps: float) -> float:
     e = float(eps)
-    if not np.isfinite(e):
-        raise ValueError("epsilon must be finite")
+    if not abs(e) <= MAX_COEFF:  # the tensor gate's bound, "not <=" so that NaN fails too
+        raise ValueError(f"epsilon must be finite and at most {MAX_COEFF:g} in absolute value")
     return e
 
 

@@ -16,6 +16,7 @@ from qqocert import (
     positivity_check,
     state_preservation_check,
 )
+from qqocert.core import MAX_COEFF
 from qqocert.pauli import SIGMA
 
 from oracles import (
@@ -209,9 +210,9 @@ def test_positivity_negative_coupling_symmetric():
 
 
 def _positivity_grid():
-    """Couplings across every float scale, the thresholds, and tiny negatives where every candidate ties."""
-    big = np.geomspace(5e-324, 1e308, 4000)
-    specials = [0.0, 5e-324, 1e308, np.finfo(float).max, 1.0 / 3.0, 1.0 / (3.0 * np.sqrt(3.0)), 1.0 / np.sqrt(3.0)]
+    """Couplings across every scale the tensor gate accepts, the thresholds, and tiny negatives where every candidate ties."""
+    big = np.geomspace(5e-324, MAX_COEFF, 4000)
+    specials = [0.0, 5e-324, MAX_COEFF, 1.0 / 3.0, 1.0 / (3.0 * np.sqrt(3.0)), 1.0 / np.sqrt(3.0)]
     # every candidate rounds to 1.0 below about 1.85e-17; up to 6e-17, 1 + 3*eps leaves 1.0 before 1 + eps does
     tiny_negative = -np.concatenate([np.geomspace(5e-324, 1.8e-17, 709), np.linspace(1.8e-17, 6e-17, 2000)])
     grid = np.concatenate([np.linspace(-2.0, 2.0, 20001), big, -big, specials, np.negative(specials), tiny_negative])
@@ -287,6 +288,19 @@ def test_threshold_ordering_and_bands():
         for check in (classify_epsilon, positivity_check):
             with pytest.raises(ValueError, match="epsilon must be finite"):
                 check(bad)
+
+
+@pytest.mark.parametrize("check", [classify_epsilon, positivity_check])
+def test_family_closed_forms_pass_the_tensor_gate(check):
+    # the closed forms accept exactly the couplings build_coeff_tensor accepts
+    for eps in (MAX_COEFF, -MAX_COEFF):
+        check(eps)
+        build_coeff_tensor(eps)
+    for eps in (1e70, -1e70, 1e300, np.nextafter(MAX_COEFF, np.inf), np.finfo(float).max):
+        with pytest.raises(ValueError, match="epsilon must be finite and at most 1e\\+64"):
+            check(eps)
+        with pytest.raises(ValueError, match="at most 1e\\+64"):
+            build_coeff_tensor(eps)
 
 
 def test_cp_implies_positive_implies_preserving():
