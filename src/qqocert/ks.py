@@ -27,9 +27,12 @@ eigenvector of defect(w), then w := lowest eigenvector of T(psi); neither
 half-step can raise it).
 Every defect and T(psi) is built by pauli._members, as the kernel builds
 the scanned defects, so ks_defect at a scanned direction has bitwise its
-scan value under eigvalsh.  A violation witness is any unit
-w whose defect has a negative eigenvalue; the search certifies
-violations only, never the property itself.
+scan value under eigvalsh.  A violation witness is any unit w whose
+defect has a negative eigenvalue.  M_jk = Delta(sigma_j sigma_k) -
+Delta(sigma_j) Delta(sigma_k), so M is PSD for every CP map (Schwarz's
+inequality in a Stinespring dilation), and a PSD M proves the property,
+<psi, defect(w) psi> >= lambda_min(M) at unit w and psi: ks_global_check
+then runs no scan.  The search itself certifies violations only.
 
 ks_necessary_check reads the two scalar necessary conditions off the
 same defect: with c the Pauli coordinates of E(w) = ||w||^2 I4 - defect(w)
@@ -114,21 +117,28 @@ def ks_global_check(
     seed: int = core.DEFAULT_SEED,
     tol: float = KS_DEFAULT_TOL,
 ) -> Optional[KSWitness]:
-    """Search unit complex directions for a defect with a negative eigenvalue.
+    """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
 
-    Runs core.product_form_minimum on ks_form at `samples` unit directions in
-    C^3 from sampling.sphere_points (normalized complex Gaussians): the guarded
-    lowest-eigenvalue kernel builds and solves exactly only the defects that
-    can rank among the eight lowest, and the eight most negative are polished
-    by exact alternating eigen-descent on the form (see the module docstring).
-    The witness has its largest-modulus component real and positive, and
-    min_eig is lambda_min of the defect re-evaluated there.  Returns the worst
-    witness found (min eigenvalue below -tol) or None; absence of a witness at
-    finite budget is not a proof.  Deterministic for a fixed seed.
+    samples and seed pass the sampler's checks first; then one eigvalsh gives lambda_min(M).  For unit
+    w, lambda_min(defect(w)) >= ||w||^2 lambda_min(M) for the float M the defects are built from, and
+    that eigvalsh, a defect's build (pauli._members) and eigvalsh, and ||w||^2 - 1 err by a few hundred
+    u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) - 1e-12*(||M||_F + 1) >= -tol (about 4500u
+    of slack), no value the search could reach is below -tol, and None returns without a scan.
+    Otherwise runs core.product_form_minimum on M at `samples` unit directions in C^3 from
+    sampling.sphere_points (normalized complex Gaussians): the guarded lowest-eigenvalue kernel builds
+    and solves exactly only the defects that can rank among the eight lowest, and the eight most
+    negative are polished by exact alternating eigen-descent on the form (see the module docstring).
+    The witness has its largest-modulus component real and positive, and min_eig is lambda_min of the
+    defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or None;
+    after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    _, best_w, w_blocks = core.product_form_minimum(ks_form(b), 3, 4, sampling.sphere_points(samples, seed, 3, True))
+    form = ks_form(b)
+    sampling._draw_key(samples, seed, 3, True)
+    if np.linalg.eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
+        return None
+    _, best_w, w_blocks = core.product_form_minimum(form, 3, 4, sampling.sphere_points(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
     best_val = float(core._lowest(best_w[None], w_blocks)[0][0])

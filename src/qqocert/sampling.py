@@ -25,14 +25,19 @@ _cache, _keys, _held, _lock = {}, {}, 0, threading.Lock()
 
 def sphere_points(samples: int, seed: int, n: int, complex_: bool) -> np.ndarray:
     """samples unit vectors in C^n (complex_) or R^n, normalized Gaussians from default_rng(seed); read-only, cached."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    key = (operator.index(samples), operator.index(seed), operator.index(n), bool(complex_))
+    key = _draw_key(samples, seed, n, complex_)
     if (entry := _cache.get(key)) is None:
         g = np.random.default_rng(key[1]).standard_normal((key[0], key[2], 2) if complex_ else (key[0], key[2]))
         z = g[..., 0] + 1j * g[..., 1] if complex_ else g
         entry = (z / np.linalg.norm(z, axis=1, keepdims=True),)
     return _keep(key, entry)[0]
+
+
+def _draw_key(samples: int, seed: int, n: int, complex_: bool) -> tuple:
+    """The cache key of a draw; samples < 1 raises ValueError, a non-integer samples, seed or n TypeError."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    return operator.index(samples), operator.index(seed), operator.index(n), bool(complex_)
 
 
 def _derived(points: np.ndarray, make) -> np.ndarray:

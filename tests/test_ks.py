@@ -11,6 +11,7 @@ from qqocert import (
     build_coeff_tensor,
     delta_apply,
     delta_sigma_images,
+    dual_pair_apply,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     ks_defect,
@@ -22,7 +23,7 @@ from qqocert import (
     sphere_points,
     state_preservation_check,
 )
-from qqocert import core, pauli
+from qqocert import CP_THRESHOLD, core, pauli, sampling
 from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
@@ -33,7 +34,7 @@ from qqocert.core import (
     product_form_minimum,
     scan_then_refine,
 )
-from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES
+from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES, KS_DEFAULT_TOL
 from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 
 from oracles import (
@@ -71,6 +72,11 @@ def gram_blocks(b):
 def choi_blocks(b):
     """The Choi matrix as blocks in v and in psi, the views the positivity search refines on."""
     return _product_blocks(choi_matrix_from_tensor(b), 2, 4)
+
+
+def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
+    """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
+    return product_form_minimum(ks_form(b), 3, 4, sphere_points(samples, seed, 3, True))
 
 
 def rand_unit_w(rng):
@@ -423,7 +429,8 @@ def _bits(x):
 @pytest.mark.parametrize("seed", [0, 1, 801])
 @pytest.mark.parametrize("index", range(len(_ORACLE_TENSORS)))
 def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
-    # every certificate's refine, replayed one start at a time with the single-matrix steps
+    # every certificate's refine, replayed one start at a time with the single-matrix steps; the
+    # KS search is driven directly, since ks_global_check skips it where the form is PSD
     b = _ORACLE_TENSORS[index]
     serial_steps = {
         "preservation": serial_product_step(*gram_blocks(b)),
@@ -433,7 +440,7 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
     for name, run in (
         ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
         ("positivity", lambda: core.sampled_positivity_check(b, 2000, seed)),
-        ("ks", lambda: ks_global_check(b, 5000, seed, 1e-8)),
+        ("ks", lambda: ks_scan(b, 5000, seed)),
     ):
         seen = []
 
@@ -461,7 +468,7 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
         return scan_then_refine(points, values, step)
 
     monkeypatch.setattr(core, "scan_then_refine", recording)
-    ks_global_check(b)
+    ks_scan(b)
     (ws, vals), = seen
     for i in lowest_indices(vals):
         assert _bits(np.linalg.eigvalsh(ks_defect(b, ws[i]))[0]) == _bits(vals[i])
@@ -503,7 +510,7 @@ def test_product_step_views_are_one_form(monkeypatch):
         for run, complex_ in (
             (state_preservation_check, False),
             (sampled_positivity_check, True),
-            (ks_global_check, True),
+            (ks_scan, True),
         ):
             handed.clear()
             run(b, 200, 0)
@@ -574,6 +581,136 @@ def test_global_check_validates_arguments():
     # an infinite tol would hide the -0.91 defect at 1/3 as "no violation"
     with pytest.raises(ValueError, match="tol must be positive"):
         ks_global_check(build_coeff_tensor(1.0 / 3.0), 2000, 0, np.inf)
+    # a CP tensor runs no scan, yet its budget and seed are checked as the sampler checks them
+    with pytest.raises(ValueError, match="need at least one sample"):
+        ks_global_check(build_coeff_tensor(0.1), 0, 0, 1e-8)
+    with pytest.raises(TypeError):
+        ks_global_check(build_coeff_tensor(0.1), 10, None, 1e-8)
+
+
+# ---------------------------------------------------------------- the PSD-form skip
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the KS search ran")
+
+
+@pytest.mark.parametrize("b", [
+    build_coeff_tensor(0.1), np.zeros((3, 3, 3)), rand_tensor(np.random.default_rng(63), 0.1),
+])
+def test_cp_tensor_runs_no_scan(monkeypatch, b):
+    assert core.cp_check(b).is_cp and np.linalg.eigvalsh(ks_form(b))[0] > 0
+    monkeypatch.setattr(sampling, "sphere_points", refuse)
+    monkeypatch.setattr(core, "product_form_minimum", refuse)
+    assert ks_global_check(b) is None
+
+
+@pytest.mark.parametrize("eps, tol, witness", [
+    (0.2, KS_DEFAULT_TOL, False),
+    (CP_THRESHOLD + 1e-6, KS_DEFAULT_TOL, False),
+    # lambda_min is -1.60 for the Choi matrix, -3.75 for the form and -2.87 for the defects, so a
+    # skip that read the Choi matrix would hide this witness
+    (0.5, 2.0, True),
+])
+def test_indefinite_form_still_scans(monkeypatch, eps, tol, witness):
+    b = build_coeff_tensor(eps)
+    assert np.linalg.eigvalsh(ks_form(b))[0] < -tol
+    scans = []
+
+    def recording(*args):
+        scans.append(product_form_minimum(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(core, "product_form_minimum", recording)
+    found = ks_global_check(b, 2000, 0, tol)
+    assert len(scans) == 1
+    assert (found is not None) == witness
+    assert found is None or found.min_eig < -tol
+
+
+def form_root(b0):
+    """The t > 0 where lambda_min(ks_form(t*b0)) crosses 0, as (t just below, t just above).
+
+    M(t) = M0 + t*M1 - t^2*M2 with M0 = I and M2 a Gram matrix, so lambda_min is concave in t with
+    one root on each side of 0.
+    """
+    lo, hi = 0.0, 1.0
+    while np.linalg.eigvalsh(ks_form(hi * b0))[0] >= 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if np.linalg.eigvalsh(ks_form(mid * b0))[0] >= 0 else (lo, mid)
+    return lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.02, 0.4),
+    on_ray=st.sampled_from([None, 0, 1]),
+    log_tol=st.floats(-15.0, 0.5),
+)
+def test_skip_fires_only_where_the_scan_finds_no_witness(seed, scale, on_ray, log_tol):
+    # on_ray: the tensor scaled to either side of its form's root, where the skip's slack decides
+    rng = np.random.default_rng(seed)
+    b = rand_tensor(rng, scale)
+    if on_ray is not None:
+        b = form_root(b)[on_ray] * b
+    tol = 10.0**log_tol
+    scans = []
+
+    def recording(*args):
+        scans.append(product_form_minimum(*args))
+        return scans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "product_form_minimum", recording)
+        found = ks_global_check(b, 2000, 0, tol)
+    if not scans:
+        assert found is None
+        assert ks_scan(b, 2000, 0)[0] >= -tol
+
+
+# ---------------------------------------------------------------- witnesses carried down
+
+
+def test_positivity_witness_is_a_ks_witness():
+    # at a real unit w, D(w) = I - A^2 with A = w.Dsigma, and the positivity value there is
+    # lambda_min(I + A) = m: A has the eigenvalue m - 1, so D(w) has 1 - (m - 1)^2 = m(2 - m)
+    rng = np.random.default_rng(70)
+    carried = 0
+    for _ in range(60):
+        b = rand_tensor(rng, rng.uniform(0.1, 0.8))
+        pos = sampled_positivity_check(b, 2000, 0)
+        m = pos.margin
+        if m >= 0:
+            continue
+        carried += 1
+        assert abs(np.linalg.norm(pos.worst_w) - 1.0) <= 1e-14
+        rounding = 1e-12 * (1.0 + np.sum(b**2))
+        assert hermitian_eigh(ks_defect(b, pos.worst_w))[0][0] <= m * (2.0 - m) + rounding
+    assert carried >= 20
+
+
+def test_preservation_witness_is_a_positivity_witness():
+    # tr[(rho_f x rho_p) (I + w.Dsigma)] = 1 + w.z with z = b(f, p, .), which is 1 - |z| at
+    # w = -z/|z|; a product state bounds lambda_min from above
+    rng = np.random.default_rng(71)
+    carried = 0
+    for _ in range(60):
+        b = rand_tensor(rng, rng.uniform(0.1, 0.8))
+        pres = state_preservation_check(b, 2000, 0)
+        z = dual_pair_apply(b, pres.witness_f, pres.witness_p)
+        norm = np.linalg.norm(z)
+        if norm <= 1.0:
+            continue
+        carried += 1
+        w = -z / norm
+        margin = hermitian_eigh(ID4 + np.einsum("k,kab->ab", w, delta_sigma_images(b)))[0][0]
+        assert margin <= 1.0 - norm + 1e-12 * (1.0 + norm)
+    assert carried >= 20
 
 
 def test_global_check_finds_witness_at_one_third():
@@ -698,7 +835,7 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
     tensors += [rand_tensor(rng, scale) for scale in (0.05, 0.25, 1.0, 10.0)]
     for b in tensors:
         handed.clear()
-        ks_global_check(b, seed=seed)
+        ks_scan(b, seed=seed)
         sampled_positivity_check(b, seed=seed)
         state_preservation_check(b, seed=seed)
         assert len(handed) == 3
