@@ -28,11 +28,8 @@ from .core import (
     state_preservation_check,
 )
 from .epsilon import (
-    CP_THRESHOLD,
-    POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
     build_coeff_tensor,
-    classify_epsilon,
     delta_eps_apply,
     positivity_check,
 )

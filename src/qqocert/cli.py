@@ -210,7 +210,9 @@ def _cmd_sweep(args) -> int:
         witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
         rows.append({
             "epsilon": e,
-            "band": epsilon.classify_epsilon(e),
+            # from the row's own results, so that the row never contradicts itself at a threshold
+            "band": "cp" if cp.is_cp else "positive" if pos.is_positive
+            else "state-preserving" if dynamics._in_eps_domain(e) else "invalid",
             "is_positive": pos.is_positive,
             "positivity_margin": pos.margin,
             "is_cp": cp.is_cp,

@@ -233,7 +233,7 @@ def state_preservation_check(
     gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
     _, f, f_blocks = product_form_minimum(-gram, 3, 3, sampling.sphere_points(samples, seed, 3, False))
     lowest, p = _lowest(f[None], f_blocks)
-    max_norm = np.sqrt(max(-lowest[0], 0.0))
+    max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
         max_norm=float(max_norm),
         witness_f=np.array(f),

@@ -33,10 +33,14 @@ class DomainError(ValueError):
     """Raised when the dynamics is requested outside its ball-preserving domain."""
 
 
+def _in_eps_domain(eps: float) -> bool:
+    """Whether the dynamics runs at this coupling; "<=" so that NaN is outside."""
+    return abs(eps) <= PRESERVATION_THRESHOLD + _EPS_DOMAIN_SLACK
+
+
 def _check_eps_domain(eps: float) -> float:
     e = float(eps)
-    # written as "not <=" so that NaN fails the test
-    if not abs(e) <= PRESERVATION_THRESHOLD + _EPS_DOMAIN_SLACK:
+    if not _in_eps_domain(e):
         raise DomainError(
             f"|eps| = {abs(e):.6f} is not within 1/sqrt(3); the map may leave the ball"
         )

@@ -4,7 +4,10 @@ The family has a single real coupling and closed-form spectra, which
 makes every certification threshold explicit: the induced map is
 completely positive iff |eps| <= 1/(3*sqrt(3)), positive iff
 |eps| <= 1/3, and keeps the Bloch ball invariant under its quadratic
-dynamics iff |eps| <= 1/sqrt(3).
+dynamics iff |eps| <= 1/sqrt(3).  Only the last constant lives here,
+for the dynamics' domain; the CP and positivity thresholds and the band
+classifier built on them are exact references in tests/oracles.py, and
+`sweep` reads each row's band off the row's own checks.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .pauli import (
     PauliCoeffs,
 )
 
-CP_THRESHOLD = 1.0 / (3.0 * np.sqrt(3.0))
-POSITIVITY_THRESHOLD = 1.0 / 3.0
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
 
@@ -29,18 +30,6 @@ def _finite(eps: float) -> float:
     if not abs(e) <= MAX_COEFF:  # the tensor gate's bound, "not <=" so that NaN fails too
         raise ValueError(f"epsilon must be finite and at most {MAX_COEFF:g} in absolute value")
     return e
-
-
-def classify_epsilon(eps: float) -> str:
-    """Band of the coupling: 'cp', 'positive', 'state-preserving' or 'invalid'."""
-    a = abs(_finite(eps))
-    if a <= CP_THRESHOLD:
-        return "cp"
-    if a <= POSITIVITY_THRESHOLD:
-        return "positive"
-    if a <= PRESERVATION_THRESHOLD:
-        return "state-preserving"
-    return "invalid"
 
 
 def build_coeff_tensor(eps: float) -> np.ndarray:

@@ -55,7 +55,10 @@ def _keep(key, entry: tuple) -> tuple:
     for a in entry:
         a.flags.writeable = False
     with _lock:
-        _held += sum(a.nbytes + 1024 for a in entry) - sum(a.nbytes + 1024 for a in _cache.pop(key, ()))
+        replaced = _cache.pop(key, ())
+        _held += sum(a.nbytes + 1024 for a in entry) - sum(a.nbytes + 1024 for a in replaced)
+        if replaced and replaced[0] is not entry[0]:  # another thread's draw of the same key
+            del _keys[id(replaced[0])]
         _cache[key], _keys[id(entry[0])] = entry, key
         while _held > CACHE_BYTES:
             old = _cache.pop(next(iter(_cache)))

@@ -5,6 +5,7 @@ import numpy as np
 from qqocert import PauliCoeffs, beta_matrix, delta_apply, delta_eps_apply
 from qqocert.core import REFINE_CAP, REFINE_RTOL, _sesquilinear_family, as_coeff_tensor
 from qqocert.dynamics import _check_eps_domain, _v_eps_raw
+from qqocert.epsilon import PRESERVATION_THRESHOLD, _finite
 from qqocert.ks import KS_COND_TOL
 from qqocert.pauli import (
     ID2,
@@ -16,6 +17,23 @@ from qqocert.pauli import (
     pauli_decompose,
     require_hermitian,
 )
+
+
+# the family's exact CP and positivity thresholds: references for the bands sweep reads off its checks
+CP_THRESHOLD = 1.0 / (3.0 * np.sqrt(3.0))
+POSITIVITY_THRESHOLD = 1.0 / 3.0
+
+
+def classify_epsilon(eps: float) -> str:
+    """Band of the coupling: 'cp', 'positive', 'state-preserving' or 'invalid'."""
+    a = abs(_finite(eps))
+    if a <= CP_THRESHOLD:
+        return "cp"
+    if a <= POSITIVITY_THRESHOLD:
+        return "positive"
+    if a <= PRESERVATION_THRESHOLD:
+        return "state-preserving"
+    return "invalid"
 
 
 def pauli_compose(c):

@@ -15,6 +15,8 @@ import qqocert
 from qqocert import cli, core
 from qqocert.cli import build_parser, main
 
+from oracles import CP_THRESHOLD, POSITIVITY_THRESHOLD, classify_epsilon
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -184,6 +186,34 @@ def test_sweep_command(capsys):
     assert doc["rows"][1]["band"] == "cp"
     assert doc["rows"][0]["band"] == "state-preserving"
     assert not doc["rows"][0]["is_positive"]
+
+
+THRESHOLDS = (CP_THRESHOLD, POSITIVITY_THRESHOLD, qqocert.PRESERVATION_THRESHOLD)
+
+
+# the three ten-digit spellings sit within 1e-9 of a threshold, on the side the checks' tolerances accept
+@pytest.mark.parametrize("eps", [0.0, 0.19245008973, 0.33333333334, 0.5773502692] + [
+    float(np.nextafter(t, side)) for t in THRESHOLDS for side in (0.0, 1.0)
+])
+def test_sweep_band_is_read_off_the_row(eps, capsys):
+    code, out, _ = run(["--epsilon", repr(eps), "--count", "1", "--samples", "200", "sweep"], capsys)
+    (row,) = json.loads(out)["rows"]
+    assert code == 0 and row["epsilon"] == -eps
+    simulates = main(["--epsilon", repr(-eps), "--steps", "1", "simulate"]) == 0
+    capsys.readouterr()
+    want = "cp" if row["is_cp"] else "positive" if row["is_positive"] else "state-preserving"
+    assert row["band"] == (want if simulates else "invalid")
+    if all(abs(eps - t) > 1e-9 for t in THRESHOLDS):
+        assert row["band"] == classify_epsilon(eps)
+
+
+@pytest.mark.parametrize("source", [["--epsilon", "0"], ["--tensor", "zero.json"]])
+def test_zero_norm_prints_unsigned(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.json").write_text(json.dumps({"b": np.zeros((3, 3, 3)).tolist()}))
+    code, out, _ = run([*source, "--samples", "500", "certify"], capsys)
+    assert code == 0
+    assert '"max_norm": 0.0,' in out
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -168,7 +169,10 @@ def test_preservation_witness_matches_svd():
 
 
 def test_b_norm_sup_zero():
-    assert state_preservation_check(np.zeros((3, 3, 3)), 500, 0).max_norm == 0.0
+    for b in (np.zeros((3, 3, 3)), build_coeff_tensor(0.0)):
+        max_norm = state_preservation_check(b, 500, 0).max_norm
+        # -0.0 == 0.0, so only the sign bit tells a report's "max_norm": 0.0 from -0.0
+        assert max_norm == 0.0 and math.copysign(1.0, max_norm) == 1.0
 
 
 def test_b_norm_sup_family():

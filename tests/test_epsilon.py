@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from qqocert import (
-    CP_THRESHOLD,
-    POSITIVITY_THRESHOLD,
     PRESERVATION_THRESHOLD,
     PauliCoeffs,
     build_coeff_tensor,
     choi_matrix_from_tensor,
-    classify_epsilon,
     cp_check,
     delta_apply,
     delta_eps_apply,
@@ -21,9 +18,12 @@ from qqocert.pauli import SIGMA
 
 from oracles import (
     CHOI_BLOCK_UNIT,
+    CP_THRESHOLD,
+    POSITIVITY_THRESHOLD,
     NonRealInput,
     b_matrix,
     choi_matrix_family,
+    classify_epsilon,
     family_positivity_at_candidates,
     spectrum_closed_form,
 )

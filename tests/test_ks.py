@@ -23,7 +23,7 @@ from qqocert import (
     sphere_points,
     state_preservation_check,
 )
-from qqocert import CP_THRESHOLD, core, pauli, sampling
+from qqocert import core, pauli, sampling
 from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
@@ -40,6 +40,7 @@ from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
 from oracles import (
     ABCD_EXACT,
     ABCD_W,
+    CP_THRESHOLD,
     _auxiliaries,
     necessary_conditions_paper,
     serial_product_step,

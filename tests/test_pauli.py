@@ -1,8 +1,12 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qqocert
 from qqocert import (
     NonHermitianInput,
     PauliCoeffs,
@@ -444,3 +448,16 @@ def test_state_eval_diagonal_direction():
     f = np.ones(3) / np.sqrt(3.0)
     c = PauliCoeffs(0.0, [1.0, 1.0, 1.0])
     assert state_eval(f, c) == pytest.approx(np.sqrt(3.0))
+
+
+def test_only_the_kernel_calls_a_lapack_eigensolver():
+    callers = set()
+    for path in pathlib.Path(qqocert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+                or isinstance(node, ast.ImportFrom) and any(a.name in ("eigh", "eigvalsh") for a in node.names)
+            )
+            if named:
+                callers.add(path.name)
+    assert callers == {"pauli.py"}

@@ -200,6 +200,21 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
     assert errors == []
     assert sampling._held == sum(a.nbytes + 1024 for e in sampling._cache.values() for a in e) <= sampling.CACHE_BYTES
     assert all(sampling._keys[id(e[0])] == key for key, e in sampling._cache.items())
+    assert len(sampling._keys) == len(sampling._cache)
+
+
+def test_a_replaced_draw_leaves_no_stale_id(empty_cache, monkeypatch):
+    # two threads that miss one key both draw it, outside the lock; the later _keep replaces the earlier
+    key = (10, 0, 3, True)
+    first, second = fresh_draw(*key), fresh_draw(*key)
+    sampling._keep(key, (first,))
+    sampling._keep(key, (second,))
+    assert sampling._keys == {id(second): key}
+    sampling._keep(key, (second, _pair_coordinates(second)))  # the same draw with its pair coordinates
+    assert sampling._keys == {id(second): key}
+    monkeypatch.setattr(sampling, "CACHE_BYTES", 0)
+    sampling._keep((20, 0, 3, True), (fresh_draw(20, 0, 3, True),))
+    assert sampling._cache == {} and sampling._keys == {} and sampling._held == 0
 
 
 def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, tmp_path):
