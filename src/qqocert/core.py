@@ -10,18 +10,19 @@ This module evaluates that map, its dual action on product states and the
 3x3 matrix field beta(f), and builds every certificate on shared pieces:
 one search, product_form_minimum, that every sampled certificate runs on
 its own hermitian form (KS on ks_form, the tensor norm on -G, positivity
-on the Choi matrix) at scan points drawn by the one sampler,
-sampling.sphere_points, whose pair coordinates are made once per cached
-draw and held beside it, read-only; its one scan-then-refine loop (a batch
-scan, then an exact monotone step repeated from the eight best points, all
-eight advanced together, every matrix built by pauli._members); and one
-complete-positivity check on the Choi matrix, built for all four matrix
-units at once.  Every tensor enters through as_coeff_tensor, which
-refuses entries above MAX_COEFF in size.
+on the Choi matrix) over one scan, _scan: the points of the one sampler,
+sampling.sphere_points, and their pair coordinates, made together once
+per process and held read-only under the draw's key; its one
+scan-then-refine loop (a batch scan, then an exact monotone step repeated
+from the eight best points, all eight advanced together, every matrix
+built by pauli._members); and one complete-positivity check on the Choi
+matrix, built for all four matrix units at once.  Every tensor enters
+through as_coeff_tensor, which refuses entries above MAX_COEFF in size.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
 MAX_COEFF = 1e64
+CACHE_BYTES = 32 << 20
+# draw key -> (points, pair coordinates), least recently used first; bytes held, 1 KiB extra an array
+_cache, _held, _lock = {}, 0, threading.Lock()
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
@@ -115,15 +119,40 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
     return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
 
 
-def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
-    """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*.
+def _pair_table(blocks: np.ndarray, complex_: bool) -> np.ndarray:
+    """The table _pair_coordinates weigh: blocks[j, j], blocks[j, l] + blocks[l, j], i*(blocks[j, l] - blocks[l, j]).
 
-    The _pair_coordinates of v (made once for a cached draw, sampling._derived) weigh blocks[j, j],
-    blocks[j, l] + blocks[l, j] and i*(blocks[j, l] - blocks[l, j]), for the kernel and pauli._members.
+    The last only if complex_; the kernel and pauli._members read it.
     """
-    d, j, l = _PAIRS[v.shape[1]]
+    d, j, l = _PAIRS[len(blocks)]
     table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))
-    return sampling._derived(v, _pair_coordinates), np.concatenate(table[: 3 if np.iscomplexobj(v) else 2])
+    return np.concatenate(table[: 3 if complex_ else 2])
+
+
+def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
+    """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*."""
+    return _pair_coordinates(v), _pair_table(blocks, np.iscomplexobj(v))
+
+
+def _scan(samples: int, seed: int, n: int, complex_: bool) -> tuple:
+    """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed, n, complex_), read-only.
+
+    Drawn once per process, outside the lock, and held under sampling._draw_key as the newest entry;
+    past CACHE_BYTES the least recently used go, to be drawn again, bitwise alike.
+    """
+    global _held
+    key = sampling._draw_key(samples, seed, n, complex_)
+    if (entry := _cache.get(key)) is None:
+        points = sampling.sphere_points(*key)
+        entry = (points, _pair_coordinates(points))
+        for a in entry:
+            a.flags.writeable = False
+    with _lock:
+        _held += sum(a.nbytes + 1024 for a in entry) - sum(a.nbytes + 1024 for a in _cache.pop(key, ()))
+        _cache[key] = entry
+        while _held > CACHE_BYTES:
+            _held -= sum(a.nbytes + 1024 for a in _cache.pop(next(iter(_cache))))
+    return entry
 
 
 def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
@@ -181,16 +210,17 @@ def scan_then_refine(points, values, step) -> tuple:
     return float(val[best]), x[best], rounds
 
 
-def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray) -> tuple:
+def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray, coords: np.ndarray) -> tuple:
     """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
 
     The one search every sampled certificate runs: the kernel scans lambda_min(M(x)) at the given
-    points x, then scan_then_refine polishes the best by alternating eigen-descent, with y (the carry)
-    the lowest eigenvector of M(x): a round sets x to that of M(y), then y to that of M(x), so
-    lambda_min(M(x)) never rises.  Returns (value, x, x_blocks), x_blocks for reading M(x) off.
+    points x from their _pair_coordinates, coords (a _scan gives both), then scan_then_refine
+    polishes the best by alternating eigen-descent, with y (the carry) the lowest eigenvector of
+    M(x): a round sets x to that of M(y), then y to that of M(x), so lambda_min(M(x)) never rises.
+    Returns (value, x, x_blocks), x_blocks for reading M(x) off.
     """
     x_blocks, y_blocks = _product_blocks(form, nx, ny)
-    vals = hermitian_lowest_eigvals(*_sesquilinear_family(points, x_blocks))
+    vals = hermitian_lowest_eigvals(coords, _pair_table(x_blocks, np.iscomplexobj(points)))
 
     def step(x, y):
         if y is None:
@@ -231,7 +261,7 @@ def state_preservation_check(
     """
     arr = as_coeff_tensor(b)
     gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
-    _, f, f_blocks = product_form_minimum(-gram, 3, 3, sampling.sphere_points(samples, seed, 3, False))
+    _, f, f_blocks = product_form_minimum(-gram, 3, 3, *_scan(samples, seed, 3, False))
     lowest, p = _lowest(f[None], f_blocks)
     max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
@@ -268,8 +298,7 @@ def sampled_positivity_check(
     sampling.sphere_points and refines the worst, as the KS search does on ks_form, and worst_w is read
     off the final v.
     """
-    vs = sampling.sphere_points(samples, seed, 2, True)
-    margin, v, _ = product_form_minimum(choi_matrix_from_tensor(b), 2, 4, vs)
+    margin, v, _ = product_form_minimum(choi_matrix_from_tensor(b), 2, 4, *_scan(samples, seed, 2, True))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=_bloch_vector(v),

@@ -63,10 +63,7 @@ def load_tensor_file(path: str) -> np.ndarray:
         raise ValueError(f"{path}: exactly one of 'b' or 'epsilon' must be present")
     try:
         if "epsilon" in doc:
-            eps = _real(doc["epsilon"])
-            if not np.isfinite(eps):
-                raise ValueError("'epsilon' must be a finite number")
-            return build_coeff_tensor(eps)
+            return build_coeff_tensor(_real(doc["epsilon"]))
         b = doc["b"]
         # the shape is checked level by level, so no depth of nesting recurses
         if not (

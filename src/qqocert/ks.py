@@ -139,7 +139,7 @@ def ks_global_check(
     sampling._draw_key(samples, seed, 3, True)
     if hermitian_eigh(form)[0][0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
-    _, best_w, w_blocks = core.product_form_minimum(form, 3, 4, sampling.sphere_points(samples, seed, 3, True))
+    _, best_w, w_blocks = core.product_form_minimum(form, 3, 4, *core._scan(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
     best_val = float(core._lowest(best_w[None], w_blocks)[0][0])

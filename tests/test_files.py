@@ -91,6 +91,16 @@ def test_tensor_file_rejects_bad_payloads(tmp_path, payload, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("eps", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_non_finite_epsilon_is_refused_by_the_tensor_gate(tmp_path, eps, capsys):
+    # json reads these as float nan and inf; the one check is build_coeff_tensor's
+    path = tmp_path / "eps.json"
+    path.write_text('{"epsilon": %s}' % eps)
+    assert main(["--tensor", str(path), "certify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{path}: bad tensor payload (coefficient tensor entries must be finite" in err
+
+
 def test_trajectory_csv_schema():
     traj = iterate(0.5, [0.6, 0.0, 0.0], tol=1e-10)
     buf = io.StringIO()

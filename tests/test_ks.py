@@ -28,6 +28,7 @@ from qqocert.core import (
     DEFAULT_SAMPLES,
     REFINE_CAP,
     _bloch_vector,
+    _pair_coordinates,
     _product_blocks,
     _sesquilinear_family,
     choi_matrix_from_tensor,
@@ -77,7 +78,7 @@ def choi_blocks(b):
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
-    return product_form_minimum(ks_form(b), 3, 4, sphere_points(samples, seed, 3, True))
+    return product_form_minimum(ks_form(b), 3, 4, *core._scan(samples, seed, 3, True))
 
 
 def rand_unit_w(rng):
@@ -408,7 +409,7 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
     for form, nx, ny, starts, value in cases:
         for x0 in starts:
             seen.clear()
-            val, x, _ = product_form_minimum(form, nx, ny, x0[None])
+            val, x, _ = product_form_minimum(form, nx, ny, x0[None], _pair_coordinates(x0[None]))
             ((start,), (_, _, rounds)), = seen
             assert abs(value(x0) - start) <= 1e-12
             assert val <= start
@@ -479,9 +480,10 @@ def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
     # at the default budgets: the form's size, (nx, ny), complex points or not, and their count
     handed = []
 
-    def recording(form, nx, ny, points):
+    def recording(form, nx, ny, points, coords):
         handed.append((form.shape, nx, ny, np.iscomplexobj(points), len(points)))
-        return product_form_minimum(form, nx, ny, points)
+        assert coords.tobytes() == _pair_coordinates(points).tobytes()
+        return product_form_minimum(form, nx, ny, points, coords)
 
     monkeypatch.setattr(core, "product_form_minimum", recording)
     b = rand_tensor(np.random.default_rng(62))

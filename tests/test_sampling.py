@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qqocert import cli, ks_global_check, sampled_positivity_check, sampling, state_preservation_check
+from qqocert import cli, core, ks_global_check, sampled_positivity_check, sampling, state_preservation_check
 from qqocert.core import _bloch_vector, _pair_coordinates, _sesquilinear_family
 
 
@@ -37,7 +37,7 @@ def test_positivity_scan_points_are_uniform_on_the_bloch_sphere(seed):
     assert np.max(np.abs(w.T @ w / len(w) - np.eye(3) / 3.0)) < 0.01
 
 
-def test_every_sampled_certificate_draws_through_the_one_sampler(monkeypatch):
+def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, monkeypatch):
     drawn = []
     sphere_points = sampling.sphere_points
 
@@ -63,8 +63,8 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(monkeypatch):
 @pytest.fixture
 def empty_cache(monkeypatch):
     """An empty draw cache for one test; the process's own comes back afterwards."""
-    for name, value in (("_cache", {}), ("_keys", {}), ("_held", 0)):
-        monkeypatch.setattr(sampling, name, value)
+    for name, value in (("_cache", {}), ("_held", 0)):
+        monkeypatch.setattr(core, name, value)
 
 
 def fresh_draw(samples, seed, n, complex_):
@@ -75,16 +75,32 @@ def fresh_draw(samples, seed, n, complex_):
 
 
 def held_bytes():
-    return sum(a.nbytes for entry in sampling._cache.values() for a in entry)
+    return sum(a.nbytes for entry in core._cache.values() for a in entry)
+
+
+def assert_whole_scans():
+    """Every entry is one scan, (points, their pair coordinates), both read-only."""
+    for key, (points, coords) in core._cache.items():
+        assert points.tobytes() == fresh_draw(*key).tobytes(), key
+        assert coords.tobytes() == _pair_coordinates(points).tobytes(), key
+        assert not (points.flags.writeable or coords.flags.writeable), key
 
 
 BLOCKS = np.zeros((3, 3, 4, 4), dtype=complex)
 
 
+def test_the_sampler_holds_nothing(empty_cache):
+    a = sampling.sphere_points(100, 3, 3, True)
+    b = sampling.sphere_points(100, 3, 3, True)
+    assert a is not b and a.flags.writeable and a.tobytes() == b.tobytes()
+    assert core._cache == {}
+    own = {name for name in vars(sampling) if not name.startswith("__")}
+    assert own == {"annotations", "operator", "np", "sphere_points", "_draw_key"}
+
+
 def test_cached_points_and_pair_coordinates_are_read_only(empty_cache):
-    points = sampling.sphere_points(100, 3, 3, True)
-    coeffs, _ = _sesquilinear_family(points, BLOCKS)
-    for a in (points, coeffs):
+    points, coords = core._scan(100, 3, 3, True)
+    for a in (points, coords):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0
 
@@ -92,15 +108,29 @@ def test_cached_points_and_pair_coordinates_are_read_only(empty_cache):
 @pytest.mark.parametrize("n, complex_", [(3, False), (2, True), (3, True)])
 def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkeypatch, n, complex_):
     want = fresh_draw(700, 11, n, complex_).tobytes()
-    first = sampling.sphere_points(700, 11, n, complex_)
-    assert sampling.sphere_points(700, 11, n, complex_) is first
-    assert first.tobytes() == want
-    monkeypatch.setattr(sampling, "CACHE_BYTES", 0)
-    sampling.sphere_points(5, 1, 1, False)
-    assert sampling._cache == {} and sampling._keys == {} and sampling._held == 0
-    again = sampling.sphere_points(700, 11, n, complex_)
-    assert again is not first and not again.flags.writeable
-    assert again.tobytes() == want
+    first = core._scan(700, 11, n, complex_)
+    assert core._scan(700, 11, n, complex_) is first
+    assert first[0].tobytes() == want
+    monkeypatch.setattr(core, "CACHE_BYTES", 0)
+    core._scan(5, 1, 2, False)
+    assert core._cache == {} and core._held == 0
+    again = core._scan(700, 11, n, complex_)
+    assert again[0] is not first[0] and not again[0].flags.writeable
+    assert again[0].tobytes() == want and again[1].tobytes() == first[1].tobytes()
+
+
+def test_a_hit_makes_its_scan_the_most_recently_used(empty_cache, monkeypatch):
+    # room for two scans of 100 points: a hit on A moves it past B, so drawing C evicts B, not A
+    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes + 1024 for a in core._scan(100, 0, 3, True)))
+    core._cache.clear()
+    core._held = 0
+    a_key, b_key, c_key = ((100, seed, 3, True) for seed in (1, 2, 3))
+    a = core._scan(*a_key)
+    core._scan(*b_key)
+    assert core._scan(*a_key) is a
+    core._scan(*c_key)
+    assert list(core._cache) == [a_key, c_key]
+    assert core._scan(*a_key) is a
 
 
 def test_repeated_certificates_draw_nothing(empty_cache, monkeypatch):
@@ -120,56 +150,54 @@ def test_repeated_certificates_draw_nothing(empty_cache, monkeypatch):
 
 
 def test_numpy_integers_share_the_entry_of_python_integers(empty_cache):
-    a = sampling.sphere_points(np.int64(50_000), np.int64(0), np.int64(3), np.bool_(True))
-    assert sampling.sphere_points(50_000, 0, 3, True) is a
-    assert list(sampling._cache) == [(50_000, 0, 3, True)]
+    a = core._scan(np.int64(50_000), np.int64(0), np.int64(3), np.bool_(True))
+    assert core._scan(50_000, 0, 3, True) is a
+    assert list(core._cache) == [(50_000, 0, 3, True)]
 
 
 @pytest.mark.parametrize("samples, seed", [(10.5, 0), (np.float64(10.0), 0), (10, 1.5), (10, None), ("10", 0)])
 def test_a_non_integer_budget_or_seed_raises_before_anything_is_held(empty_cache, samples, seed):
-    with pytest.raises(TypeError):
-        sampling.sphere_points(samples, seed, 3, True)
-    assert sampling._cache == {} and sampling._keys == {} and sampling._held == 0
+    for draw in (sampling.sphere_points, core._scan):
+        with pytest.raises(TypeError):
+            draw(samples, seed, 3, True)
+    assert core._cache == {} and core._held == 0
 
 
 def test_the_cache_never_holds_more_than_its_bound(empty_cache):
     for seed in range(12):
-        points = sampling.sphere_points(50_000, seed, 3, True)
-        _sesquilinear_family(points, BLOCKS)
-        assert held_bytes() <= sampling._held <= sampling.CACHE_BYTES
-        assert sorted(map(id, (e[0] for e in sampling._cache.values()))) == sorted(sampling._keys)
-    assert 1 < len(sampling._cache) < 12
+        core._scan(50_000, seed, 3, True)
+        assert held_bytes() <= core._held <= core.CACHE_BYTES
+    assert 1 < len(core._cache) < 12
+    assert_whole_scans()
 
 
 def test_a_draw_larger_than_the_bound_is_handed_out_but_not_held(empty_cache, monkeypatch):
-    monkeypatch.setattr(sampling, "CACHE_BYTES", 100_000)
-    small = sampling.sphere_points(100, 1, 3, True)
-    big = sampling.sphere_points(20_000, 1, 3, True)
-    assert not big.flags.writeable and big.tobytes() == fresh_draw(20_000, 1, 3, True).tobytes()
-    assert sampling.sphere_points(20_000, 1, 3, True) is not big
-    assert list(sampling._cache.values()) == [] and held_bytes() == sampling._held == 0
-    coeffs = _sesquilinear_family(big, BLOCKS)[0]
-    assert coeffs.flags.writeable and _sesquilinear_family(big, BLOCKS)[0] is not coeffs
-    assert sampling.sphere_points(100, 1, 3, True) is not small
+    monkeypatch.setattr(core, "CACHE_BYTES", 100_000)
+    small = core._scan(100, 1, 3, True)
+    big_points, big_coords = big = core._scan(20_000, 1, 3, True)
+    assert not big_points.flags.writeable and big_points.tobytes() == fresh_draw(20_000, 1, 3, True).tobytes()
+    assert not big_coords.flags.writeable and big_coords.tobytes() == _pair_coordinates(big_points).tobytes()
+    assert core._scan(20_000, 1, 3, True) is not big
+    assert list(core._cache.values()) == [] and held_bytes() == core._held == 0
+    assert core._scan(100, 1, 3, True) is not small
 
 
 def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
-    points = sampling.sphere_points(500, 2, 3, True)
-    held = _sesquilinear_family(points, BLOCKS)[0]
-    assert _sesquilinear_family(points, BLOCKS)[0] is held
+    points, held = core._scan(500, 2, 3, True)
+    assert core._scan(500, 2, 3, True)[1] is held
     frozen = points.copy()
     frozen.flags.writeable = False
-    for other in (points.copy(), frozen):
+    for other in (points, points.copy(), frozen):
         coeffs = _sesquilinear_family(other, BLOCKS)[0]
         assert coeffs is not held and coeffs.flags.writeable
         assert coeffs.tobytes() == held.tobytes()
         assert _sesquilinear_family(other, BLOCKS)[0] is not coeffs
-    assert len(sampling._cache) == 1
+    assert len(core._cache) == 1
 
 
 def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
     # a bound of about one entry, so that every few calls evict what another thread is reading
-    monkeypatch.setattr(sampling, "CACHE_BYTES", 20_000)
+    monkeypatch.setattr(core, "CACHE_BYTES", 20_000)
     keys = [(60 + 10 * k, k, 3, True) for k in range(6)]
     want = {key: fresh_draw(*key) for key in keys}
     want = {key: (p.tobytes(), _pair_coordinates(p).tobytes()) for key, p in want.items()}
@@ -177,11 +205,10 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
 
     def work(offset):
         try:
-            for i in range(300):
+            for i in range(1000):
                 key = keys[(i + offset) % len(keys)]
-                points = sampling.sphere_points(*key)
-                got = (points.tobytes(), _sesquilinear_family(points, BLOCKS)[0].tobytes())
-                if got != want[key]:
+                points, coords = core._scan(*key)
+                if (points.tobytes(), coords.tobytes()) != want[key]:
                     errors.append(key)
         except Exception as exc:  # collected, so that the assertion below names it
             errors.append(exc)
@@ -189,7 +216,7 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -198,23 +225,27 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sampling._held == sum(a.nbytes + 1024 for e in sampling._cache.values() for a in e) <= sampling.CACHE_BYTES
-    assert all(sampling._keys[id(e[0])] == key for key, e in sampling._cache.items())
-    assert len(sampling._keys) == len(sampling._cache)
+    assert core._held == sum(a.nbytes + 1024 for e in core._cache.values() for a in e) <= core.CACHE_BYTES
+    assert_whole_scans()
 
 
-def test_a_replaced_draw_leaves_no_stale_id(empty_cache, monkeypatch):
-    # two threads that miss one key both draw it, outside the lock; the later _keep replaces the earlier
+def test_a_draw_that_lost_a_race_replaces_the_entry_once(empty_cache, monkeypatch):
+    # two callers that miss one key both draw it, outside the lock: here the first caller's draw
+    # runs a second, complete _scan of the same key before it returns, and its entry replaces that one
     key = (10, 0, 3, True)
-    first, second = fresh_draw(*key), fresh_draw(*key)
-    sampling._keep(key, (first,))
-    sampling._keep(key, (second,))
-    assert sampling._keys == {id(second): key}
-    sampling._keep(key, (second, _pair_coordinates(second)))  # the same draw with its pair coordinates
-    assert sampling._keys == {id(second): key}
-    monkeypatch.setattr(sampling, "CACHE_BYTES", 0)
-    sampling._keep((20, 0, 3, True), (fresh_draw(20, 0, 3, True),))
-    assert sampling._cache == {} and sampling._keys == {} and sampling._held == 0
+    sphere_points, inner = sampling.sphere_points, []
+
+    def racing(*args):
+        monkeypatch.setattr(sampling, "sphere_points", sphere_points)
+        inner.append(core._scan(*key))
+        return sphere_points(*args)
+
+    monkeypatch.setattr(sampling, "sphere_points", racing)
+    outer = core._scan(*key)
+    assert outer is not inner[0] and outer[0].tobytes() == inner[0][0].tobytes()
+    assert core._cache == {key: outer}
+    assert core._held == held_bytes() + 2 * 1024
+    assert_whole_scans()
 
 
 def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, tmp_path):
@@ -231,8 +262,8 @@ def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, 
 
     def reports(order, cold):
         if cold:
-            for name, value in (("_cache", {}), ("_keys", {}), ("_held", 0)):
-                monkeypatch.setattr(sampling, name, value)
+            for name, value in (("_cache", {}), ("_held", 0)):
+                monkeypatch.setattr(core, name, value)
         got = {}
         for argv in order:
             code = cli.main(argv)
