@@ -7,10 +7,8 @@ from .pauli import (
     POSITIVITY_EIG_TOL,
     SIGMA,
     NonHermitianInput,
-    PauliCoeffs,
     hermitian_eigh,
     hermitian_lowest_eigvals,
-    pauli_decompose,
 )
 from .core import (
     DEFAULT_SAMPLES,
@@ -18,19 +16,15 @@ from .core import (
     PositivityReport,
     PreservationReport,
     as_coeff_tensor,
-    beta_matrix,
     choi_matrix_from_tensor,
     cp_check,
-    delta_apply,
     delta_sigma_images,
-    dual_pair_apply,
     sampled_positivity_check,
     state_preservation_check,
 )
 from .epsilon import (
     PRESERVATION_THRESHOLD,
     build_coeff_tensor,
-    delta_eps_apply,
     positivity_check,
 )
 from .ks import (
@@ -44,11 +38,9 @@ from .ks import (
     ks_necessary_check,
 )
 from .dynamics import (
-    BallInvarianceReport,
     DomainError,
     FixedPointReport,
     Trajectory,
-    ball_invariance_check,
     fixed_points,
     iterate,
 )

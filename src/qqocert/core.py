@@ -6,18 +6,21 @@ real numbers b[m][l][k]:
 
     Delta(w0*1 + w.sigma) = w0*(1 x 1) + sum_{m,l} (sum_i b[m][l][i] w_i) sigma_m x sigma_l
 
-This module evaluates that map, its dual action on product states and the
-3x3 matrix field beta(f), and builds every certificate on shared pieces:
-one search, product_form_minimum, that every sampled certificate runs on
-its own hermitian form (KS on ks_form, the tensor norm on -G, positivity
-on the Choi matrix) over one scan, _scan: the points of the one sampler,
-sampling.sphere_points, and their pair coordinates, made together once
-per process and held read-only under the draw's key; its one
-scan-then-refine loop (a batch scan, then an exact monotone step repeated
-from the eight best points, all eight advanced together, every matrix
-built by pauli._members); and one complete-positivity check on the Choi
-matrix, built for all four matrix units at once.  Every tensor enters
-through as_coeff_tensor, which refuses entries above MAX_COEFF in size.
+This module evaluates that map on the Pauli matrices (delta_sigma_images)
+and on the matrix units (the Choi matrix), and builds every certificate
+on shared pieces: one search, product_form_minimum, that every sampled
+certificate runs on its own hermitian form (KS on ks_form, the tensor
+norm of the dual action on -G, positivity on the Choi matrix) over one
+scan, _scan: the points of the one sampler, sampling.sphere_points, and
+their pair coordinates, made together once per process and held
+read-only under the draw's key; its one scan-then-refine loop (a batch
+scan, then an exact monotone step repeated from the eight best points,
+all eight advanced together, every matrix built by pauli._members); and
+one complete-positivity check on the Choi matrix, built for all four
+matrix units at once.  Every tensor enters through as_coeff_tensor,
+which refuses entries above MAX_COEFF in size.  The term-by-term
+definitions of the map, its dual action and beta(f) are test oracles
+(tests/oracles.py), not package code.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .pauli import (
     ID4,
     SIGMA,
     POSITIVITY_EIG_TOL,
-    PauliCoeffs,
     _members,
     hermitian_eigh,
     hermitian_lowest_eigvals,
@@ -77,39 +79,6 @@ def delta_sigma_images(b) -> np.ndarray:
     """The three 4x4 images of the Pauli matrices under the map, shape (3, 4, 4)."""
     arr = as_coeff_tensor(b)
     return np.einsum("mlk,mlab->kab", arr, _SIGMA_PAIRS)
-
-
-def delta_apply(b, x: PauliCoeffs) -> np.ndarray:
-    """Image of x = w0*1 + w.sigma: w0*I4 plus the tensor-weighted Pauli pairs."""
-    arr = as_coeff_tensor(b)
-    coeff = np.einsum("mli,i->ml", arr, x.w)
-    return x.w0 * ID4 + np.einsum("ml,mlab->ab", coeff, _SIGMA_PAIRS)
-
-
-def beta_matrix(b, f) -> np.ndarray:
-    """The 3x3 matrix beta(f) with entry (i, j) = sum_k b[k][i][j] f_k."""
-    arr = as_coeff_tensor(b)
-    f = np.asarray(f, dtype=float).reshape(3)
-    return np.einsum("kij,k->ij", arr, f)
-
-
-def dual_pair_apply(b, f, p) -> np.ndarray:
-    """Bloch vector of the dual action on a product state: out_k = sum b[i][j][k] f_i p_j.
-
-    The sum is grouped by unordered index pairs so that tensors symmetric
-    in the first two indices give bitwise-identical results under
-    swapping f and p.
-    """
-    arr = as_coeff_tensor(b)
-    f = np.asarray(f, dtype=float).reshape(3)
-    p = np.asarray(p, dtype=float).reshape(3)
-    out = np.zeros(3)
-    for i in range(3):
-        out += arr[i, i] * (f[i] * p[i])
-    for i in range(3):
-        for j in range(i + 1, 3):
-            out += arr[i, j] * (f[i] * p[j]) + arr[j, i] * (f[j] * p[i])
-    return out
 
 
 def _pair_coordinates(v: np.ndarray) -> np.ndarray:

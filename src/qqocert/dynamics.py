@@ -11,6 +11,11 @@ one-parameter family the components read
 and the squared norm rho(f) contracts by the factor 3*eps^2, which
 drives every orbit to the origin strictly inside the critical coupling
 1/sqrt(3) and away from the diagonal fixed points at the boundary.
+
+The ball stays invariant iff sup ||V(f)|| <= 1 over unit f.  The family
+tensor is symmetric in its first two indices, so that sup is the
+injective norm of the dual action that core.state_preservation_check
+computes: sqrt(3)|eps|, reached at the corner (1, 1, 1)/sqrt(3).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .epsilon import PRESERVATION_THRESHOLD, build_coeff_tensor
+from .epsilon import PRESERVATION_THRESHOLD
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_CONV_TOL = 1e-10
@@ -128,29 +133,3 @@ def fixed_points(eps: float) -> FixedPointReport:
             points.append(np.array([c, c, c]))
     residuals = [float(np.linalg.norm(_v_eps_raw(e, p) - p)) for p in points]
     return FixedPointReport(points=points, residuals=residuals)
-
-
-@dataclass
-class BallInvarianceReport:
-    """Outcome of the ball-invariance check."""
-
-    invariant: bool
-    worst_norm: float
-    witness: np.ndarray
-
-
-def ball_invariance_check(eps: float) -> BallInvarianceReport:
-    """Sup of ||V(f)|| over the ball for the family dynamics, with a witness f, in closed form.
-
-    Accepts any coupling the tensor gate accepts (finite, at most
-    core.MAX_COEFF in size) on purpose, so the loss of invariance beyond
-    the critical coupling can be demonstrated.  The image norm is
-    homogeneous of degree two, so the sup lives on the sphere.  There each component V(f)_k = eps f.A_k f, with A_k symmetric
-    of eigenvalues 1, 1 and -1, is at most |eps| in size, so
-    ||V(f)|| <= sqrt(3)|eps|, with equality at the corner (1, 1, 1)/sqrt(3),
-    the witness.  Invariant iff that sup stays within 1 + 1e-9.
-    """
-    build_coeff_tensor(eps)  # the tensor gate: refuses a non-finite coupling or one above core.MAX_COEFF
-    u = np.ones(3) / np.sqrt(3.0)
-    worst = float(np.linalg.norm(_v_eps_raw(float(eps), u)))
-    return BallInvarianceReport(invariant=bool(worst <= 1.0 + 1e-9), worst_norm=worst, witness=u)

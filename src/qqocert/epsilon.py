@@ -6,8 +6,9 @@ completely positive iff |eps| <= 1/(3*sqrt(3)), positive iff
 |eps| <= 1/3, and keeps the Bloch ball invariant under its quadratic
 dynamics iff |eps| <= 1/sqrt(3).  Only the last constant lives here,
 for the dynamics' domain; the CP and positivity thresholds and the band
-classifier built on them are exact references in tests/oracles.py, and
-`sweep` reads each row's band off the row's own checks.
+classifier built on them are exact references in tests/oracles.py, as
+is the family's image written out term by term, and `sweep` reads each
+row's band off the row's own checks.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_COEFF, PositivityReport, as_coeff_tensor
-from .pauli import (
-    ID4,
-    SIGMA,
-    POSITIVITY_EIG_TOL,
-    PauliCoeffs,
-)
+from .pauli import POSITIVITY_EIG_TOL
 
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
@@ -46,27 +42,6 @@ def build_coeff_tensor(eps: float) -> np.ndarray:
         for l in range(m):
             b[m, l] = b[l, m]
     return as_coeff_tensor(b)
-
-
-# (m, l, component-of-w) triples of the nine tensor-product terms
-_PP_TERMS = (
-    (0, 0, 0), (0, 1, 2), (0, 2, 1),
-    (1, 0, 2), (1, 1, 1), (1, 2, 0),
-    (2, 0, 1), (2, 1, 0), (2, 2, 2),
-)
-_PP_MATS = [np.kron(SIGMA[m], SIGMA[l]) for (m, l, _) in _PP_TERMS]
-
-
-def delta_eps_apply(eps: float, x: PauliCoeffs) -> np.ndarray:
-    """Direct expansion of the family's image of x, term by term.
-
-    Kept separate from the coefficient-tensor route on purpose: the two
-    paths must agree entrywise and cross-validate each other.
-    """
-    out = x.w0 * ID4.copy()
-    for (_, _, comp), mat in zip(_PP_TERMS, _PP_MATS):
-        out = out + eps * x.w[comp] * mat
-    return out
 
 
 def _witness_from_t(t: float) -> np.ndarray:

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, sampling
-from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigh
+from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvalsh
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -119,7 +119,8 @@ def ks_global_check(
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
 
-    samples and seed pass the sampler's checks first; then the kernel (hermitian_eigh) gives lambda_min(M).
+    samples and seed pass the sampler's checks first; then the kernel's eigenvalues-only entry
+    (hermitian_eigvalsh) gives lambda_min(M).
     For unit w, lambda_min(defect(w)) >= ||w||^2 lambda_min(M) for the float M the defects are built
     from, and that eigensolve, a defect's build (pauli._members) and eigvalsh, and ||w||^2 - 1 err by
     a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) - 1e-12*(||M||_F + 1) >= -tol
@@ -137,7 +138,7 @@ def ks_global_check(
         raise ValueError("tol must be positive and finite")
     form = ks_form(b)
     sampling._draw_key(samples, seed, 3, True)
-    if hermitian_eigh(form)[0][0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
+    if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
     _, best_w, w_blocks = core.product_form_minimum(form, 3, 4, *core._scan(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))

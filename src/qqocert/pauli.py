@@ -1,13 +1,13 @@
-"""Pauli-basis representation of the 2x2 complex matrix algebra.
+"""The Pauli matrices and the package's one hermitian eigen kernel.
 
-Every matrix is expanded in the basis {1, sigma_1, sigma_2, sigma_3} and
-stored as a scalar coefficient ``w0`` plus a complex 3-vector ``w``.  The
-module also provides the one hermitian eigen kernel the certifiers build
-on: LAPACK (``np.linalg.eigh`` for one matrix or a stack; ``eigvalsh``
-for the lowest eigenvalues of a scan's family, real coefficients on a table
-of matrices, building only the members whose trace bound lets them rank
-among the few lowest) behind a guard that
-rejects non-finite, non-square or non-hermitian input on both paths.
+With the identity they are the basis {1, sigma_1, sigma_2, sigma_3} of
+the 2x2 complex matrix algebra in which a tensor's coefficients are read.
+The certifiers build on one kernel: LAPACK (``np.linalg.eigh`` for one
+matrix or a stack; ``eigvalsh`` where only eigenvalues are read, for one
+matrix or for the lowest eigenvalues of a scan's family, real
+coefficients on a table of matrices, building only the members whose
+trace bound lets them rank among the few lowest) behind a guard that
+rejects non-finite, non-square or non-hermitian input on every path.
 ``lowest_indices`` picks the few lowest entries of an array in stable
 order without sorting all of it; the family kernel and
 ``core.scan_then_refine`` select with it.
@@ -17,8 +17,6 @@ throughout while the algebra's customary labels run 1..3.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +35,6 @@ ID4 = np.eye(4, dtype=complex)
 
 class NonHermitianInput(ValueError):
     """Raised when an operation requires a hermitian matrix or real coefficients."""
-
-
-@dataclass(frozen=True, eq=False)
-class PauliCoeffs:
-    """Coefficients (w0, w) of a 2x2 matrix w0*1 + w.sigma."""
-
-    w0: complex
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w0", complex(self.w0))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).reshape(3))
-
-
-def pauli_decompose(m: np.ndarray) -> PauliCoeffs:
-    """Unique Pauli coefficients of a 2x2 matrix: w0 = tr(m)/2, wk = tr(sigma_k m)/2."""
-    m = np.asarray(m, dtype=complex)
-    w0 = np.trace(m) / 2.0
-    w = np.array([np.trace(SIGMA[k] @ m) / 2.0 for k in range(3)])
-    return PauliCoeffs(w0, w)
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -81,6 +59,11 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
 def hermitian_eigh(m: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors (matching columns) of a hermitian matrix or a stack (..., n, n)."""
     return np.linalg.eigh(require_hermitian(m))
+
+
+def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a hermitian matrix or a stack (..., n, n), without eigenvectors."""
+    return np.linalg.eigvalsh(require_hermitian(m))
 
 
 def lowest_indices(values, k: int = REFINE_STARTS) -> np.ndarray:
@@ -153,7 +136,7 @@ def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
     vals = bound.copy()
 
     def solve(idx):
-        vals[idx] = np.linalg.eigvalsh(require_hermitian(_members(coeffs[idx], herm)))[:, 0]
+        vals[idx] = hermitian_eigvalsh(_members(coeffs[idx], herm))[:, 0]
 
     first = lowest_indices(bound)
     solve(first)

@@ -1,20 +1,28 @@
 """Literal expected values and reference routes used as independent test oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qqocert import PauliCoeffs, beta_matrix, delta_apply, delta_eps_apply
-from qqocert.core import REFINE_CAP, REFINE_RTOL, _sesquilinear_family, as_coeff_tensor
+from qqocert.core import (
+    REFINE_CAP,
+    REFINE_RTOL,
+    _SIGMA_PAIRS,
+    _sesquilinear_family,
+    as_coeff_tensor,
+    delta_sigma_images,
+)
 from qqocert.dynamics import _check_eps_domain, _v_eps_raw
 from qqocert.epsilon import PRESERVATION_THRESHOLD, _finite
 from qqocert.ks import KS_COND_TOL
 from qqocert.pauli import (
     ID2,
+    ID4,
     REFINE_STARTS,
     SIGMA,
     _members,
     hermitian_eigh,
     lowest_indices,
-    pauli_decompose,
     require_hermitian,
 )
 
@@ -34,6 +42,91 @@ def classify_epsilon(eps: float) -> str:
     if a <= PRESERVATION_THRESHOLD:
         return "state-preserving"
     return "invalid"
+
+
+# ------------------------------------------------- the paper's definitions, term by term
+# The map, its dual action on product states, beta(f) and the family image,
+# each written out as the paper defines it; the package computes the same
+# quantities through delta_sigma_images, the Choi matrix and the Gram form.
+
+
+@dataclass(frozen=True, eq=False)
+class PauliCoeffs:
+    """Coefficients (w0, w) of a 2x2 matrix w0*1 + w.sigma."""
+
+    w0: complex
+    w: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "w0", complex(self.w0))
+        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).reshape(3))
+
+
+def pauli_decompose(m: np.ndarray) -> PauliCoeffs:
+    """Unique Pauli coefficients of a 2x2 matrix: w0 = tr(m)/2, wk = tr(sigma_k m)/2."""
+    m = np.asarray(m, dtype=complex)
+    w0 = np.trace(m) / 2.0
+    w = np.array([np.trace(SIGMA[k] @ m) / 2.0 for k in range(3)])
+    return PauliCoeffs(w0, w)
+
+
+def delta_apply(b, x: PauliCoeffs) -> np.ndarray:
+    """Image of x = w0*1 + w.sigma: w0*I4 plus the tensor-weighted Pauli pairs."""
+    arr = as_coeff_tensor(b)
+    coeff = np.einsum("mli,i->ml", arr, x.w)
+    return x.w0 * ID4 + np.einsum("ml,mlab->ab", coeff, _SIGMA_PAIRS)
+
+
+def beta_matrix(b, f) -> np.ndarray:
+    """The 3x3 matrix beta(f) with entry (i, j) = sum_k b[k][i][j] f_k."""
+    arr = as_coeff_tensor(b)
+    f = np.asarray(f, dtype=float).reshape(3)
+    return np.einsum("kij,k->ij", arr, f)
+
+
+def dual_pair_apply(b, f, p) -> np.ndarray:
+    """Bloch vector of the dual action on a product state: out_k = sum b[i][j][k] f_i p_j.
+
+    The sum is grouped by unordered index pairs so that tensors symmetric
+    in the first two indices give bitwise-identical results under
+    swapping f and p.
+    """
+    arr = as_coeff_tensor(b)
+    f = np.asarray(f, dtype=float).reshape(3)
+    p = np.asarray(p, dtype=float).reshape(3)
+    out = np.zeros(3)
+    for i in range(3):
+        out += arr[i, i] * (f[i] * p[i])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            out += arr[i, j] * (f[i] * p[j]) + arr[j, i] * (f[j] * p[i])
+    return out
+
+
+# (m, l, component-of-w) triples of the nine tensor-product terms
+_PP_TERMS = (
+    (0, 0, 0), (0, 1, 2), (0, 2, 1),
+    (1, 0, 2), (1, 1, 1), (1, 2, 0),
+    (2, 0, 1), (2, 1, 0), (2, 2, 2),
+)
+_PP_MATS = [np.kron(SIGMA[m], SIGMA[l]) for (m, l, _) in _PP_TERMS]
+
+
+def delta_eps_apply(eps: float, x: PauliCoeffs) -> np.ndarray:
+    """Direct expansion of the family's image of x, term by term.
+
+    Kept separate from the coefficient-tensor route on purpose: the two
+    paths must agree entrywise and cross-validate each other.
+    """
+    out = x.w0 * ID4.copy()
+    for (_, _, comp), mat in zip(_PP_TERMS, _PP_MATS):
+        out = out + eps * x.w[comp] * mat
+    return out
+
+
+def sigma_images_apply(b, x: PauliCoeffs) -> np.ndarray:
+    """Image of x = w0*1 + w.sigma along the package's route: w0*I4 + sum_k w_k delta_sigma_images(b)[k]."""
+    return x.w0 * ID4 + np.einsum("k,kab->ab", x.w, delta_sigma_images(b))
 
 
 def pauli_compose(c):

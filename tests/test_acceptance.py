@@ -9,31 +9,34 @@ import time
 import numpy as np
 
 from qqocert import (
-    PauliCoeffs,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     cp_check,
-    delta_apply,
-    delta_eps_apply,
-    dual_pair_apply,
     fixed_points,
     iterate,
     hermitian_eigh,
     ks_defect,
     ks_global_check,
     ks_necessary_check,
-    pauli_decompose,
     positivity_check,
+    state_preservation_check,
 )
+from qqocert.core import _UNIT_W, _UNIT_W0
 from qqocert.pauli import SIGMA
 
 from oracles import (
     ABCD_EXACT,
     ABCD_W,
     CHOI_BLOCK_UNIT,
+    PauliCoeffs,
     b_matrix,
     choi_matrix_family,
+    delta_apply,
+    delta_eps_apply,
+    dual_pair_apply,
     pauli_compose,
+    pauli_decompose,
+    sigma_images_apply,
     spectrum_closed_form,
     state_eval,
     v_eps_apply,
@@ -180,15 +183,13 @@ def test_criterion_6_ball_invariance():
         worst <= 1.0 + 1e-9,
         f"max norm {worst:.12f}",
     )
-    from qqocert import ball_invariance_check
-
-    rep = ball_invariance_check(0.58)
+    rep = state_preservation_check(build_coeff_tensor(0.58))
     corner = np.ones(3) / np.sqrt(3.0)
-    dist = min(np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner))
+    dist = min(np.linalg.norm(rep.witness_f - corner), np.linalg.norm(rep.witness_f + corner))
     check(
         "criterion 6b: eps=0.58 violates with witness at the diagonal corner",
-        (not rep.invariant) and rep.worst_norm > 1.0 and dist <= 1e-3,
-        f"worst {rep.worst_norm:.6f}, corner dist {dist:.1e}",
+        (not rep.passes) and rep.max_norm > 1.0 and dist <= 1e-3,
+        f"worst {rep.max_norm:.6f}, corner dist {dist:.1e}",
     )
 
 
@@ -225,12 +226,19 @@ def test_criterion_7_fixed_points_and_dynamics():
 def test_criterion_8_structural_invariants():
     rng = np.random.default_rng(3)
 
-    worst = 0.0
+    worst = worst_units = 0.0
     for _ in range(10_000):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        back = pauli_compose(pauli_decompose(m))
+        c = pauli_decompose(m)
+        back = pauli_compose(c)
         worst = max(worst, float(np.max(np.abs(back - m))))
-    check("criterion 8a: Pauli roundtrip <= 1e-14 on 10000 matrices", worst <= 1e-14)
+        # the Pauli coefficients of the matrix units, from which the package builds the Choi matrix
+        units = PauliCoeffs(np.einsum("ij,ij->", m, _UNIT_W0), np.einsum("ij,ijk->k", m, _UNIT_W))
+        worst_units = max(worst_units, abs(units.w0 - c.w0), float(np.max(np.abs(units.w - c.w))))
+    check(
+        "criterion 8a: Pauli roundtrip and matrix-unit coefficients <= 1e-14 on 10000 matrices",
+        worst <= 1e-14 and worst_units <= 1e-14,
+    )
 
     worst = 0.0
     for _ in range(1000):
@@ -239,15 +247,12 @@ def test_criterion_8_structural_invariants():
             complex(rng.standard_normal(), rng.standard_normal()),
             rng.standard_normal(3) + 1j * rng.standard_normal(3),
         )
+        direct = delta_eps_apply(eps, x)
+        b = build_coeff_tensor(eps)
         worst = max(
             worst,
-            float(
-                np.max(
-                    np.abs(
-                        delta_eps_apply(eps, x) - delta_apply(build_coeff_tensor(eps), x)
-                    )
-                )
-            ),
+            float(np.max(np.abs(direct - delta_apply(b, x)))),
+            float(np.max(np.abs(direct - sigma_images_apply(b, x)))),
         )
     check("criterion 8b: two-path family image equality <= 1e-14", worst <= 1e-14)
 
@@ -280,5 +285,6 @@ def test_criterion_8_structural_invariants():
         rho_p = (np.eye(2) + np.einsum("k,kab->ab", p, SIGMA)) / 2.0
         lhs = np.trace(np.kron(rho_f, rho_p) @ delta_apply(b, y))
         rhs = state_eval(dual_pair_apply(b, f, p), y)
-        worst = max(worst, abs(lhs - rhs))
+        package = np.trace(np.kron(rho_f, rho_p) @ sigma_images_apply(b, y))
+        worst = max(worst, abs(lhs - rhs), abs(package - rhs))
     check("criterion 8e: duality pairing <= 1e-12", worst <= 1e-12)

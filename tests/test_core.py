@@ -5,15 +5,11 @@ import numpy as np
 import pytest
 
 from qqocert import (
-    PauliCoeffs,
     as_coeff_tensor,
-    beta_matrix,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     cp_check,
-    delta_apply,
     delta_sigma_images,
-    dual_pair_apply,
     hermitian_eigh,
     ks_global_check,
     sampled_positivity_check,
@@ -32,7 +28,16 @@ from qqocert.core import (
 )
 from qqocert.pauli import ID2, ID4, SIGMA, _members
 
-from oracles import choi_matrix_blocks, choi_matrix_family, state_eval
+from oracles import (
+    PauliCoeffs,
+    beta_matrix,
+    choi_matrix_blocks,
+    choi_matrix_family,
+    delta_apply,
+    dual_pair_apply,
+    sigma_images_apply,
+    state_eval,
+)
 
 
 def rand_tensor(rng, scale=1.0):
@@ -106,6 +111,9 @@ def test_delta_apply_star_preserving():
         cstar = PauliCoeffs(np.conj(c.w0), np.conj(c.w))
         lhs = delta_apply(b, cstar)
         rhs = delta_apply(b, c).conj().T
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
+        lhs = sigma_images_apply(b, cstar)
+        rhs = sigma_images_apply(b, c).conj().T
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
@@ -247,6 +255,7 @@ def test_duality_pairing_against_matrix_trace():
         lhs = np.trace(np.kron(rho_f, rho_p) @ delta_apply(b, y))
         rhs = state_eval(dual_pair_apply(b, f, p), y)
         assert abs(lhs - rhs) <= 1e-12
+        assert abs(np.trace(np.kron(rho_f, rho_p) @ sigma_images_apply(b, y)) - rhs) <= 1e-12
 
 
 # ---------------------------------------------------------------- scan then refine
@@ -357,13 +366,15 @@ def haar_unital_check(b, atol=1e-13):
     """Both partial normalized traces of every basis image equal tau(x) * I2.
 
     Structurally true for any real tensor because the Pauli pairs are
-    traceless in each slot; a regression test of the assembled matrices.
+    traceless in each slot; a regression test of the assembled matrices,
+    both term by term and from delta_sigma_images.
     """
     basis = [PauliCoeffs(1.0, np.zeros(3))] + [
         PauliCoeffs(0.0, np.eye(3)[k]) for k in range(3)
     ]
-    for x in basis:
-        m = delta_apply(b, x).reshape(2, 2, 2, 2)
+    images = [delta_apply(b, x) for x in basis] + [sigma_images_apply(b, x) for x in basis]
+    for x, image in zip(basis + basis, images):
+        m = image.reshape(2, 2, 2, 2)
         left = 0.5 * np.einsum("ikil->kl", m)
         right = 0.5 * np.einsum("ikjk->ij", m)
         target = x.w0 * ID2  # tau(x) = w0

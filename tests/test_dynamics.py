@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from qqocert import (
     DomainError,
-    ball_invariance_check,
     build_coeff_tensor,
-    dual_pair_apply,
     fixed_points,
     iterate,
+    state_preservation_check,
 )
 from qqocert.dynamics import _v_eps_raw
 
-from oracles import v_eps_apply
+from oracles import dual_pair_apply, v_eps_apply
 
 CRIT = 1.0 / np.sqrt(3.0)
 
@@ -277,45 +276,50 @@ def test_newton_sweep_finds_only_listed_fixed_points(eps):
 # ---------------------------------------------------------------- ball invariance
 
 
+# The family tensor is symmetric in its first two indices, so sup ||V(f)|| over the ball is the
+# injective norm of the dual action, the preservation norm.  Each V(f)_k = eps f.A_k f with A_k
+# symmetric of eigenvalues 1, 1 and -1, so the sup is sqrt(3)|eps|, at the corner (1, 1, 1)/sqrt(3).
+
+
 def test_ball_invariance_critical():
-    rep = ball_invariance_check(CRIT)
-    assert rep.invariant
-    assert rep.worst_norm == pytest.approx(1.0, abs=1e-6)
+    rep = state_preservation_check(build_coeff_tensor(CRIT))
+    assert rep.passes
+    assert rep.max_norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ball_invariance_violated_above_critical():
-    rep = ball_invariance_check(0.58)
-    assert not rep.invariant
-    assert rep.worst_norm == pytest.approx(0.58 * np.sqrt(3.0), abs=1e-6)
+    rep = state_preservation_check(build_coeff_tensor(0.58))
+    assert not rep.passes
+    assert rep.max_norm == pytest.approx(0.58 * np.sqrt(3.0), abs=1e-6)
     corner = np.ones(3) / np.sqrt(3.0)
     assert min(
-        np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner)
+        np.linalg.norm(rep.witness_f - corner), np.linalg.norm(rep.witness_f + corner)
     ) <= 1e-3
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.58, 0.9])
 def test_ball_invariance_exact_sup_at_corner(eps):
-    rep = ball_invariance_check(eps)
-    assert abs(rep.worst_norm - np.sqrt(3.0) * eps) <= 1e-12
-    assert rep.invariant == (np.sqrt(3.0) * eps <= 1.0)
-    v = dual_pair_apply(build_coeff_tensor(eps), rep.witness, rep.witness)
-    assert abs(np.linalg.norm(v) - rep.worst_norm) <= 1e-12
+    rep = state_preservation_check(build_coeff_tensor(eps))
+    assert abs(rep.max_norm - np.sqrt(3.0) * eps) <= 1e-12
+    assert rep.passes == (np.sqrt(3.0) * eps <= 1.0)
+    v = dual_pair_apply(build_coeff_tensor(eps), rep.witness_f, rep.witness_p)
+    assert abs(np.linalg.norm(v) - rep.max_norm) <= 1e-12
     corner = np.ones(3) / np.sqrt(3.0)
     assert min(
-        np.linalg.norm(rep.witness - corner), np.linalg.norm(rep.witness + corner)
+        np.linalg.norm(rep.witness_f - corner), np.linalg.norm(rep.witness_f + corner)
     ) <= 1e-9
 
 
 def test_ball_invariance_zero():
-    rep = ball_invariance_check(0.0)
-    assert rep.invariant
-    assert rep.worst_norm == 0.0
+    rep = state_preservation_check(build_coeff_tensor(0.0))
+    assert rep.passes
+    assert rep.max_norm == 0.0
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 1e70, -1e65])
 def test_ball_invariance_refuses_what_the_tensor_gate_refuses(eps):
     with pytest.raises(ValueError, match="finite and at most"):
-        ball_invariance_check(eps)
+        build_coeff_tensor(eps)
 
 
 def test_sphere_shrinks_at_critical_off_diagonal():

@@ -3,12 +3,9 @@ import pytest
 
 from qqocert import (
     PRESERVATION_THRESHOLD,
-    PauliCoeffs,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     cp_check,
-    delta_apply,
-    delta_eps_apply,
     hermitian_eigh,
     positivity_check,
     state_preservation_check,
@@ -21,10 +18,14 @@ from oracles import (
     CP_THRESHOLD,
     POSITIVITY_THRESHOLD,
     NonRealInput,
+    PauliCoeffs,
     b_matrix,
     choi_matrix_family,
     classify_epsilon,
+    delta_apply,
+    delta_eps_apply,
     family_positivity_at_candidates,
+    sigma_images_apply,
     spectrum_closed_form,
 )
 
@@ -80,8 +81,9 @@ def test_two_path_equality_bulk():
         eps = rng.uniform(-1.0, 1.0)
         x = rand_coeffs(rng)
         direct = delta_eps_apply(eps, x)
-        via_tensor = delta_apply(build_coeff_tensor(eps), x)
-        worst = max(worst, np.max(np.abs(direct - via_tensor)))
+        b = build_coeff_tensor(eps)
+        via_tensor = delta_apply(b, x)
+        worst = max(worst, np.max(np.abs(direct - via_tensor)), np.max(np.abs(direct - sigma_images_apply(b, x))))
     assert worst <= 1e-14
 
 
@@ -111,6 +113,7 @@ def test_b_matrix_matches_family_image():
         got = b_matrix(w)
         expected = delta_eps_apply(1.0, PauliCoeffs(0.0, w))
         assert np.max(np.abs(got - expected)) <= 1e-14
+        assert np.max(np.abs(got - sigma_images_apply(build_coeff_tensor(1.0), PauliCoeffs(0.0, w)))) <= 1e-14
 
 
 def test_b_matrix_rejects_complex():

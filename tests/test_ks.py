@@ -6,19 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqocert import (
-    PauliCoeffs,
-    beta_matrix,
     build_coeff_tensor,
-    delta_apply,
     delta_sigma_images,
-    dual_pair_apply,
     hermitian_eigh,
     hermitian_lowest_eigvals,
     ks_defect,
     ks_form,
     ks_global_check,
     ks_necessary_check,
-    pauli_decompose,
     sampled_positivity_check,
     sphere_points,
     state_preservation_check,
@@ -42,8 +37,13 @@ from oracles import (
     ABCD_EXACT,
     ABCD_W,
     CP_THRESHOLD,
+    PauliCoeffs,
     _auxiliaries,
+    beta_matrix,
+    delta_apply,
+    dual_pair_apply,
     necessary_conditions_paper,
+    pauli_decompose,
     serial_product_step,
     serial_scan_then_refine,
     stack_lowest_eigvals,
@@ -606,6 +606,15 @@ def test_cp_tensor_runs_no_scan(monkeypatch, b):
     monkeypatch.setattr(sampling, "sphere_points", refuse)
     monkeypatch.setattr(core, "product_form_minimum", refuse)
     assert ks_global_check(b) is None
+
+
+def test_skip_computes_no_eigenvectors(monkeypatch):
+    # the skip reads lambda_min(M) alone, through the kernel's eigenvalues-only entry
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("eigenvectors were computed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+    assert ks_global_check(build_coeff_tensor(0.1)) is None
 
 
 @pytest.mark.parametrize("eps, tol, witness", [
