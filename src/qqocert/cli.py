@@ -249,7 +249,7 @@ def main(argv: Optional[list] = None) -> int:
             setattr(args, name, default)
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

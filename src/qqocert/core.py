@@ -14,8 +14,9 @@ norm of the dual action on -G, positivity on the Choi matrix) over one
 scan, _scan: the points of the one sampler, sampling.sphere_points, and
 their pair coordinates, made together once per process and held
 read-only under the draw's key; its one scan-then-refine loop (a batch
-scan, then an exact monotone step repeated from the eight best points,
-all eight advanced together, every matrix built by pauli._members); and
+scan whose kernel hands over the eight best points, then an exact
+monotone step repeated from them, all eight advanced together, on side
+tables built once per search, every matrix built by pauli._members); and
 one complete-positivity check on the Choi matrix, built for all four
 matrix units at once.  Every tensor enters through as_coeff_tensor,
 which refuses entries above MAX_COEFF in size.  The term-by-term
@@ -38,12 +39,11 @@ from .pauli import (
     _members,
     hermitian_eigh,
     hermitian_lowest_eigvals,
-    lowest_indices,
 )
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
-# scan_then_refine: relative stop, round cap (it refines REFINE_STARTS starts)
+# scan_then_refine: relative stop, round cap (it refines the kernel's REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
@@ -88,21 +88,6 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
     return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
 
 
-def _pair_table(blocks: np.ndarray, complex_: bool) -> np.ndarray:
-    """The table _pair_coordinates weigh: blocks[j, j], blocks[j, l] + blocks[l, j], i*(blocks[j, l] - blocks[l, j]).
-
-    The last only if complex_; the kernel and pauli._members read it.
-    """
-    d, j, l = _PAIRS[len(blocks)]
-    table = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))
-    return np.concatenate(table[: 3 if complex_ else 2])
-
-
-def _sesquilinear_family(v: np.ndarray, blocks: np.ndarray) -> tuple:
-    """(coeffs, table) whose member k is sum_jl conj(v[k, j]) v[k, l] blocks[j, l], blocks[l, j] = blocks[j, l]*."""
-    return _pair_coordinates(v), _pair_table(blocks, np.iscomplexobj(v))
-
-
 def _scan(samples: int, seed: int, n: int, complex_: bool) -> tuple:
     """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed, n, complex_), read-only.
 
@@ -124,48 +109,52 @@ def _scan(samples: int, seed: int, n: int, complex_: bool) -> tuple:
     return entry
 
 
-def _product_blocks(form: np.ndarray, nx: int, ny: int) -> tuple:
-    """A hermitian form M on x (x) y, indexed (i, a) -> ny*i + a, as blocks in x and in y.
+def _side_tables(form: np.ndarray, nx: int, ny: int, complex_: bool) -> tuple:
+    """(x_table, y_table) of a hermitian form M on x (x) y, indexed (i, a) -> ny*i + a; x, y complex iff complex_.
 
-    x_blocks[i, j] = M[(i, .), (j, .)] gives M(x) = sum_ij conj(x_i) x_j x_blocks[i, j] on y, and
-    y_blocks[a, b] = M[(., a), (., b)] gives M(y) on x, so <y, M(x) y> = <x, M(y) x>.
+    With blocks[i, j] = M[(i, .), (j, .)], M(x) = sum_ij conj(x_i) x_j blocks[i, j] on y is the member
+    _pair_coordinates(x) weigh on x_table: blocks[j, j], blocks[j, l] + blocks[l, j] and (complex_ only)
+    i*(blocks[j, l] - blocks[l, j]).  y_table is built alike from M[(., a), (., b)], so
+    <y, M(x) y> = <x, M(y) x>.  The kernel reads x_table, _lowest both.
     """
     f = form.reshape(nx, ny, nx, ny)
-    return f.transpose(0, 2, 1, 3), f.transpose(1, 3, 0, 2)
+    tables = []
+    for blocks in (f.transpose(0, 2, 1, 3), f.transpose(1, 3, 0, 2)):
+        d, j, l = _PAIRS[len(blocks)]
+        parts = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))
+        tables.append(np.concatenate(parts[: 3 if complex_ else 2]))
+    return tuple(tables)
 
 
-def _lowest(v: np.ndarray, blocks: np.ndarray) -> tuple:
-    """lambda_min of M(v) = sum_jk conj(v_j) v_k blocks[j, k] and its eigenvector, for a stack of v.
+def _lowest(v: np.ndarray, table: np.ndarray) -> tuple:
+    """lambda_min of the member _pair_coordinates(v) weigh on a side table, and its eigenvector, for a stack of v.
 
     Built as the scans build theirs, by pauli._members, so a scanned point gets its scan value.
     """
-    vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v, blocks)))
+    vals, vecs = hermitian_eigh(_members(_pair_coordinates(v), table))
     return vals[:, 0], vecs[:, :, 0]
 
 
 def scan_then_refine(points, values, step) -> tuple:
-    """Minimize from the best scanned points by repeating an exact monotone step (product_form_minimum's refine).
+    """Minimize from the given starts by repeating an exact monotone step (product_form_minimum's refine).
 
-    values[i] is the scan value of points[i], exact at least where it
-    ranks among the lowest; preservation maximizes by searching -G.  The
-    REFINE_STARTS lowest, in stable order so that ties keep scan order
-    (lowest_indices, which sorts only the candidates), each start a
-    descent over states (point, carry), advance together: step maps the
-    stacked points and carries of the k starts still running (carries
-    None in round 1, then what the next round needs, such as
-    eigenvectors) to the next ones and k values.  A round that would
-    raise a start's value is discarded and ends that start, as does one
-    that lowers it by at most REFINE_RTOL relative; REFINE_CAP rounds end
-    all.  Returns (best value, best point, the most rounds any start
-    used), ties going to the earlier start.  An empty scan raises
-    ValueError; the certificates refuse a budget below one before they scan.
+    values[i] is the exact value at points[i]; preservation maximizes by
+    searching -G.  The starts, each a descent over states (point, carry),
+    in the order given (the kernel's: lowest first, ties in scan order),
+    advance together: step maps the stacked points and carries of the k
+    starts still running (carries None in round 1, then what the next
+    round needs, such as eigenvectors) to the next ones and k values.  A
+    round that would raise a start's value is discarded and ends that
+    start, as does one that lowers it by at most REFINE_RTOL relative;
+    REFINE_CAP rounds end all.  Returns (best value, best point, the most
+    rounds any start used), ties going to the earlier start.  No starts
+    raise ValueError; the certificates refuse a budget below one before
+    they scan.
     """
-    values = np.asarray(values)
-    if values.size < 1:
+    x, val = np.array(points), np.array(values, dtype=float)
+    if val.size < 1:
         raise ValueError("samples must be >= 1")
-    order = lowest_indices(values)
-    x, val = np.asarray(points)[order], values[order].astype(float)
-    live, carry = np.arange(len(order)), None
+    live, carry = np.arange(len(val)), None
     for rounds in range(1, REFINE_CAP + 1):
         new_x, new_carry, new = step(x[live], carry)
         fall = val[live] - new
@@ -183,23 +172,24 @@ def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray,
     """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
 
     The one search every sampled certificate runs: the kernel scans lambda_min(M(x)) at the given
-    points x from their _pair_coordinates, coords (a _scan gives both), then scan_then_refine
-    polishes the best by alternating eigen-descent, with y (the carry) the lowest eigenvector of
-    M(x): a round sets x to that of M(y), then y to that of M(x), so lambda_min(M(x)) never rises.
-    Returns (value, x, x_blocks), x_blocks for reading M(x) off.
+    points x from their _pair_coordinates, coords (a _scan gives both), on the x-side table, then
+    scan_then_refine polishes the starts the kernel picks by alternating eigen-descent, with y (the
+    carry) the lowest eigenvector of M(x): a round sets x to that of M(y), then y to that of M(x),
+    so lambda_min(M(x)) never rises.  Both side tables are built once, by _side_tables.  Returns
+    (value, x, x_table), x_table for reading M(x) off with _lowest.
     """
-    x_blocks, y_blocks = _product_blocks(form, nx, ny)
-    vals = hermitian_lowest_eigvals(coords, _pair_table(x_blocks, np.iscomplexobj(points)))
+    x_table, y_table = _side_tables(form, nx, ny, np.iscomplexobj(points))
+    starts, vals = hermitian_lowest_eigvals(coords, x_table)
 
     def step(x, y):
         if y is None:
-            y = _lowest(x, x_blocks)[1]
-        x = _lowest(y, y_blocks)[1]
-        val, y = _lowest(x, x_blocks)
+            y = _lowest(x, x_table)[1]
+        x = _lowest(y, y_table)[1]
+        val, y = _lowest(x, x_table)
         return x, y, val
 
-    value, x, _ = scan_then_refine(points, vals, step)
-    return value, x, x_blocks
+    value, x, _ = scan_then_refine(points[starts], vals, step)
+    return value, x, x_table
 
 
 @dataclass
@@ -230,8 +220,8 @@ def state_preservation_check(
     """
     arr = as_coeff_tensor(b)
     gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
-    _, f, f_blocks = product_form_minimum(-gram, 3, 3, *_scan(samples, seed, 3, False))
-    lowest, p = _lowest(f[None], f_blocks)
+    _, f, f_table = product_form_minimum(-gram, 3, 3, *_scan(samples, seed, 3, False))
+    lowest, p = _lowest(f[None], f_table)
     max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
         max_norm=float(max_norm),

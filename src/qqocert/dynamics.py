@@ -47,7 +47,7 @@ def _check_eps_domain(eps: float) -> float:
     e = float(eps)
     if not _in_eps_domain(e):
         raise DomainError(
-            f"|eps| = {abs(e):.6f} is not within 1/sqrt(3); the map may leave the ball"
+            f"|eps| = {abs(e)!r} is not within 1/sqrt(3); the map may leave the ball"
         )
     return e
 

@@ -108,7 +108,7 @@ def ks_form(b) -> np.ndarray:
 def ks_defect(b, w) -> np.ndarray:
     """Defect operator at direction w; hermitian, PSD for all unit w iff the map is KS."""
     w = np.asarray(w, dtype=complex).reshape(1, 3)
-    return _members(*core._sesquilinear_family(w, core._product_blocks(ks_form(b), 3, 4)[0]))[0]
+    return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3, 4, True)[0])[0]
 
 
 def ks_global_check(
@@ -140,10 +140,10 @@ def ks_global_check(
     sampling._draw_key(samples, seed, 3, True)
     if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
-    _, best_w, w_blocks = core.product_form_minimum(form, 3, 4, *core._scan(samples, seed, 3, True))
+    _, best_w, w_table = core.product_form_minimum(form, 3, 4, *core._scan(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(core._lowest(best_w[None], w_blocks)[0][0])
+    best_val = float(core._lowest(best_w[None], w_table)[0][0])
     if best_val < -tol:
         return KSWitness(w=best_w, min_eig=best_val)
     return None
@@ -174,6 +174,7 @@ def ks_necessary_check(b, f, w) -> KSNecessaryReport:
         raise ValueError("f and w must be finite")
     ds = core.delta_sigma_images(b)
     wd = np.einsum("k,kab->ab", w, ds)
+    # E(w) itself, not ||w||^2 I4 - ks_defect(b, w), whose rounding leaves rhs11 off 0.0 at the zero tensor
     e = np.einsum("k,kab->ab", 1j * np.cross(w, np.conj(w)), ds) + np.conj(wd.T) @ wd
     c = np.real(np.einsum("acij,ji->ac", _PAULI_PAIRS, e)) / 4
 

@@ -4,13 +4,14 @@ With the identity they are the basis {1, sigma_1, sigma_2, sigma_3} of
 the 2x2 complex matrix algebra in which a tensor's coefficients are read.
 The certifiers build on one kernel: LAPACK (``np.linalg.eigh`` for one
 matrix or a stack; ``eigvalsh`` where only eigenvalues are read, for one
-matrix or for the lowest eigenvalues of a scan's family, real
-coefficients on a table of matrices, building only the members whose
-trace bound lets them rank among the few lowest) behind a guard that
-rejects non-finite, non-square or non-hermitian input on every path.
-``lowest_indices`` picks the few lowest entries of an array in stable
-order without sorting all of it; the family kernel and
-``core.scan_then_refine`` select with it.
+matrix or for a scan's family, real coefficients on a table of
+matrices, whose few members with the lowest eigenvalues, the refine's
+starts, it returns, building only the members whose trace bound lets
+them rank among those few) behind a guard that rejects non-finite,
+non-square or non-hermitian input on every path.  ``lowest_indices``
+picks the few lowest entries of an array in stable order without
+sorting all of it; the family kernel selects with it, both the members
+it solves and the starts it returns.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.
@@ -23,7 +24,7 @@ import numpy as np
 # Tolerances shared across the package (declared once, used everywhere).
 HERMITICITY_ATOL = 1e-13     # entrywise |m - m*| allowed before eigensolving
 POSITIVITY_EIG_TOL = 1e-10   # min eigenvalue >= -tol counts as positive
-REFINE_STARTS = 8            # scan entries refined; hermitian_lowest_eigvals keeps them exact
+REFINE_STARTS = 8            # scan entries refined; hermitian_lowest_eigvals returns them
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -100,24 +101,25 @@ def _members(coeffs, table) -> np.ndarray:
     return _hermitian_part(rows.view(herm.dtype).reshape(-1, *herm.shape[1:]))
 
 
-def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
-    """Lowest eigenvalues of the members sum_i coeffs[k, i] table[i], exact wherever they can rank among the lowest few.
+def hermitian_lowest_eigvals(coeffs, table) -> tuple:
+    """(starts, values): the REFINE_STARTS lowest members sum_i coeffs[k, i] table[i] and their lambda_min.
 
-    coeffs is real (N, q), table (q, n, n).  The table passes the hermitian guard, so every member is
-    covered, built or not; non-finite coefficients raise NonHermitianInput.  Each member A gets the
-    trace bound lambda_min >= m - s*sqrt(n - 1), m = tr(A)/n, s^2 = ||A - m*I||_F^2 / n (Wolkowicz &
-    Styan, Linear Algebra Appl. 29, 1980), without building A: m = coeffs @ tr(table)/n and
-    sqrt(n)*s = ||coeffs @ R.T||, R the QR factor of the table's traceless parts in real coordinates.
-    QR is backward stable, so s (with no square root of a cancelled difference), m and the built A
-    are off by O(u*||c||*||table||_F), c the member's coefficients, and LAPACK by O(u*||A||); the
-    bound is lowered by 1e-12*(|m| + s + ||c||*||table||_F + 1), far above all three.  The
-    REFINE_STARTS lowest bounds are solved first; only a member whose bound is at most the largest of
-    those exact values can rank, so only those go on, best bound first, in doubling blocks, until the
-    next bound exceeds the REFINE_STARTS-th lowest value found.  Members are built by _members, as
-    the refine steps build theirs, and pass the guard before LAPACK reads them; so a member rebuilt
-    alone gets the same lambda_min from eigvalsh.  Solved entries hold LAPACK's lambda_min,
-    the others their bound, strictly above that value; so the first REFINE_STARTS of a stable
-    argsort, and their values, equal those over every member built.
+    coeffs is real (N, q), table (q, n, n).  starts are the first REFINE_STARTS indices of a stable
+    argsort of every member's lambda_min, so ties keep index order, and values their LAPACK
+    eigvalsh lambda_min, bitwise as if every member were built and solved.  The table passes the
+    hermitian guard, so every member is covered, built or not; non-finite coefficients raise
+    NonHermitianInput.  Each member A gets the trace bound lambda_min >= m - s*sqrt(n - 1),
+    m = tr(A)/n, s^2 = ||A - m*I||_F^2 / n (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980),
+    without building A: m = coeffs @ tr(table)/n and sqrt(n)*s = ||coeffs @ R.T||, R the QR factor
+    of the table's traceless parts in real coordinates.  QR is backward stable, so s (with no
+    square root of a cancelled difference), m and the built A are off by O(u*||c||*||table||_F),
+    c the member's coefficients, and LAPACK by O(u*||A||); the bound is lowered by
+    1e-12*(|m| + s + ||c||*||table||_F + 1), far above all three.  The REFINE_STARTS lowest bounds
+    are solved first; only a member whose bound is at most the largest of those exact values can
+    rank, so only those go on, best bound first, in doubling blocks, until the next bound exceeds
+    the REFINE_STARTS-th lowest value found.  Members are built by _members, as the refine steps
+    build theirs, and pass the guard before LAPACK reads them; so a member rebuilt alone gets the
+    same lambda_min from eigvalsh.
     """
     table, coeffs = require_hermitian(table), np.asarray(coeffs, dtype=float)
     if table.ndim != 3 or coeffs.ndim != 2 or coeffs.shape[1] != len(table):
@@ -148,4 +150,8 @@ def hermitian_lowest_eigvals(coeffs, table) -> np.ndarray:
         idx = order[done : done + block]
         solve(idx)
         done, block = done + len(idx), 2 * block
-    return vals
+    # an unsolved member's bound, below its lambda_min, lies strictly above the REFINE_STARTS-th lowest
+    # solved value, so the lowest members are all solved; sorted first, ties keep index order
+    solved = np.sort(order[:done])
+    starts = solved[lowest_indices(vals[solved])]
+    return starts, vals[starts]

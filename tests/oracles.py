@@ -8,7 +8,7 @@ from qqocert.core import (
     REFINE_CAP,
     REFINE_RTOL,
     _SIGMA_PAIRS,
-    _sesquilinear_family,
+    _pair_coordinates,
     as_coeff_tensor,
     delta_sigma_images,
 )
@@ -278,19 +278,19 @@ def serial_scan_then_refine(points, values, step):
     return best_val, best_x, most
 
 
-def serial_product_step(x_blocks, y_blocks):
-    """Alternating eigen-descent on a form at x (x) y for one x: x, then y, the lowest eigenvector of M(y), M(x)."""
+def serial_product_step(x_table, y_table):
+    """Alternating eigen-descent on a form's side tables at x (x) y for one x: x, then y, the lowest eigenvector of M(y), M(x)."""
 
-    def lowest(v, blocks):
-        vals, vecs = hermitian_eigh(_members(*_sesquilinear_family(v[None], blocks))[0])
+    def lowest(v, table):
+        vals, vecs = hermitian_eigh(_members(_pair_coordinates(v[None]), table)[0])
         return vals[0], vecs[:, 0]
 
     def step(state):
         x, y = state
         if y is None:
-            y = lowest(x, x_blocks)[1]
-        x = lowest(y, y_blocks)[1]
-        val, y = lowest(x, x_blocks)
+            y = lowest(x, x_table)[1]
+        x = lowest(y, y_table)[1]
+        val, y = lowest(x, x_table)
         return (x, y), val
 
     return step

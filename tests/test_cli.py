@@ -393,6 +393,30 @@ def test_certify_refuses_bad_tol_before_any_scan(tol, monkeypatch, capsys):
     assert "tol must be positive" in err
 
 
+def test_an_unaffordable_budget_exits_2_without_output(monkeypatch, capsys):
+    # the draw fails as numpy's allocation would; nothing is allocated for real, since with
+    # overcommit a huge request can succeed and then exhaust memory
+    def unaffordable(*args):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+    monkeypatch.setattr(qqocert.sampling, "sphere_points", unaffordable)
+    assert qqocert.sampling._draw_key(123457, 99991, 3, True) not in core._cache
+    code, out, err = run(["--epsilon", "0.5", "--samples", "123457", "--seed", "99991", "ks"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 43.7 TiB for an array\n"
+
+
+@pytest.mark.parametrize("command", ["fixed-points", "simulate"])
+@pytest.mark.parametrize("eps, shown", [("0.5773502702", "|eps| = 0.5773502702 "), ("-1e64", "|eps| = 1e+64 ")])
+def test_out_of_domain_message_shows_the_coupling(eps, shown, command, capsys):
+    # six fixed digits read 0.577350 for a coupling just above 1/sqrt(3), and 65 digits for 1e64
+    code, out, err = run(["--epsilon", eps, command], capsys)
+    assert code == 2
+    assert out == ""
+    assert shown in err
+
+
 _SOURCES = {"both": ["--epsilon", "0.5", "--tensor", "{missing}"], "tensor": ["--tensor", "{doc}"], "none": []}
 
 

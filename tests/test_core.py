@@ -22,8 +22,8 @@ from qqocert.core import (
     MAX_COEFF,
     REFINE_CAP,
     _bloch_vector,
-    _product_blocks,
-    _sesquilinear_family,
+    _pair_coordinates,
+    _side_tables,
     scan_then_refine,
 )
 from qqocert.pauli import ID2, ID4, SIGMA, _members
@@ -269,17 +269,19 @@ def test_certificates_reject_a_budget_below_one(check, samples):
 
 
 def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
+    # the starts as the kernel hands them, lowest first (test_pauli checks the kernel picks these eight)
     with pytest.raises(ValueError):
         scan_then_refine(np.zeros((0, 3)), np.zeros(0), None)
-    # a step that only ever rises is never taken; the best scanned point wins
-    pts = np.arange(12.0)
     vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
+    starts = np.argsort(vals, kind="stable")[:8]
+    pts, vals = np.arange(12.0)[starts], vals[starts]
+    # a step that only ever rises is never taken; the best start wins
     val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.full(len(x), 99.0)))
     assert (val, x, rounds) == (0.5, 10.0, 1)
     # a step to a fixed value is taken once; the next round stops the descent
     val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.zeros(len(x))))
     assert val == 0.0 and rounds == 2
-    # a step that always halves runs from each of the eight lowest to its cap
+    # a step that always halves runs from each start handed to its cap; the tie goes to the first
     calls = []
 
     def halve(x, k):
@@ -289,7 +291,7 @@ def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
 
     val, x, rounds = scan_then_refine(pts, vals + 1.0, halve)
     assert rounds == REFINE_CAP
-    assert sorted(set(calls)) == sorted(np.argsort(vals, kind="stable")[:8].astype(float))
+    assert calls[:8] == list(pts) and set(calls) == set(pts)
     assert val == 0.5**REFINE_CAP and x == 10.0
 
 
@@ -431,7 +433,7 @@ def test_choi_product_form_at_conj_u_is_positivity_member():
             u = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             w = np.real(np.einsum("na,kab,nb->nk", np.conj(u), SIGMA, u))
-            member = _members(*_sesquilinear_family(np.conj(u), _product_blocks(choi, 2, 4)[0]))
+            member = _members(_pair_coordinates(np.conj(u)), _side_tables(choi, 2, 4, True)[0])
             image = ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b))
             assert np.max(np.abs(member - image)) <= 1e-12 * np.linalg.norm(choi)
 

@@ -24,8 +24,7 @@ from qqocert.core import (
     REFINE_CAP,
     _bloch_vector,
     _pair_coordinates,
-    _product_blocks,
-    _sesquilinear_family,
+    _side_tables,
     choi_matrix_from_tensor,
     product_form_minimum,
     scan_then_refine,
@@ -56,9 +55,9 @@ def rand_tensor(rng, scale=1.0):
     return scale * rng.standard_normal((3, 3, 3))
 
 
-def ks_blocks(b):
-    """ks_form(b) as blocks in w and in psi, the views the KS search refines on."""
-    return _product_blocks(ks_form(b), 3, 4)
+def ks_tables(b):
+    """ks_form(b)'s side tables in w and in psi, the views the KS search refines on."""
+    return _side_tables(ks_form(b), 3, 4, True)
 
 
 def neg_gram(b):
@@ -66,14 +65,14 @@ def neg_gram(b):
     return -np.einsum("ijk,lmk->ijlm", b, b).reshape(9, 9)
 
 
-def gram_blocks(b):
-    """-G as blocks in f and in p."""
-    return _product_blocks(neg_gram(b), 3, 3)
+def gram_tables(b):
+    """-G's side tables in f and in p."""
+    return _side_tables(neg_gram(b), 3, 3, False)
 
 
-def choi_blocks(b):
-    """The Choi matrix as blocks in v and in psi, the views the positivity search refines on."""
-    return _product_blocks(choi_matrix_from_tensor(b), 2, 4)
+def choi_tables(b):
+    """The Choi matrix's side tables in v and in psi, the views the positivity search refines on."""
+    return _side_tables(choi_matrix_from_tensor(b), 2, 4, True)
 
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
@@ -435,9 +434,9 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
     # KS search is driven directly, since ks_global_check skips it where the form is PSD
     b = _ORACLE_TENSORS[index]
     serial_steps = {
-        "preservation": serial_product_step(*gram_blocks(b)),
-        "positivity": serial_product_step(*choi_blocks(b)),
-        "ks": serial_product_step(*ks_blocks(b)),
+        "preservation": serial_product_step(*gram_tables(b)),
+        "positivity": serial_product_step(*choi_tables(b)),
+        "ks": serial_product_step(*ks_tables(b)),
     }
     for name, run in (
         ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
@@ -472,8 +471,9 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
     monkeypatch.setattr(core, "scan_then_refine", recording)
     ks_scan(b)
     (ws, vals), = seen
-    for i in lowest_indices(vals):
-        assert _bits(np.linalg.eigvalsh(ks_defect(b, ws[i]))[0]) == _bits(vals[i])
+    assert len(ws) == len(vals) == pauli.REFINE_STARTS
+    for w, val in zip(ws, vals):
+        assert _bits(np.linalg.eigvalsh(ks_defect(b, w))[0]) == _bits(val)
 
 
 def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
@@ -497,16 +497,54 @@ def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
         assert handed == [expected], run.__name__
 
 
+def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
+    # one _side_tables call per search serves the kernel, every refine step and the readout, and the
+    # refine gets exactly the kernel's starts, their points in its order and its values
+    tables, kernel, refined = [], [], []
+    side_tables, lowest, refine = core._side_tables, core.hermitian_lowest_eigvals, core.scan_then_refine
+
+    def recording_tables(*args):
+        tables.append(args)
+        return side_tables(*args)
+
+    def recording_kernel(coeffs, table):
+        kernel.append(lowest(coeffs, table))
+        return kernel[-1]
+
+    def recording_refine(points, values, step):
+        refined.append((points, values))
+        return refine(points, values, step)
+
+    monkeypatch.setattr(core, "_side_tables", recording_tables)
+    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording_kernel)
+    monkeypatch.setattr(core, "scan_then_refine", recording_refine)
+    b = rand_tensor(np.random.default_rng(63))
+    for run, n, complex_ in (
+        (state_preservation_check, 3, False),
+        (sampled_positivity_check, 2, True),
+        (ks_scan, 3, True),
+    ):
+        for log in (tables, kernel, refined):
+            log.clear()
+        run(b, 2000, 0)
+        assert len(tables) == 1, run.__name__
+        (starts, values), = kernel
+        (points, handed_values), = refined
+        assert len(starts) == pauli.REFINE_STARTS
+        assert _bits(points) == _bits(core._scan(2000, 0, n, complex_)[0][starts])
+        assert _bits(handed_values) == _bits(values)
+
+
 def test_product_step_views_are_one_form(monkeypatch):
     # <y, M(x) y> = <x, M(y) x> for the views each certificate's search refines on; a wrong
     # transpose would only show as worse witnesses, since scan_then_refine discards a rising round
     handed = []
 
-    def recording(form, nx, ny):
-        handed.append(_product_blocks(form, nx, ny))
-        return handed[-1]
+    def recording(form, nx, ny, complex_):
+        handed.append((_side_tables(form, nx, ny, complex_), np.linalg.norm(form)))
+        return handed[-1][0]
 
-    monkeypatch.setattr(core, "_product_blocks", recording)
+    monkeypatch.setattr(core, "_side_tables", recording)
     rng = np.random.default_rng(61)
     for scale in (0.1, 1.0, 10.0):
         b = rand_tensor(rng, scale)
@@ -517,16 +555,17 @@ def test_product_step_views_are_one_form(monkeypatch):
         ):
             handed.clear()
             run(b, 200, 0)
-            (x_blocks, y_blocks), = handed
-            x, y = (rng.standard_normal((20, len(blocks))) for blocks in (x_blocks, y_blocks))
+            ((x_table, y_table), form_norm), = handed
+            # the x-side table holds matrices on y, and the y-side one matrices on x
+            x, y = (rng.standard_normal((20, t.shape[-1])) for t in (y_table, x_table))
             if complex_:
                 x, y = x + 1j * rng.standard_normal(x.shape), y + 1j * rng.standard_normal(y.shape)
             x, y = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (x, y))
-            mx = _members(*_sesquilinear_family(x, x_blocks))
-            my = _members(*_sesquilinear_family(y, y_blocks))
+            mx = _members(_pair_coordinates(x), x_table)
+            my = _members(_pair_coordinates(y), y_table)
             lhs = np.einsum("ka,kab,kb->k", np.conj(y), mx, y)
             rhs = np.einsum("ka,kab,kb->k", np.conj(x), my, x)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.linalg.norm(x_blocks)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * form_norm
 
 
 def test_stacked_refine_stops_starts_in_different_rounds():
@@ -762,7 +801,7 @@ def test_global_check_scan_prunes_most_eigensolves(monkeypatch):
 
 
 def test_global_check_sorts_no_whole_scan(monkeypatch):
-    # only the candidates for the refine starts are sorted, in the kernel and in scan_then_refine
+    # only the kernel's candidates for the refine starts are sorted
     sizes = []
     argsort = np.argsort
 
@@ -836,9 +875,9 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
 
     def recording(coeffs, table):
         solved.clear()
-        vals = hermitian_lowest_eigvals(coeffs, table)
-        handed.append((vals, sum(solved)))
-        return vals
+        starts, vals = hermitian_lowest_eigvals(coeffs, table)
+        handed.append((starts, vals, sum(solved)))
+        return starts, vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording)
@@ -851,13 +890,13 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
         sampled_positivity_check(b, seed=seed)
         state_preservation_check(b, seed=seed)
         assert len(handed) == 3
-        for (vals, count), stack in zip(handed, _stacks_built_whole(b, seed)):
+        for (starts, vals, count), stack in zip(handed, _stacks_built_whole(b, seed)):
             solved.clear()
             ref = stack_lowest_eigvals(stack)
             top = lowest_indices(ref)
-            assert np.array_equal(lowest_indices(vals), top)
+            assert np.array_equal(starts, top)
             ulps = 8 * np.finfo(float).eps * np.linalg.norm(stack[top], axis=(1, 2))
-            assert np.all(np.abs(vals[top] - ref[top]) <= ulps)
+            assert np.all(np.abs(vals - ref[top]) <= ulps)
             # no scan sends more matrices to LAPACK than the stack kernel
             assert count <= sum(solved)
 

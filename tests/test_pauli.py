@@ -187,14 +187,12 @@ def members(coeffs, table):
 
 
 def assert_lowest_matches_full(coeffs, table):
-    """Never above the exact minimum; the REFINE_STARTS lowest (stable order) are bitwise LAPACK's on every member built."""
-    got = hermitian_lowest_eigvals(coeffs, table)
+    """The starts are the REFINE_STARTS lowest (stable order) of LAPACK on every member built, their values bitwise its."""
+    starts, vals = hermitian_lowest_eigvals(coeffs, table)
     ref = np.linalg.eigvalsh(members(coeffs, table))[:, 0]
-    assert got.shape == ref.shape
-    assert np.all(got <= ref)
     top = np.argsort(ref, kind="stable")[:REFINE_STARTS]
-    assert np.array_equal(np.argsort(got, kind="stable")[:REFINE_STARTS], top)
-    assert np.array_equal(got[top], ref[top])
+    assert np.array_equal(starts, top)
+    assert vals.tobytes() == ref[top].tobytes()
 
 
 def test_lowest_eigvals_matches_numpy():
@@ -213,6 +211,22 @@ def _unitary(rng, n, real):
         g = g + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_lowest_eigvals_picks_eight_lowest_of_twelve():
+    # members v*I have lambda_min exactly v; the two at 3.0 keep index order
+    vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
+    starts, got = hermitian_lowest_eigvals(vals[:, None], np.eye(4)[None])
+    assert np.array_equal(starts, [10, 4, 6, 1, 3, 9, 0, 8])
+    assert np.array_equal(got, vals[starts])
+
+
+def test_lowest_eigvals_ties_keep_index_order_against_bound_order():
+    # members c*diag(0, 1, 1, 1) all have lambda_min 0, and their bounds fall as c grows: the bound
+    # order is the reverse of the index order, and every member is solved
+    starts, vals = hermitian_lowest_eigvals(np.arange(1.0, 21.0)[:, None], np.diag([0.0, 1.0, 1.0, 1.0])[None])
+    assert np.array_equal(starts, np.arange(REFINE_STARTS))
+    assert vals.tobytes() == np.zeros(REFINE_STARTS).tobytes()
 
 
 @st.composite
@@ -355,7 +369,8 @@ def test_lowest_indices_property(values, k):
 
 
 def test_lowest_eigvals_empty_stack():
-    assert hermitian_lowest_eigvals(np.zeros((0, 2)), np.zeros((2, 4, 4))).shape == (0,)
+    starts, vals = hermitian_lowest_eigvals(np.zeros((0, 2)), np.zeros((2, 4, 4)))
+    assert starts.shape == vals.shape == (0,)
 
 
 def test_eigh_deterministic():

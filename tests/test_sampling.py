@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qqocert import cli, core, ks_global_check, sampled_positivity_check, sampling, state_preservation_check
-from qqocert.core import _bloch_vector, _pair_coordinates, _sesquilinear_family
+from qqocert.core import _bloch_vector, _pair_coordinates
 
 
 @pytest.mark.parametrize("n, complex_", [(1, False), (3, False), (2, True), (3, True)])
@@ -84,9 +84,6 @@ def assert_whole_scans():
         assert points.tobytes() == fresh_draw(*key).tobytes(), key
         assert coords.tobytes() == _pair_coordinates(points).tobytes(), key
         assert not (points.flags.writeable or coords.flags.writeable), key
-
-
-BLOCKS = np.zeros((3, 3, 4, 4), dtype=complex)
 
 
 def test_the_sampler_holds_nothing(empty_cache):
@@ -188,10 +185,10 @@ def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
     frozen = points.copy()
     frozen.flags.writeable = False
     for other in (points, points.copy(), frozen):
-        coeffs = _sesquilinear_family(other, BLOCKS)[0]
+        coeffs = _pair_coordinates(other)
         assert coeffs is not held and coeffs.flags.writeable
         assert coeffs.tobytes() == held.tobytes()
-        assert _sesquilinear_family(other, BLOCKS)[0] is not coeffs
+        assert _pair_coordinates(other) is not coeffs
     assert len(core._cache) == 1
 
 
