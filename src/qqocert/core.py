@@ -13,10 +13,10 @@ certificate runs on its own hermitian form (KS on ks_form, the tensor
 norm of the dual action on -G, positivity on the Choi matrix) over one
 scan, _scan: the points of the one sampler, sampling.sphere_points, and
 their pair coordinates, made together once per process and held
-read-only under the draw's key; its one scan-then-refine loop (a batch
-scan whose kernel hands over the eight best points, then an exact
-monotone step repeated from them, all eight advanced together, on side
-tables built once per search, every matrix built by pauli._members); and
+read-only under the draw's key; its loop, the one scan-then-refine (a
+batch scan whose kernel hands over the eight best points, then
+alternating eigen-descent from them, all eight advanced together, on
+side tables built once per search, every matrix built by pauli._members); and
 one complete-positivity check on the Choi matrix, built for all four
 matrix units at once.  Every tensor enters through as_coeff_tensor,
 which refuses entries above MAX_COEFF in size.  The term-by-term
@@ -43,7 +43,7 @@ from .pauli import (
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
-# scan_then_refine: relative stop, round cap (it refines the kernel's REFINE_STARTS starts)
+# product_form_minimum's refine: relative stop, round cap (it refines the kernel's REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
@@ -135,61 +135,37 @@ def _lowest(v: np.ndarray, table: np.ndarray) -> tuple:
     return vals[:, 0], vecs[:, :, 0]
 
 
-def scan_then_refine(points, values, step) -> tuple:
-    """Minimize from the given starts by repeating an exact monotone step (product_form_minimum's refine).
+def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray, coords: np.ndarray) -> tuple:
+    """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
 
-    values[i] is the exact value at points[i]; preservation maximizes by
-    searching -G.  The starts, each a descent over states (point, carry),
-    in the order given (the kernel's: lowest first, ties in scan order),
-    advance together: step maps the stacked points and carries of the k
-    starts still running (carries None in round 1, then what the next
-    round needs, such as eigenvectors) to the next ones and k values.  A
-    round that would raise a start's value is discarded and ends that
-    start, as does one that lowers it by at most REFINE_RTOL relative;
-    REFINE_CAP rounds end all.  Returns (best value, best point, the most
-    rounds any start used), ties going to the earlier start.  No starts
-    raise ValueError; the certificates refuse a budget below one before
-    they scan.
+    The one search every sampled certificate runs (preservation maximizes by searching -G), and the
+    package's one refine loop.  The kernel scans lambda_min(M(x)) at the given points x from their
+    _pair_coordinates, coords (a _scan gives both), on the x-side table and hands over its starts,
+    lowest first, ties in scan order, with their exact values.  Alternating eigen-descent then polishes
+    all the starts together: y is the lowest eigenvector of M(x), and a round sets x to that of M(y),
+    then y to that of M(x), so lambda_min(M(x)) never rises; each half-step is one stacked eigensolve
+    over the starts still running.  A round that lowers a start's value is kept; one that lowers it by
+    at most REFINE_RTOL relative, or would raise it (and is discarded), ends that start; REFINE_CAP
+    rounds end all.  Both side tables are built once, by _side_tables.  Returns (value, x, x_table) of
+    the best start, ties going to the earlier one, x_table for reading M(x) off with _lowest.  No
+    points raise ValueError; the certificates refuse a budget below one before they scan.
     """
-    x, val = np.array(points), np.array(values, dtype=float)
-    if val.size < 1:
-        raise ValueError("samples must be >= 1")
-    live, carry = np.arange(len(val)), None
-    for rounds in range(1, REFINE_CAP + 1):
-        new_x, new_carry, new = step(x[live], carry)
+    x_table, y_table = _side_tables(form, nx, ny, np.iscomplexobj(points))
+    starts, val = hermitian_lowest_eigvals(coords, x_table)
+    x = points[starts]
+    live, y = np.arange(len(val)), _lowest(x, x_table)[1]
+    for _ in range(REFINE_CAP):
+        new_x = _lowest(y, y_table)[1]
+        new, y = _lowest(new_x, x_table)
         fall = val[live] - new
         fell = fall > 0
         x[live[fell]], val[live[fell]] = new_x[fell], new[fell]
         going = fall > REFINE_RTOL * np.abs(val[live])
-        live, carry = live[going], None if new_carry is None else new_carry[going]
+        live, y = live[going], y[going]
         if live.size == 0:
             break
     best = int(np.argmin(val))
-    return float(val[best]), x[best], rounds
-
-
-def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray, coords: np.ndarray) -> tuple:
-    """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
-
-    The one search every sampled certificate runs: the kernel scans lambda_min(M(x)) at the given
-    points x from their _pair_coordinates, coords (a _scan gives both), on the x-side table, then
-    scan_then_refine polishes the starts the kernel picks by alternating eigen-descent, with y (the
-    carry) the lowest eigenvector of M(x): a round sets x to that of M(y), then y to that of M(x),
-    so lambda_min(M(x)) never rises.  Both side tables are built once, by _side_tables.  Returns
-    (value, x, x_table), x_table for reading M(x) off with _lowest.
-    """
-    x_table, y_table = _side_tables(form, nx, ny, np.iscomplexobj(points))
-    starts, vals = hermitian_lowest_eigvals(coords, x_table)
-
-    def step(x, y):
-        if y is None:
-            y = _lowest(x, x_table)[1]
-        x = _lowest(y, y_table)[1]
-        val, y = _lowest(x, x_table)
-        return x, y, val
-
-    value, x, _ = scan_then_refine(points[starts], vals, step)
-    return value, x, x_table
+    return float(val[best]), x[best], x_table
 
 
 @dataclass

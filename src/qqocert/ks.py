@@ -22,9 +22,9 @@ spheres with core.product_form_minimum, the one search every sampled
 certificate runs: its scan hands the guarded lowest-eigenvalue kernel the
 real coordinates of conj(w) w^T and nine hermitian combinations of the
 M_jk, the kernel builds and solves only the defects that can rank among
-the best, and its refine polishes the best candidates (psi := lowest
-eigenvector of defect(w), then w := lowest eigenvector of T(psi); neither
-half-step can raise it).
+the best, and its own loop, the package's only refine, polishes the best
+candidates (psi := lowest eigenvector of defect(w), then w := lowest
+eigenvector of T(psi); neither half-step can raise it).
 Every defect and T(psi) is built by pauli._members, as the kernel builds
 the scanned defects, so ks_defect at a scanned direction has bitwise its
 scan value under eigvalsh.  A violation witness is any unit w whose

@@ -27,7 +27,9 @@ def sphere_points(samples: int, seed: int, n: int, complex_: bool) -> np.ndarray
 
 
 def _draw_key(samples: int, seed: int, n: int, complex_: bool) -> tuple:
-    """The cache key of a draw; samples < 1 raises ValueError, a non-integer samples, seed or n TypeError."""
+    """The cache key of a draw; samples or n below 1 raises ValueError, a non-integer samples, seed or n TypeError."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if n < 1:
+        raise ValueError("need at least one coordinate")
     return operator.index(samples), operator.index(seed), operator.index(n), bool(complex_)

@@ -254,8 +254,8 @@ def necessary_conditions_paper(b, f, w) -> dict:
 
 
 # ------------------------------------------------- serial refine and per-unit Choi
-# The one-start-at-a-time loop and single-matrix steps that core.scan_then_refine
-# and its stacked steps replaced; the stacked route must reproduce them bitwise.
+# The one-start-at-a-time loop and single-matrix steps that the stacked loop of
+# core.product_form_minimum replaced; the stacked route must reproduce them bitwise.
 
 
 def serial_scan_then_refine(points, values, step):

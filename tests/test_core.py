@@ -11,12 +11,13 @@ from qqocert import (
     cp_check,
     delta_sigma_images,
     hermitian_eigh,
+    ks_form,
     ks_global_check,
     sampled_positivity_check,
     sphere_points,
     state_preservation_check,
 )
-from qqocert import pauli
+from qqocert import core, pauli
 from qqocert.core import (
     DEFAULT_SAMPLES,
     MAX_COEFF,
@@ -24,7 +25,7 @@ from qqocert.core import (
     _bloch_vector,
     _pair_coordinates,
     _side_tables,
-    scan_then_refine,
+    product_form_minimum,
 )
 from qqocert.pauli import ID2, ID4, SIGMA, _members
 
@@ -268,31 +269,32 @@ def test_certificates_reject_a_budget_below_one(check, samples):
         check(build_coeff_tensor(0.3), samples)
 
 
-def test_scan_then_refine_keeps_best_and_rejects_empty_scan():
-    # the starts as the kernel hands them, lowest first (test_pauli checks the kernel picks these eight)
+def test_product_form_minimum_refuses_zero_points():
+    points, coords = core._scan(1, 0, 3, True)
     with pytest.raises(ValueError):
-        scan_then_refine(np.zeros((0, 3)), np.zeros(0), None)
+        product_form_minimum(ks_form(build_coeff_tensor(0.3)), 3, 4, points[:0], coords[:0])
+
+
+def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
+    # points (start, round); the kernel hands over the eight lowest, lowest first, ties in scan order
     vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
+    pts = np.stack([np.arange(12.0), np.zeros(12)], axis=1)
     starts = np.argsort(vals, kind="stable")[:8]
-    pts, vals = np.arange(12.0)[starts], vals[starts]
-    # a step that only ever rises is never taken; the best start wins
-    val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.full(len(x), 99.0)))
-    assert (val, x, rounds) == (0.5, 10.0, 1)
-    # a step to a fixed value is taken once; the next round stops the descent
-    val, x, rounds = scan_then_refine(pts, vals, lambda x, c: (x, None, np.zeros(len(x))))
-    assert val == 0.0 and rounds == 2
-    # a step that always halves runs from each start handed to its cap; the tie goes to the first
-    calls = []
-
-    def halve(x, k):
-        calls.extend(x)
-        k = np.zeros(len(x), dtype=int) if k is None else k + 1
-        return x, k, 0.5 ** (k + 1)
-
-    val, x, rounds = scan_then_refine(pts, vals + 1.0, halve)
-    assert rounds == REFINE_CAP
-    assert calls[:8] == list(pts) and set(calls) == set(pts)
-    assert val == 0.5**REFINE_CAP and x == 10.0
+    # a round that only ever rises is never taken; the best start wins
+    val, x, calls = scripted_search(pts, vals, lambda v: np.full(len(v), 99.0))
+    assert (val, list(x)) == (0.5, [10.0, 0.0])
+    assert [t for t, _ in calls].count("y") == 1
+    # a round to a fixed value is taken once; the next round stops the descent
+    val, x, calls = scripted_search(pts, vals, lambda v: np.zeros(len(v)))
+    assert (val, list(x)) == (0.0, [10.0, 1.0])
+    assert [t for t, _ in calls].count("y") == 2
+    # a round that always halves runs from each start handed to the cap; the tie goes to the first
+    val, x, calls = scripted_search(pts, vals + 1.0, lambda v: 0.5 ** v[:, 1])
+    rounds = [rows for t, rows in calls if t == "y"]
+    assert len(rounds) == REFINE_CAP
+    assert calls[0][0] == "x" and np.array_equal(calls[0][1], pts[starts])
+    assert all(np.array_equal(rows[:, 0], starts) for rows in rounds)
+    assert val == 0.5**REFINE_CAP and list(x) == [10.0, REFINE_CAP]
 
 
 # ---------------------------------------------------------------- preservation

@@ -27,7 +27,6 @@ from qqocert.core import (
     _side_tables,
     choi_matrix_from_tensor,
     product_form_minimum,
-    scan_then_refine,
 )
 from qqocert.ks import KS_COND_TOL, KS_DEFAULT_SAMPLES, KS_DEFAULT_TOL
 from qqocert.pauli import ID4, SIGMA, _hermitian_part, _members, lowest_indices
@@ -77,7 +76,53 @@ def choi_tables(b):
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
-    return product_form_minimum(ks_form(b), 3, 4, *core._scan(samples, seed, 3, True))
+    return core.product_form_minimum(ks_form(b), 3, 4, *core._scan(samples, seed, 3, True))
+
+
+def record_searches(monkeypatch):
+    """A list that each core.product_form_minimum call appends a dict to, its readouts included.
+
+    points: the points handed; tables: each _side_tables pair, the search's own first; kernel:
+    (starts, values, table) of each kernel call; lowest: (table, v) of each _lowest call, so the
+    calls on the y-side table count the refine's rounds; result: the search's (value, x).
+    """
+    searches = []
+    search, side_tables, kernel, lowest = (
+        core.product_form_minimum, core._side_tables, core.hermitian_lowest_eigvals, core._lowest
+    )
+
+    def recording_search(form, nx, ny, points, coords):
+        searches.append({"points": points, "tables": [], "kernel": [], "lowest": []})
+        result = search(form, nx, ny, points, coords)
+        searches[-1]["result"] = result[:2]
+        return result
+
+    def recording_tables(*args):
+        tables = side_tables(*args)
+        if searches:
+            searches[-1]["tables"].append(tables)
+        return tables
+
+    def recording_kernel(coeffs, table):
+        starts, values = kernel(coeffs, table)
+        searches[-1]["kernel"].append((starts, values.copy(), table))
+        return starts, values
+
+    def recording_lowest(v, table):
+        searches[-1]["lowest"].append((table, v.copy()))
+        return lowest(v, table)
+
+    monkeypatch.setattr(core, "product_form_minimum", recording_search)
+    monkeypatch.setattr(core, "_side_tables", recording_tables)
+    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording_kernel)
+    monkeypatch.setattr(core, "_lowest", recording_lowest)
+    return searches
+
+
+def refine_rounds(search):
+    """The rounds a recorded search's refine ran: its _lowest calls on its y-side table."""
+    y_table = search["tables"][0][1]
+    return sum(table is y_table for table, _ in search["lowest"])
 
 
 def rand_unit_w(rng):
@@ -373,20 +418,14 @@ def test_global_check_witness_normalized_and_reevaluates():
 
 
 def test_descent_never_rises_and_stops_before_cap(monkeypatch):
-    # every certificate's search, each run alone from one point; its start value and rounds
-    # are read through scan_then_refine
+    # every certificate's search, each run alone from one point; its start value is the kernel's,
+    # its rounds the refine's calls of _lowest on the y-side table
     rng = np.random.default_rng(16)
     b = rand_tensor(rng, scale=0.7)
     ds = delta_sigma_images(b)
     real_starts = rng.standard_normal((20, 3))
     real_starts /= np.linalg.norm(real_starts, axis=1, keepdims=True)
-    seen = []
-
-    def recording(points, values, step):
-        seen.append((values, scan_then_refine(points, values, step)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(core, "scan_then_refine", recording)
+    searches = record_searches(monkeypatch)
     cases = [
         # (form, nx, ny, starts, value at a point), the tensor norm squared negated
         (
@@ -407,12 +446,13 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
     ]
     for form, nx, ny, starts, value in cases:
         for x0 in starts:
-            seen.clear()
-            val, x, _ = product_form_minimum(form, nx, ny, x0[None], _pair_coordinates(x0[None]))
-            ((start,), (_, _, rounds)), = seen
+            searches.clear()
+            val, x, _ = core.product_form_minimum(form, nx, ny, x0[None], _pair_coordinates(x0[None]))
+            search, = searches
+            (_, (start,), _), = search["kernel"]
             assert abs(value(x0) - start) <= 1e-12
             assert val <= start
-            assert rounds < REFINE_CAP
+            assert refine_rounds(search) < REFINE_CAP
             assert abs(value(x) - val) <= 1e-12
 
 
@@ -438,22 +478,19 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
         "positivity": serial_product_step(*choi_tables(b)),
         "ks": serial_product_step(*ks_tables(b)),
     }
+    searches = record_searches(monkeypatch)
     for name, run in (
         ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
         ("positivity", lambda: core.sampled_positivity_check(b, 2000, seed)),
         ("ks", lambda: ks_scan(b, 5000, seed)),
     ):
-        seen = []
-
-        def recording(points, values, step):
-            seen.append((points, values, scan_then_refine(points, values, step)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(core, "scan_then_refine", recording)
+        searches.clear()
         run()
-        (points, values, (val, x, rounds)), = seen
-        s_val, s_x, s_rounds = serial_scan_then_refine(points, values, serial_steps[name])
-        assert _bits(val) == _bits(s_val) and _bits(x) == _bits(s_x) and rounds == s_rounds, name
+        search, = searches
+        (starts, values, _), = search["kernel"]
+        val, x = search["result"]
+        s_val, s_x, s_rounds = serial_scan_then_refine(search["points"][starts], values, serial_steps[name])
+        assert _bits(val) == _bits(s_val) and _bits(x) == _bits(s_x) and refine_rounds(search) == s_rounds, name
 
 
 @pytest.mark.parametrize("b", [build_coeff_tensor(e) for e in (0.1, 1.0 / 3.0, 0.5)] + [
@@ -462,15 +499,11 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
 def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
     # the kernel and ks_defect build through one builder, so eigvalsh (not eigh, which can
     # differ from it by an ulp) of a rebuilt defect is bitwise the scan value at every start
-    seen = []
-
-    def recording(points, values, step):
-        seen.append((points, values))
-        return scan_then_refine(points, values, step)
-
-    monkeypatch.setattr(core, "scan_then_refine", recording)
+    searches = record_searches(monkeypatch)
     ks_scan(b)
-    (ws, vals), = seen
+    search, = searches
+    (starts, vals, _), = search["kernel"]
+    ws = search["points"][starts]
     assert len(ws) == len(vals) == pauli.REFINE_STARTS
     for w, val in zip(ws, vals):
         assert _bits(np.linalg.eigvalsh(ks_defect(b, w))[0]) == _bits(val)
@@ -499,45 +532,31 @@ def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
 
 def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
     # one _side_tables call per search serves the kernel, every refine step and the readout, and the
-    # refine gets exactly the kernel's starts, their points in its order and its values
-    tables, kernel, refined = [], [], []
-    side_tables, lowest, refine = core._side_tables, core.hermitian_lowest_eigvals, core.scan_then_refine
-
-    def recording_tables(*args):
-        tables.append(args)
-        return side_tables(*args)
-
-    def recording_kernel(coeffs, table):
-        kernel.append(lowest(coeffs, table))
-        return kernel[-1]
-
-    def recording_refine(points, values, step):
-        refined.append((points, values))
-        return refine(points, values, step)
-
-    monkeypatch.setattr(core, "_side_tables", recording_tables)
-    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording_kernel)
-    monkeypatch.setattr(core, "scan_then_refine", recording_refine)
+    # refine starts from exactly the kernel's starts, their points in its order, and never rises above
+    # their values (test_core scripts the loop to show it starts from those values)
+    searches = record_searches(monkeypatch)
     b = rand_tensor(np.random.default_rng(63))
     for run, n, complex_ in (
         (state_preservation_check, 3, False),
         (sampled_positivity_check, 2, True),
         (ks_scan, 3, True),
     ):
-        for log in (tables, kernel, refined):
-            log.clear()
+        searches.clear()
         run(b, 2000, 0)
-        assert len(tables) == 1, run.__name__
-        (starts, values), = kernel
-        (points, handed_values), = refined
+        search, = searches
+        (x_table, y_table), = search["tables"]
+        (starts, values, kernel_table), = search["kernel"]
+        (first_table, first), *_ = search["lowest"]
+        assert kernel_table is x_table and first_table is x_table, run.__name__
+        assert all(table is x_table or table is y_table for table, _ in search["lowest"])
         assert len(starts) == pauli.REFINE_STARTS
-        assert _bits(points) == _bits(core._scan(2000, 0, n, complex_)[0][starts])
-        assert _bits(handed_values) == _bits(values)
+        assert _bits(first) == _bits(core._scan(2000, 0, n, complex_)[0][starts])
+        assert search["result"][0] <= values[0]
 
 
 def test_product_step_views_are_one_form(monkeypatch):
     # <y, M(x) y> = <x, M(y) x> for the views each certificate's search refines on; a wrong
-    # transpose would only show as worse witnesses, since scan_then_refine discards a rising round
+    # transpose would only show as worse witnesses, since product_form_minimum discards a rising round
     handed = []
 
     def recording(form, nx, ny, complex_):
@@ -568,29 +587,22 @@ def test_product_step_views_are_one_form(monkeypatch):
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * form_norm
 
 
-def test_stacked_refine_stops_starts_in_different_rounds():
+def test_stacked_refine_stops_starts_in_different_rounds(scripted_search):
     # start s (scan value s) falls by 1.5 in rounds 1..s; round s + 1 is flat for even s and
     # rises by 3 for odd s, which must keep that start's last accepted point
     pts = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
-    seen = []
 
-    def step(x, carry):
-        seen.append((x.copy(), None if carry is None else carry.copy()))
-        s = x[:, 0]
-        r = np.ones(len(x)) if carry is None else carry[:, 1] + 1
-        new = s - 1.5 * np.minimum(r, s) + np.where((r > s) & (s % 2 == 1), 3.0, 0.0)
-        return x + [0.0, 1.0], np.stack([s, r], axis=1), new
+    def value(v):
+        s, r = v[:, 0], v[:, 1]
+        return s - 1.5 * np.minimum(r, s) + np.where((r > s) & (s % 2 == 1), 3.0, 0.0)
 
-    val, x, rounds = scan_then_refine(pts, pts[:, 0], step)
-    # the live stack loses start r - 1 in round r, and each carry stays with its start
-    assert [len(xs) for xs, _ in seen] == [8, 7, 6, 5, 4, 3, 2, 1]
-    assert seen[0][1] is None
-    for r, (xs, carry) in enumerate(seen[1:], start=2):
-        assert np.array_equal(xs[:, 0], np.arange(r - 1, 8.0))
-        assert np.array_equal(carry, np.stack([xs[:, 0], np.full(len(xs), r - 1.0)], axis=1))
-        assert np.array_equal(xs[:, 1], np.full(len(xs), r - 1.0))
+    val, x, calls = scripted_search(pts, pts[:, 0].copy(), value)
+    rounds = [rows for table, rows in calls if table == "y"]
+    # the live stack loses start r - 1 in round r, and each carry (start, r - 1) stays with its start
+    assert [len(rows) for rows in rounds] == [8, 7, 6, 5, 4, 3, 2, 1]
+    for r, rows in enumerate(rounds, start=1):
+        assert np.array_equal(rows, np.stack([np.arange(r - 1, 8.0), np.full(9 - r, r - 1.0)], axis=1))
     # start 7 wins with the point of its seventh round, not of its rising eighth
-    assert rounds == 8
     assert val == 7.0 - 1.5 * 7 and np.array_equal(x, [7.0, 7.0])
 
 
@@ -876,7 +888,8 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
     def recording(coeffs, table):
         solved.clear()
         starts, vals = hermitian_lowest_eigvals(coeffs, table)
-        handed.append((starts, vals, sum(solved)))
+        # a copy: the search's refine lowers the values it is handed in place
+        handed.append((starts, vals.copy(), sum(solved)))
         return starts, vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)

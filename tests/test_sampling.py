@@ -29,6 +29,18 @@ def test_sphere_points_refuse_a_budget_below_one(samples):
         sampling.sphere_points(samples, 0, 3, False)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_both_draw_entries_refuse_fewer_than_one_coordinate_before_drawing(empty_cache, monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for draw in (sampling.sphere_points, core._scan):
+        with pytest.raises(ValueError, match="need at least one coordinate"):
+            draw(4, 0, n, False)
+    assert core._cache == {} and core._held == 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 801])
 def test_positivity_scan_points_are_uniform_on_the_bloch_sphere(seed):
     # uniform w on S^2 has mean 0 and second moments I/3
