@@ -49,8 +49,8 @@ REFINE_CAP = 1000
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
 MAX_COEFF = 1e64
 CACHE_BYTES = 32 << 20
-# draw key -> (points, pair coordinates), least recently used first; bytes held, 1 KiB extra an array
-_cache, _held, _lock = {}, 0, threading.Lock()
+# draw key -> (points, pair coordinates), least recently used first
+_cache, _lock = {}, threading.Lock()
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
@@ -91,21 +91,19 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
 def _scan(samples: int, seed: int, n: int, complex_: bool) -> tuple:
     """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed, n, complex_), read-only.
 
-    Drawn once per process, outside the lock, and held under sampling._draw_key as the newest entry;
-    past CACHE_BYTES the least recently used go, to be drawn again, bitwise alike.
+    Drawn once per process under the lock, so concurrent misses of one key draw it once, and held under
+    sampling._draw_key as the newest entry; past CACHE_BYTES the least recently used go, redrawn bitwise alike.
     """
-    global _held
     key = sampling._draw_key(samples, seed, n, complex_)
-    if (entry := _cache.get(key)) is None:
-        points = sampling.sphere_points(*key)
-        entry = (points, _pair_coordinates(points))
-        for a in entry:
-            a.flags.writeable = False
     with _lock:
-        _held += sum(a.nbytes + 1024 for a in entry) - sum(a.nbytes + 1024 for a in _cache.pop(key, ()))
+        if (entry := _cache.pop(key, None)) is None:
+            points = sampling.sphere_points(*key)
+            entry = (points, _pair_coordinates(points))
+            for a in entry:
+                a.flags.writeable = False
         _cache[key] = entry
-        while _held > CACHE_BYTES:
-            _held -= sum(a.nbytes + 1024 for a in _cache.pop(next(iter(_cache))))
+        while sum(a.nbytes for held in _cache.values() for a in held) > CACHE_BYTES:
+            del _cache[next(iter(_cache))]
     return entry
 
 

@@ -5,11 +5,20 @@ import inspect
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from qqocert import cli, core, ks_global_check, sampled_positivity_check, sampling, state_preservation_check
+from qqocert import (
+    build_coeff_tensor,
+    cli,
+    core,
+    ks_global_check,
+    sampled_positivity_check,
+    sampling,
+    state_preservation_check,
+)
 from qqocert.core import _bloch_vector, _pair_coordinates
 
 
@@ -29,16 +38,31 @@ def test_sphere_points_refuse_a_budget_below_one(samples):
         sampling.sphere_points(samples, 0, 3, False)
 
 
+def refuse_to_draw(*args):
+    raise AssertionError("drew")
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_both_draw_entries_refuse_fewer_than_one_coordinate_before_drawing(empty_cache, monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("drew")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
     for draw in (sampling.sphere_points, core._scan):
         with pytest.raises(ValueError, match="need at least one coordinate"):
             draw(4, 0, n, False)
-    assert core._cache == {} and core._held == 0
+    assert core._cache == {}
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_cache, monkeypatch, eps):
+    # CP at 0.1, so ks_global_check would return without a scan; not CP at 0.5, so every certificate scans
+    monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+    for draw in (sampling.sphere_points, core._scan):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            draw(100, -1, 3, True)
+    b = build_coeff_tensor(eps)
+    for check in (ks_global_check, state_preservation_check, sampled_positivity_check):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            check(b, 2000, -1)
+    assert core._cache == {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 801])
@@ -75,8 +99,7 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, mo
 @pytest.fixture
 def empty_cache(monkeypatch):
     """An empty draw cache for one test; the process's own comes back afterwards."""
-    for name, value in (("_cache", {}), ("_held", 0)):
-        monkeypatch.setattr(core, name, value)
+    monkeypatch.setattr(core, "_cache", {})
 
 
 def fresh_draw(samples, seed, n, complex_):
@@ -122,7 +145,7 @@ def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkey
     assert first[0].tobytes() == want
     monkeypatch.setattr(core, "CACHE_BYTES", 0)
     core._scan(5, 1, 2, False)
-    assert core._cache == {} and core._held == 0
+    assert core._cache == {}
     again = core._scan(700, 11, n, complex_)
     assert again[0] is not first[0] and not again[0].flags.writeable
     assert again[0].tobytes() == want and again[1].tobytes() == first[1].tobytes()
@@ -130,9 +153,8 @@ def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkey
 
 def test_a_hit_makes_its_scan_the_most_recently_used(empty_cache, monkeypatch):
     # room for two scans of 100 points: a hit on A moves it past B, so drawing C evicts B, not A
-    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes + 1024 for a in core._scan(100, 0, 3, True)))
+    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes for a in core._scan(100, 0, 3, True)))
     core._cache.clear()
-    core._held = 0
     a_key, b_key, c_key = ((100, seed, 3, True) for seed in (1, 2, 3))
     a = core._scan(*a_key)
     core._scan(*b_key)
@@ -169,13 +191,13 @@ def test_a_non_integer_budget_or_seed_raises_before_anything_is_held(empty_cache
     for draw in (sampling.sphere_points, core._scan):
         with pytest.raises(TypeError):
             draw(samples, seed, 3, True)
-    assert core._cache == {} and core._held == 0
+    assert core._cache == {}
 
 
 def test_the_cache_never_holds_more_than_its_bound(empty_cache):
     for seed in range(12):
         core._scan(50_000, seed, 3, True)
-        assert held_bytes() <= core._held <= core.CACHE_BYTES
+        assert held_bytes() <= core.CACHE_BYTES
     assert 1 < len(core._cache) < 12
     assert_whole_scans()
 
@@ -187,7 +209,7 @@ def test_a_draw_larger_than_the_bound_is_handed_out_but_not_held(empty_cache, mo
     assert not big_points.flags.writeable and big_points.tobytes() == fresh_draw(20_000, 1, 3, True).tobytes()
     assert not big_coords.flags.writeable and big_coords.tobytes() == _pair_coordinates(big_points).tobytes()
     assert core._scan(20_000, 1, 3, True) is not big
-    assert list(core._cache.values()) == [] and held_bytes() == core._held == 0
+    assert core._cache == {}
     assert core._scan(100, 1, 3, True) is not small
 
 
@@ -234,26 +256,36 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert core._held == sum(a.nbytes + 1024 for e in core._cache.values() for a in e) <= core.CACHE_BYTES
+    assert held_bytes() <= core.CACHE_BYTES
     assert_whole_scans()
 
 
-def test_a_draw_that_lost_a_race_replaces_the_entry_once(empty_cache, monkeypatch):
-    # two callers that miss one key both draw it, outside the lock: here the first caller's draw
-    # runs a second, complete _scan of the same key before it returns, and its entry replaces that one
+def test_threads_missing_one_key_draw_it_once(empty_cache, monkeypatch):
+    # the draw is slow enough that every thread reaches the cache while the first is still drawing
     key = (10, 0, 3, True)
-    sphere_points, inner = sampling.sphere_points, []
+    sphere_points, drawn = sampling.sphere_points, []
 
-    def racing(*args):
-        monkeypatch.setattr(sampling, "sphere_points", sphere_points)
-        inner.append(core._scan(*key))
+    def slow(*args):
+        drawn.append(args)
+        time.sleep(0.2)
         return sphere_points(*args)
 
-    monkeypatch.setattr(sampling, "sphere_points", racing)
-    outer = core._scan(*key)
-    assert outer is not inner[0] and outer[0].tobytes() == inner[0][0].tobytes()
-    assert core._cache == {key: outer}
-    assert core._held == held_bytes() + 2 * 1024
+    monkeypatch.setattr(sampling, "sphere_points", slow)
+    start, got = threading.Barrier(8), []
+
+    def work():
+        start.wait()
+        got.append(core._scan(*key))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert drawn == [key]
+    assert len(got) == 8 and all(entry is got[0] for entry in got)
+    assert core._cache == {key: got[0]}
     assert_whole_scans()
 
 
@@ -271,8 +303,7 @@ def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, 
 
     def reports(order, cold):
         if cold:
-            for name, value in (("_cache", {}), ("_held", 0)):
-                monkeypatch.setattr(core, name, value)
+            monkeypatch.setattr(core, "_cache", {})
         got = {}
         for argv in order:
             code = cli.main(argv)
