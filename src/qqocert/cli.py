@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_COMMANDS, help="what to run (listed below)")
     parser.add_argument("--epsilon", type=_finite_float, help="coupling of the one-parameter family")
     parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file")
-    parser.add_argument("--samples", type=_int_at_least(1), help="scan budget (module defaults if omitted)")
+    parser.add_argument("--samples", type=_int_at_least(1), help="KS scan budget (module defaults if omitted)")
     parser.add_argument(
-        "--seed", type=_int_at_least(0), default=core.DEFAULT_SEED, help="seed for the deterministic scans"
+        "--seed", type=_int_at_least(0), default=core.DEFAULT_SEED, help="seed for the KS scan"
     )
     parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)")
     parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate")
@@ -136,11 +136,8 @@ def _cmd_certify(args) -> int:
     b, eps, source = _resolve_tensor(args)
     # first, so that a bad --tol is refused before any scan runs
     witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
-    pres = core.state_preservation_check(b, args.samples, args.seed)
-    if eps is not None:
-        pos = epsilon.positivity_check(eps)
-    else:
-        pos = core.sampled_positivity_check(b, args.samples, args.seed)
+    pres = core.state_preservation_check(b)
+    pos = epsilon.positivity_check(eps) if eps is not None else core.sampled_positivity_check(b)
     cp = core.cp_check(b)
 
     all_pass = pres.passes and pos.is_positive and cp.is_cp and witness is None
@@ -224,8 +221,9 @@ def _cmd_sweep(args) -> int:
 
 
 # Each command: (the help line the epilog of -h gives it, its handler, what main
-# fills in for each flag left unset).  certify scans preservation and positivity
-# with samples and the KS search with ks_samples; a given --samples sets both.
+# fills in for each flag left unset).  certify runs the KS search with ks_samples
+# and only reports samples, since preservation and positivity read no budget; a
+# given --samples sets both.
 _COMMANDS = {
     "certify": ("state preservation, positivity, complete positivity and a KS-violation search", _cmd_certify,
                 {"samples": core.DEFAULT_SAMPLES, "ks_samples": ks.KS_DEFAULT_SAMPLES, "tol": ks.KS_DEFAULT_TOL}),

@@ -8,24 +8,29 @@ real numbers b[m][l][k]:
 
 This module evaluates that map on the Pauli matrices (delta_sigma_images)
 and on the matrix units (the Choi matrix), and builds every certificate
-on shared pieces: one search, product_form_minimum, that every sampled
-certificate runs on its own hermitian form (KS on ks_form, the tensor
-norm of the dual action on -G, positivity on the Choi matrix) over one
-scan, _scan: the points of the one sampler, sampling.sphere_points, and
-their pair coordinates, made together once per process and held
-read-only under the draw's key; its loop, the one scan-then-refine (a
-batch scan whose kernel hands over the eight best points, then
-alternating eigen-descent from them, all eight advanced together, on
-side tables built once per search, every matrix built by pauli._members); and
-one complete-positivity check on the Choi matrix, built for all four
-matrix units at once.  Every tensor enters through as_coeff_tensor,
-which refuses entries above MAX_COEFF in size.  The term-by-term
-definitions of the map, its dual action and beta(f) are test oracles
-(tests/oracles.py), not package code.
+on shared pieces: one search, product_form_minimum, that every
+certificate but complete positivity runs on its own hermitian form (KS
+on ks_form, the tensor norm of the dual action on -G, positivity on the
+Choi matrix) from the form's side tables, built once per certificate,
+and its points; its loop, the one refine (the kernel hands over the
+eight best points, then alternating eigen-descent from them, all eight
+advanced together, every matrix built by pauli._members); one adaptive
+icosahedral mesh of S^2, _mesh, on which positivity and preservation,
+concave and homogeneous of degree 1 there, are decided from vertex
+values and a per-face bound (_face_bounds) before the search refines
+from the mesh's vertices; one scan, _scan, for the KS search alone: the
+points of the one sampler, sampling.sphere_points, and their pair
+coordinates, made together once per process and held read-only under the
+draw's key; and one complete-positivity check on the Choi matrix, built
+for all four matrix units at once.  Every tensor enters through
+as_coeff_tensor, which refuses entries above MAX_COEFF in size.  The
+term-by-term definitions of the map, its dual action and beta(f) are test
+oracles (tests/oracles.py), not package code.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -38,6 +43,7 @@ from .pauli import (
     POSITIVITY_EIG_TOL,
     _members,
     hermitian_eigh,
+    hermitian_eigvalsh,
     hermitian_lowest_eigvals,
 )
 
@@ -46,6 +52,11 @@ DEFAULT_SEED = 0
 # product_form_minimum's refine: relative stop, round cap (it refines the kernel's REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
+# _mesh: most vertices solved, relative lowering of each face's plane distance
+MESH_CAP = 2000
+MESH_RTOL = 1e-12
+# state preservation passes while the tensor norm stays within 1 + NORM_TOL
+NORM_TOL = 1e-9
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
 MAX_COEFF = 1e64
 CACHE_BYTES = 32 << 20
@@ -127,28 +138,27 @@ def _side_tables(form: np.ndarray, nx: int, ny: int, complex_: bool) -> tuple:
 def _lowest(v: np.ndarray, table: np.ndarray) -> tuple:
     """lambda_min of the member _pair_coordinates(v) weigh on a side table, and its eigenvector, for a stack of v.
 
-    Built as the scans build theirs, by pauli._members, so a scanned point gets its scan value.
+    Built as the kernel and the mesh build theirs, by pauli._members, so a point they solved gets their value.
     """
     vals, vecs = hermitian_eigh(_members(_pair_coordinates(v), table))
     return vals[:, 0], vecs[:, :, 0]
 
 
-def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray, coords: np.ndarray) -> tuple:
+def product_form_minimum(tables: tuple, points: np.ndarray, coords: np.ndarray) -> tuple:
     """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
 
-    The one search every sampled certificate runs (preservation maximizes by searching -G), and the
-    package's one refine loop.  The kernel scans lambda_min(M(x)) at the given points x from their
-    _pair_coordinates, coords (a _scan gives both), on the x-side table and hands over its starts,
-    lowest first, ties in scan order, with their exact values.  Alternating eigen-descent then polishes
-    all the starts together: y is the lowest eigenvector of M(x), and a round sets x to that of M(y),
-    then y to that of M(x), so lambda_min(M(x)) never rises; each half-step is one stacked eigensolve
-    over the starts still running.  A round that lowers a start's value is kept; one that lowers it by
-    at most REFINE_RTOL relative, or would raise it (and is discarded), ends that start; REFINE_CAP
-    rounds end all.  Both side tables are built once, by _side_tables.  Returns (value, x, x_table) of
-    the best start, ties going to the earlier one, x_table for reading M(x) off with _lowest.  No
-    points raise ValueError; the certificates refuse a budget below one before they scan.
+    The one search every certificate but complete positivity runs (preservation maximizes by searching
+    -G), and the package's one refine loop, on M's side tables (x_table, y_table) from _side_tables,
+    which the caller builds once.  The kernel scans lambda_min(M(x)) at the given points x from their
+    _pair_coordinates, coords, on x_table and hands over its starts, lowest first, ties in point
+    order, with their exact values.  Alternating eigen-descent then polishes all the starts together:
+    y is the lowest eigenvector of M(x), and a round sets x to that of M(y), then y to that of M(x), so
+    lambda_min(M(x)) never rises; each half-step is one stacked eigensolve over the starts still
+    running.  A round that lowers a start's value is kept; one that lowers it by at most REFINE_RTOL
+    relative, or would raise it (and is discarded), ends that start; REFINE_CAP rounds end all.
+    Returns (value, x) of the best start, ties going to the earlier one.  No points raise ValueError.
     """
-    x_table, y_table = _side_tables(form, nx, ny, np.iscomplexobj(points))
+    x_table, y_table = tables
     starts, val = hermitian_lowest_eigvals(coords, x_table)
     x = points[starts]
     live, y = np.arange(len(val)), _lowest(x, x_table)[1]
@@ -163,7 +173,92 @@ def product_form_minimum(form: np.ndarray, nx: int, ny: int, points: np.ndarray,
         if live.size == 0:
             break
     best = int(np.argmin(val))
-    return float(val[best]), x[best], x_table
+    return float(val[best]), x[best]
+
+
+def _icosahedron() -> tuple:
+    """The 12 unit vertices of the icosahedron, (0, +-1, +-phi)/|.| and their cyclic shifts, read-only, and its 20 faces."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    base = np.array([(0.0, s, t * phi) for s in (1.0, -1.0) for t in (1.0, -1.0)]) / np.sqrt(1.0 + phi * phi)
+    v = np.concatenate([np.roll(base, k, axis=1) for k in range(3)])
+    v.flags.writeable = False
+    # neighbours lie 1.05 apart, the next nearest 1.70
+    near = ((v[:, None] - v[None]) ** 2).sum(axis=2) < 2.0
+    triples = np.array(list(itertools.combinations(range(12), 3)))
+    i, j, k = triples.T
+    return v, triples[near[i, j] & near[j, k] & near[i, k]]
+
+
+_ICOSAHEDRON = _icosahedron()
+
+
+def _face_bounds(points: np.ndarray, faces: np.ndarray, lows: np.ndarray) -> np.ndarray:
+    """min(mu, mu/h) for each face: a lower bound of a concave, degree-1 homogeneous g on its spherical triangle.
+
+    mu is the least of the vertices' lows, lower bounds of g there, and h the distance from 0 to the
+    plane of the flat face, taken MESH_RTOL relative lower: its rounding stays under 20u relative
+    while the face's angles stay near the icosahedron's 60 degrees (splits keep them above 50).  A point
+    of the spherical triangle is x/|x|, x = sum a_i v_i on the flat face (a in the simplex), h <= |x| <= 1,
+    and g(x/|x|) = g(x)/|x| >= mu/|x| by concavity, which is at least mu/h for mu < 0 and mu for mu >= 0.
+    """
+    a, b, c = points[faces].transpose(1, 0, 2)
+    normal = np.cross(b - a, c - a)
+    h = np.abs(np.einsum("ij,ij->i", normal, a)) / np.linalg.norm(normal, axis=1) * (1.0 - MESH_RTOL)
+    mu = np.min(lows[faces], axis=1)
+    return np.minimum(mu, mu / h)
+
+
+def _mesh(value, floor: float) -> tuple:
+    """Decide whether a concave, degree-1 homogeneous g on R^3 stays at or above floor on the unit sphere S^2.
+
+    value(w) gives, for a stack of unit w, the computed g(w) and lower bounds of the exact g(w).  The
+    mesh starts from the icosahedron and splits every face whose _face_bounds lies below floor into
+    four, at normalized edge midpoints that neighbouring faces share.  A midpoint lies on its edge's
+    great circle, so the spherical faces tile S^2 even where a neighbour stays whole (to rounding,
+    which a vertex's lows cover).  It stops at "violated" when a vertex's computed value lies below
+    floor, at "certified" when every face's bound clears it, and at "undecided" when the next split
+    would take more than MESH_CAP vertices.  Returns (outcome, points), every vertex solved, the
+    icosahedron's first.
+    """
+    points, faces = _ICOSAHEDRON
+    vals, lows = value(points)
+    midpoints = {}
+    while np.min(vals) >= floor:
+        faces = faces[_face_bounds(points, faces, lows) < floor]
+        if len(faces) == 0:
+            return "certified", points
+        # each face's edges ij, jk, ki, as sorted vertex pairs
+        sides = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]], axis=2).tolist()
+        edges = sorted({tuple(e) for face in sides for e in face} - midpoints.keys())
+        if len(points) + len(edges) > MESH_CAP:
+            return "undecided", points
+        midpoints.update((e, len(points) + k) for k, e in enumerate(edges))
+        new = points[edges].sum(axis=1)
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        new_vals, new_lows = value(new)
+        points = np.concatenate([points, new])
+        vals, lows = np.concatenate([vals, new_vals]), np.concatenate([lows, new_lows])
+        (i, j, k), (ij, jk, ki) = faces.T, np.array([[midpoints[tuple(e)] for e in face] for face in sides]).T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
+    return "violated", points
+
+
+def _vertex_slack(table: np.ndarray) -> float:
+    """How far below the exact lambda_min a vertex's computed one may lie: 1e-12*(||table||_F + 1).
+
+    A unit point's pair coordinates have norm at most 1, so its member built by pauli._members is
+    off by at most (q + 2)u*||table||_F (q <= 4 or 6 table terms, then the hermitian part), and
+    LAPACK's eigvalsh by p(n)u times the member's norm, p(n) a modest function of n (LAPACK Users'
+    Guide, section 4.7), allowed 10n^2 = 160 for the 3x3 and 4x4 members; the spinor of a positivity
+    vertex moves its Bloch vector by under 10u.  That is under 190u*(||table||_F + 1) in all, u = 2^-53,
+    and 1e-12 is about 4,500u.
+    """
+    return 1e-12 * (np.linalg.norm(table) + 1.0)
+
+
+def _vertex_eigvals(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """lambda_min of the member _pair_coordinates(x) weigh on a side table, for a stack of x, as the kernel solves it."""
+    return hermitian_eigvalsh(_members(_pair_coordinates(x), table))[:, 0]
 
 
 @dataclass
@@ -176,38 +271,46 @@ class PreservationReport:
     passes: bool
 
 
-def state_preservation_check(
-    b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> PreservationReport:
+def state_preservation_check(b) -> PreservationReport:
     """Injective norm of the dual action: the max of |b(f, p, .)| over unit f and p.
 
     This is the package's one tensor-norm routine, a product-form search
     like the KS one: |b(f, p, .)|^2 = (f x p)^T G (f x p) with
     G[(i, j), (l, m)] = sum_k b[i][j][k] b[l][m][k], so the norm squared
     is the largest eigenvalue of G(f) = N(f)^T N(f), N(f)[k, j] =
-    sum_i b[i][j][k] f_i.  The kernel scans -G(f) at `samples` unit f in
-    R^3 from sampling.sphere_points, building only the members that can
-    rank; product_form_minimum then refines the best on -G (p := top
-    eigenvector of G(f), f := that of G(p)), and max_norm and witness_p
-    are read off G at the final f.  The certificate passes iff max_norm
-    stays within 1 + 1e-9.
+    sum_i b[i][j][k] f_i.  The largest singular value of N(f) is a norm
+    of a linear map of f, so -sqrt(-lambda_min(-G(f))) is concave and
+    homogeneous of degree 1, and _mesh decides it against -(1 + NORM_TOL)
+    on S^2, each vertex read off the member of -G's f-side table at f;
+    product_form_minimum then refines from the mesh's vertices on -G
+    (p := top eigenvector of G(f), f := that of G(p)), and max_norm and
+    witness_p are read off G at the final f.  The certificate passes iff
+    max_norm stays within 1 + NORM_TOL.
     """
     arr = as_coeff_tensor(b)
-    gram = np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9)
-    _, f, f_table = product_form_minimum(-gram, 3, 3, *_scan(samples, seed, 3, False))
-    lowest, p = _lowest(f[None], f_table)
+    tables = _side_tables(-np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9), 3, 3, False)
+    slack = _vertex_slack(tables[0])
+
+    def value(f):
+        # sqrt is increasing, so sqrt of the squared norm plus its slack bounds the norm from above
+        squared = np.maximum(0.0, -_vertex_eigvals(f, tables[0]))
+        return -np.sqrt(squared), -np.sqrt(squared + slack)
+
+    _, points = _mesh(value, -(1.0 + NORM_TOL))
+    _, f = product_form_minimum(tables, points, _pair_coordinates(points))
+    lowest, p = _lowest(f[None], tables[0])
     max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
         max_norm=float(max_norm),
         witness_f=np.array(f),
         witness_p=p[0],
-        passes=bool(max_norm <= 1.0 + 1e-9),
+        passes=bool(max_norm <= 1.0 + NORM_TOL),
     )
 
 
 @dataclass
 class PositivityReport:
-    """Outcome of a positivity scan over extreme points of the state space."""
+    """Outcome of a positivity check over extreme points of the state space."""
 
     is_positive: bool
     worst_w: np.ndarray
@@ -220,18 +323,34 @@ def _bloch_vector(v: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * z.real, 2.0 * z.imag, abs(v[..., 0]) ** 2 - abs(v[..., 1]) ** 2], axis=-1)
 
 
-def sampled_positivity_check(
-    b, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> PositivityReport:
+def _spinors(w: np.ndarray) -> np.ndarray:
+    """A unit v in C^2 with _bloch_vector(v) = w for each unit w in R^3, its real entry the larger one."""
+    r = np.sqrt((1.0 + np.abs(w[:, 2])) / 2.0)
+    z = (w[:, 0] + 1j * w[:, 1]) / (2.0 * r)
+    # (r, conj(z)) on the upper hemisphere, (z, r) on the lower, so that r >= 1/sqrt(2)
+    return np.where((w[:, 2] >= 0.0)[:, None], np.stack([r, np.conj(z)], axis=1), np.stack([z, r], axis=1))
+
+
+def sampled_positivity_check(b) -> PositivityReport:
     """Positivity on rank-one projectors |u><u| (enough by convexity), as the Choi matrix's product-form minimum.
 
     2*Delta(|u><u|) = 1 + w.Dsigma, w the Bloch vector of u, is sum_ij conj(v_i) v_j C_ij at v = conj(u),
     C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
-    and psi, never below lambda_min(C).  product_form_minimum scans C(v) at `samples` unit v in C^2 from
-    sampling.sphere_points and refines the worst, as the KS search does on ks_form, and worst_w is read
-    off the final v.
+    and psi, never below lambda_min(C).  It is 1 + min g over S^2, g(w) = lambda_min(w.Dsigma) concave
+    and homogeneous of degree 1, so _mesh decides g against -1 - POSITIVITY_EIG_TOL, each vertex w read
+    off C's member at v = _spinors(w), less 1; product_form_minimum then refines from the mesh's
+    vertices, as the KS search does from its scan on ks_form, and worst_w is read off the final v.
     """
-    margin, v, _ = product_form_minimum(choi_matrix_from_tensor(b), 2, 4, *_scan(samples, seed, 2, True))
+    tables = _side_tables(choi_matrix_from_tensor(b), 2, 4, True)
+    slack = _vertex_slack(tables[0])
+
+    def value(w):
+        g = _vertex_eigvals(_spinors(w), tables[0]) - 1.0
+        return g, g - slack
+
+    _, points = _mesh(value, -1.0 - POSITIVITY_EIG_TOL)
+    v = _spinors(points)
+    margin, v = product_form_minimum(tables, v, _pair_coordinates(v))
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=_bloch_vector(v),

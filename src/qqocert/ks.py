@@ -18,8 +18,8 @@ matrix M (ks_form) with 4x4 blocks
 Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
-spheres with core.product_form_minimum, the one search every sampled
-certificate runs: its scan hands the guarded lowest-eigenvalue kernel the
+spheres with core.product_form_minimum, the one search every certificate
+but complete positivity runs, and the only one that scans: its scan hands the guarded lowest-eigenvalue kernel the
 real coordinates of conj(w) w^T and nine hermitian combinations of the
 M_jk, the kernel builds and solves only the defects that can rank among
 the best, and its own loop, the package's only refine, polishes the best
@@ -126,8 +126,8 @@ def ks_global_check(
     a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) - 1e-12*(||M||_F + 1) >= -tol
     (about 4500u of slack), no value the search could reach is below -tol, and None returns without a
     scan.
-    Otherwise runs core.product_form_minimum on M at `samples` unit directions in C^3 from
-    sampling.sphere_points (normalized complex Gaussians): the guarded lowest-eigenvalue kernel builds
+    Otherwise runs core.product_form_minimum on M's side tables, built once, at `samples` unit directions
+    in C^3 from sampling.sphere_points (normalized complex Gaussians): the guarded lowest-eigenvalue kernel builds
     and solves exactly only the defects that can rank among the eight lowest, and the eight most
     negative are polished by exact alternating eigen-descent on the form (see the module docstring).
     The witness has its largest-modulus component real and positive, and min_eig is lambda_min of the
@@ -140,10 +140,11 @@ def ks_global_check(
     sampling._draw_key(samples, seed, 3, True)
     if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
-    _, best_w, w_table = core.product_form_minimum(form, 3, 4, *core._scan(samples, seed, 3, True))
+    tables = core._side_tables(form, 3, 4, True)
+    _, best_w = core.product_form_minimum(tables, *core._scan(samples, seed, 3, True))
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(core._lowest(best_w[None], w_table)[0][0])
+    best_val = float(core._lowest(best_w[None], tables[0])[0][0])
     if best_val < -tol:
         return KSWitness(w=best_w, min_eig=best_val)
     return None

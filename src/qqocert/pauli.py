@@ -4,7 +4,7 @@ With the identity they are the basis {1, sigma_1, sigma_2, sigma_3} of
 the 2x2 complex matrix algebra in which a tensor's coefficients are read.
 The certifiers build on one kernel: LAPACK (``np.linalg.eigh`` for one
 matrix or a stack; ``eigvalsh`` where only eigenvalues are read, for one
-matrix or for a scan's family, real coefficients on a table of
+matrix or for a search's family, real coefficients on a table of
 matrices, whose few members with the lowest eigenvalues, the refine's
 starts, it returns, building only the members whose trace bound lets
 them rank among those few) behind a guard that rejects non-finite,
@@ -24,7 +24,7 @@ import numpy as np
 # Tolerances shared across the package (declared once, used everywhere).
 HERMITICITY_ATOL = 1e-13     # entrywise |m - m*| allowed before eigensolving
 POSITIVITY_EIG_TOL = 1e-10   # min eigenvalue >= -tol counts as positive
-REFINE_STARTS = 8            # scan entries refined; hermitian_lowest_eigvals returns them
+REFINE_STARTS = 8            # search points refined; hermitian_lowest_eigvals returns them
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -94,7 +94,7 @@ def _members(coeffs, table) -> np.ndarray:
     Each is the hermitian part of one einsum row on the table's hermitian part in real coordinates,
     which rounds alike whichever rows are built with it (a one-row BLAS product does not); the raw
     row is hermitian only to a few ulps of the table, beyond the guard for large tensors.  Every
-    matrix a scan, a refine step or ks_defect eigensolves is built here.
+    matrix a scan, a mesh vertex, a refine step or ks_defect eigensolves is built here.
     """
     herm = _hermitian_part(np.asarray(table))
     rows = np.einsum("ki,ic->kc", np.asarray(coeffs, dtype=float), herm.reshape(len(herm), -1).view(float))

@@ -1,10 +1,10 @@
-"""Seeded scan points on the unit sphere of R^n or C^n, one sampler for every sampled certificate.
+"""Seeded scan points on the unit sphere of R^n or C^n, the one sampler behind the Kadison-Schwarz search.
 
 A normalized standard Gaussian vector is uniform on the unit sphere
 (Muller, Comm. ACM 2(4), 1959), in R^n and, with independent real and
-imaginary parts, in C^n.  So the C^2 points of the positivity scan give
-Bloch vectors uniform on S^2, the Hopf map carrying uniform S^3 onto
-uniform S^2.
+imaginary parts, in C^n.  The KS search scans C^3; positivity and state
+preservation are decided on a deterministic mesh (core._mesh) and draw
+nothing.
 
 The sampler holds nothing: each call draws afresh, bitwise alike for one
 (samples, seed, n, complex_).  core._scan keeps each draw once per process,

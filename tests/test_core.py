@@ -164,7 +164,7 @@ def test_preservation_witness_matches_svd():
     rng = np.random.default_rng(12)
     for _ in range(50):
         b = rng.standard_normal((3, 3, 3))
-        rep = state_preservation_check(b, 200, 0)
+        rep = state_preservation_check(b)
         _, ss, vh = np.linalg.svd(np.einsum("ijk,i->kj", b, rep.witness_f))
         assert rep.max_norm == pytest.approx(ss[0], rel=1e-12)
         # the right singular vector is unique up to sign
@@ -179,28 +179,28 @@ def test_preservation_witness_matches_svd():
 
 def test_b_norm_sup_zero():
     for b in (np.zeros((3, 3, 3)), build_coeff_tensor(0.0)):
-        max_norm = state_preservation_check(b, 500, 0).max_norm
+        max_norm = state_preservation_check(b).max_norm
         # -0.0 == 0.0, so only the sign bit tells a report's "max_norm": 0.0 from -0.0
         assert max_norm == 0.0 and math.copysign(1.0, max_norm) == 1.0
 
 
 def test_b_norm_sup_family():
     eps = 0.472
-    got = state_preservation_check(build_coeff_tensor(eps), 4000, 0).max_norm
+    got = state_preservation_check(build_coeff_tensor(eps)).max_norm
     assert got == pytest.approx(np.sqrt(3.0) * eps, abs=1e-6)
 
 
 def test_b_norm_sup_single_entry():
     b = np.zeros((3, 3, 3))
     b[0, 0, 0] = 1.0
-    assert state_preservation_check(b, 4000, 0).max_norm == pytest.approx(1.0, abs=1e-6)
+    assert state_preservation_check(b).max_norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_b_norm_sup_homogeneous():
     rng = np.random.default_rng(4)
     b = rand_tensor(rng)
-    base = state_preservation_check(b, 2000, 0).max_norm
-    scaled = state_preservation_check(2.5 * b, 2000, 0).max_norm
+    base = state_preservation_check(b).max_norm
+    scaled = state_preservation_check(2.5 * b).max_norm
     assert scaled == pytest.approx(2.5 * base, rel=1e-9)
 
 
@@ -208,8 +208,8 @@ def test_b_norm_sup_deterministic():
     rng = np.random.default_rng(5)
     b = rand_tensor(rng)
     assert (
-        state_preservation_check(b, 1500, 3).max_norm
-        == state_preservation_check(b, 1500, 3).max_norm
+        state_preservation_check(b).max_norm
+        == state_preservation_check(b).max_norm
     )
 
 
@@ -265,14 +265,20 @@ def test_duality_pairing_against_matrix_trace():
 @pytest.mark.parametrize("samples", [0, -2])
 @pytest.mark.parametrize("check", [state_preservation_check, sampled_positivity_check, ks_global_check])
 def test_certificates_reject_a_budget_below_one(check, samples):
-    with pytest.raises(ValueError, match="need at least one sample"):
-        check(build_coeff_tensor(0.3), samples)
+    # the KS search refuses it; the two mesh certificates take no budget, so none can reach them unread
+    b = build_coeff_tensor(0.3)
+    if check is ks_global_check:
+        with pytest.raises(ValueError, match="need at least one sample"):
+            check(b, samples)
+    else:
+        with pytest.raises(TypeError):
+            check(b, samples)
 
 
 def test_product_form_minimum_refuses_zero_points():
     points, coords = core._scan(1, 0, 3, True)
     with pytest.raises(ValueError):
-        product_form_minimum(ks_form(build_coeff_tensor(0.3)), 3, 4, points[:0], coords[:0])
+        product_form_minimum(_side_tables(ks_form(build_coeff_tensor(0.3)), 3, 4, True), points[:0], coords[:0])
 
 
 def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
@@ -301,13 +307,13 @@ def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
 
 
 def test_state_preservation_zero_tensor():
-    rep = state_preservation_check(np.zeros((3, 3, 3)), 500, 0)
+    rep = state_preservation_check(np.zeros((3, 3, 3)))
     assert rep.max_norm == 0.0
     assert rep.passes
 
 
 def test_state_preservation_boundary_family():
-    rep = state_preservation_check(build_coeff_tensor(1.0 / np.sqrt(3.0)), 4000, 0)
+    rep = state_preservation_check(build_coeff_tensor(1.0 / np.sqrt(3.0)))
     assert rep.max_norm == pytest.approx(1.0, abs=1e-6)
     assert rep.passes
     corner = np.ones(3) / np.sqrt(3.0)
@@ -317,7 +323,7 @@ def test_state_preservation_boundary_family():
 
 
 def test_state_preservation_fails_above_threshold():
-    rep = state_preservation_check(build_coeff_tensor(0.6), 4000, 0)
+    rep = state_preservation_check(build_coeff_tensor(0.6))
     assert rep.max_norm == pytest.approx(0.6 * np.sqrt(3.0), abs=1e-6)
     assert not rep.passes
 
@@ -349,12 +355,12 @@ def test_preservation_cross_validates_b_norm_sup():
     ps /= np.linalg.norm(ps, axis=1, keepdims=True)
     for i in range(50):
         b = rand_tensor(rng)
-        scale = state_preservation_check(b, 800, 0).max_norm
+        scale = state_preservation_check(b).max_norm
         target = rng.uniform(0.90, 1.10)
         if abs(target - 1.0) < 0.02:
             target += 0.04  # keep clear of the razor edge
         b = b * (target / scale)
-        rep = state_preservation_check(b, 800, i)
+        rep = state_preservation_check(b)
         witness = np.linalg.norm(dual_pair_apply(b, rep.witness_f, rep.witness_p))
         assert abs(witness - rep.max_norm) <= 1e-12 * rep.max_norm
         imgs = np.einsum("nij,nj->ni", (fs @ b.reshape(3, 9)).reshape(-1, 3, 3), ps)
@@ -402,10 +408,10 @@ def test_haar_unital_random_tensors():
 
 
 def test_sampled_positivity_matches_family_threshold():
-    rep = sampled_positivity_check(build_coeff_tensor(0.30), 3000, 0)
+    rep = sampled_positivity_check(build_coeff_tensor(0.30))
     assert rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.30, abs=1e-6)
-    rep = sampled_positivity_check(build_coeff_tensor(0.36), 3000, 0)
+    rep = sampled_positivity_check(build_coeff_tensor(0.36))
     assert not rep.is_positive
     assert rep.margin == pytest.approx(1.0 - 3 * 0.36, abs=1e-6)
 
@@ -416,7 +422,7 @@ def test_sampled_positivity_margin_reevaluates_below_scan():
         for _ in range(5):
             b = rand_tensor(rng, scale)
             ds = delta_sigma_images(b)
-            rep = sampled_positivity_check(b, 2000, 0)
+            rep = sampled_positivity_check(b)
             re_eval = hermitian_eigh(ID4 + np.einsum("k,kab->ab", rep.worst_w, ds))[0][0]
             assert abs(re_eval - rep.margin) <= 1e-12
             pts = _bloch_vector(sphere_points(2000, 0, 2, True))
@@ -457,7 +463,23 @@ def test_sampled_positivity_margin_not_below_min_choi_eig():
         for _ in range(4):
             b = rand_tensor(rng, scale)
             tol = 1e-12 * np.linalg.norm(choi_matrix_from_tensor(b))
-            assert sampled_positivity_check(b, 500, 0).margin >= cp_check(b).min_choi_eig - tol
+            assert sampled_positivity_check(b).margin >= cp_check(b).min_choi_eig - tol
+
+
+def test_positivity_and_preservation_agree():
+    # at w = -z/|z|, z = b(f, p, .) at the preservation witness, the product state rho_f x rho_p gives
+    # 1 + w.z = 1 - max_norm, an upper bound of the margin; and CP implies positive implies preserving
+    rng = np.random.default_rng(15)
+    cp_count = 0
+    for scale in (0.03, 0.1, 0.3, 1.0, 3.0):
+        for _ in range(12):
+            b = rand_tensor(rng, scale)
+            pos, pres, cp = sampled_positivity_check(b), state_preservation_check(b), cp_check(b)
+            assert pos.margin <= 1.0 - pres.max_norm + 1e-12 * (1.0 + pres.max_norm)
+            if cp.is_cp:
+                cp_count += 1
+                assert pos.is_positive and pres.passes
+    assert cp_count >= 10
 
 
 def test_sampled_positivity_peak_memory():

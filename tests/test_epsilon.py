@@ -310,7 +310,7 @@ def test_cp_implies_positive_implies_preserving():
     for eps in (0.05, 0.15, 0.19245, 0.25, 1.0 / 3.0, 0.45, 0.57):
         cp = cp_check(build_coeff_tensor(eps)).is_cp
         pos = positivity_check(eps).is_positive
-        pres = state_preservation_check(build_coeff_tensor(eps), 2000, 0).max_norm <= 1.0 + 2e-6
+        pres = state_preservation_check(build_coeff_tensor(eps)).max_norm <= 1.0 + 2e-6
         if cp:
             assert pos
         if pos:

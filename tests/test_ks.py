@@ -20,7 +20,6 @@ from qqocert import (
 )
 from qqocert import core, pauli, sampling
 from qqocert.core import (
-    DEFAULT_SAMPLES,
     REFINE_CAP,
     _bloch_vector,
     _pair_coordinates,
@@ -56,7 +55,7 @@ def rand_tensor(rng, scale=1.0):
 
 def ks_tables(b):
     """ks_form(b)'s side tables in w and in psi, the views the KS search refines on."""
-    return _side_tables(ks_form(b), 3, 4, True)
+    return core._side_tables(ks_form(b), 3, 4, True)
 
 
 def neg_gram(b):
@@ -66,42 +65,34 @@ def neg_gram(b):
 
 def gram_tables(b):
     """-G's side tables in f and in p."""
-    return _side_tables(neg_gram(b), 3, 3, False)
+    return core._side_tables(neg_gram(b), 3, 3, False)
 
 
 def choi_tables(b):
     """The Choi matrix's side tables in v and in psi, the views the positivity search refines on."""
-    return _side_tables(choi_matrix_from_tensor(b), 2, 4, True)
+    return core._side_tables(choi_matrix_from_tensor(b), 2, 4, True)
 
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
-    return core.product_form_minimum(ks_form(b), 3, 4, *core._scan(samples, seed, 3, True))
+    return core.product_form_minimum(ks_tables(b), *core._scan(samples, seed, 3, True))
 
 
 def record_searches(monkeypatch):
     """A list that each core.product_form_minimum call appends a dict to, its readouts included.
 
-    points: the points handed; tables: each _side_tables pair, the search's own first; kernel:
-    (starts, values, table) of each kernel call; lowest: (table, v) of each _lowest call, so the
-    calls on the y-side table count the refine's rounds; result: the search's (value, x).
+    points: the points handed; tables: the side tables handed; kernel: (starts, values, table) of
+    each kernel call; lowest: (table, v) of each _lowest call, so the calls on the y-side table
+    count the refine's rounds; result: the search's (value, x).
     """
     searches = []
-    search, side_tables, kernel, lowest = (
-        core.product_form_minimum, core._side_tables, core.hermitian_lowest_eigvals, core._lowest
-    )
+    search, kernel, lowest = core.product_form_minimum, core.hermitian_lowest_eigvals, core._lowest
 
-    def recording_search(form, nx, ny, points, coords):
-        searches.append({"points": points, "tables": [], "kernel": [], "lowest": []})
-        result = search(form, nx, ny, points, coords)
-        searches[-1]["result"] = result[:2]
+    def recording_search(tables, points, coords):
+        searches.append({"points": points, "tables": tables, "kernel": [], "lowest": []})
+        result = search(tables, points, coords)
+        searches[-1]["result"] = result
         return result
-
-    def recording_tables(*args):
-        tables = side_tables(*args)
-        if searches:
-            searches[-1]["tables"].append(tables)
-        return tables
 
     def recording_kernel(coeffs, table):
         starts, values = kernel(coeffs, table)
@@ -113,7 +104,6 @@ def record_searches(monkeypatch):
         return lowest(v, table)
 
     monkeypatch.setattr(core, "product_form_minimum", recording_search)
-    monkeypatch.setattr(core, "_side_tables", recording_tables)
     monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording_kernel)
     monkeypatch.setattr(core, "_lowest", recording_lowest)
     return searches
@@ -121,8 +111,7 @@ def record_searches(monkeypatch):
 
 def refine_rounds(search):
     """The rounds a recorded search's refine ran: its _lowest calls on its y-side table."""
-    y_table = search["tables"][0][1]
-    return sum(table is y_table for table, _ in search["lowest"])
+    return sum(table is search["tables"][1] for table, _ in search["lowest"])
 
 
 def rand_unit_w(rng):
@@ -447,7 +436,8 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
     for form, nx, ny, starts, value in cases:
         for x0 in starts:
             searches.clear()
-            val, x, _ = core.product_form_minimum(form, nx, ny, x0[None], _pair_coordinates(x0[None]))
+            tables = _side_tables(form, nx, ny, np.iscomplexobj(x0))
+            val, x = core.product_form_minimum(tables, x0[None], _pair_coordinates(x0[None]))
             search, = searches
             (_, (start,), _), = search["kernel"]
             assert abs(value(x0) - start) <= 1e-12
@@ -480,8 +470,8 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
     }
     searches = record_searches(monkeypatch)
     for name, run in (
-        ("preservation", lambda: core.state_preservation_check(b, 2000, seed)),
-        ("positivity", lambda: core.sampled_positivity_check(b, 2000, seed)),
+        ("preservation", lambda: core.state_preservation_check(b)),
+        ("positivity", lambda: core.sampled_positivity_check(b)),
         ("ks", lambda: ks_scan(b, 5000, seed)),
     ):
         searches.clear()
@@ -510,48 +500,67 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
 
 
 def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
-    # at the default budgets: the form's size, (nx, ny), complex points or not, and their count
-    handed = []
+    # on its form's side tables (their shapes), complex points or not, and their count: KS's are its
+    # 50,000 scan directions at the default budget, the mesh certificates' every vertex their mesh solved
+    handed, meshes = [], []
+    mesh = core._mesh
 
-    def recording(form, nx, ny, points, coords):
-        handed.append((form.shape, nx, ny, np.iscomplexobj(points), len(points)))
+    def recording(tables, points, coords):
+        handed.append(([t.shape for t in tables], np.iscomplexobj(points), len(points)))
         assert coords.tobytes() == _pair_coordinates(points).tobytes()
-        return product_form_minimum(form, nx, ny, points, coords)
+        return product_form_minimum(tables, points, coords)
+
+    def recording_mesh(value, floor):
+        meshes.append(mesh(value, floor))
+        return meshes[-1]
 
     monkeypatch.setattr(core, "product_form_minimum", recording)
+    monkeypatch.setattr(core, "_mesh", recording_mesh)
     b = rand_tensor(np.random.default_rng(62))
-    for run, expected in (
-        (state_preservation_check, ((9, 9), 3, 3, False, 20_000)),
-        (sampled_positivity_check, ((8, 8), 2, 4, True, 20_000)),
-        (ks_global_check, ((12, 12), 3, 4, True, 50_000)),
+    for run, shapes, complex_ in (
+        (state_preservation_check, [(6, 3, 3), (6, 3, 3)], False),
+        (sampled_positivity_check, [(4, 4, 4), (16, 2, 2)], True),
+        (ks_global_check, [(9, 4, 4), (16, 3, 3)], True),
     ):
         handed.clear()
+        meshes.clear()
         run(b)
-        assert handed == [expected], run.__name__
+        count = len(meshes[0][1]) if meshes else 50_000
+        assert handed == [(shapes, complex_, count)], run.__name__
+        assert len(meshes) == (run is not ks_global_check)
 
 
 def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
-    # one _side_tables call per search serves the kernel, every refine step and the readout, and the
-    # refine starts from exactly the kernel's starts, their points in its order, and never rises above
-    # their values (test_core scripts the loop to show it starts from those values)
+    # one _side_tables call per certificate serves its mesh or scan, the kernel, every refine step and
+    # the readout, and the refine starts from exactly the kernel's starts, their points in its order,
+    # and never rises above their values (test_core scripts the loop to show it starts from those
+    # values); a start's kernel value is bitwise the one a mesh vertex gets from _vertex_eigvals
     searches = record_searches(monkeypatch)
+    built, side_tables = [], core._side_tables
+
+    def recording_tables(*args):
+        built.append(side_tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(core, "_side_tables", recording_tables)
     b = rand_tensor(np.random.default_rng(63))
-    for run, n, complex_ in (
-        (state_preservation_check, 3, False),
-        (sampled_positivity_check, 2, True),
-        (ks_scan, 3, True),
-    ):
+    for run in (state_preservation_check, sampled_positivity_check, lambda b: ks_global_check(b, 2000, 0)):
         searches.clear()
-        run(b, 2000, 0)
+        built.clear()
+        run(b)
         search, = searches
-        (x_table, y_table), = search["tables"]
+        (x_table, y_table), = built
         (starts, values, kernel_table), = search["kernel"]
         (first_table, first), *_ = search["lowest"]
-        assert kernel_table is x_table and first_table is x_table, run.__name__
+        assert search["tables"][0] is x_table and search["tables"][1] is y_table
+        assert kernel_table is x_table and first_table is x_table
         assert all(table is x_table or table is y_table for table, _ in search["lowest"])
         assert len(starts) == pauli.REFINE_STARTS
-        assert _bits(first) == _bits(core._scan(2000, 0, n, complex_)[0][starts])
+        assert _bits(first) == _bits(search["points"][starts])
+        assert _bits(core._vertex_eigvals(first, x_table)) == _bits(values)
         assert search["result"][0] <= values[0]
+    # the KS search's points are its scan's
+    assert _bits(search["points"]) == _bits(core._scan(2000, 0, 3, True)[0])
 
 
 def test_product_step_views_are_one_form(monkeypatch):
@@ -570,10 +579,10 @@ def test_product_step_views_are_one_form(monkeypatch):
         for run, complex_ in (
             (state_preservation_check, False),
             (sampled_positivity_check, True),
-            (ks_scan, True),
+            (lambda b: ks_scan(b, 200, 0), True),
         ):
             handed.clear()
-            run(b, 200, 0)
+            run(b)
             ((x_table, y_table), form_norm), = handed
             # the x-side table holds matrices on y, and the y-side one matrices on x
             x, y = (rng.standard_normal((20, t.shape[-1])) for t in (y_table, x_table))
@@ -746,7 +755,7 @@ def test_positivity_witness_is_a_ks_witness():
     carried = 0
     for _ in range(60):
         b = rand_tensor(rng, rng.uniform(0.1, 0.8))
-        pos = sampled_positivity_check(b, 2000, 0)
+        pos = sampled_positivity_check(b)
         m = pos.margin
         if m >= 0:
             continue
@@ -764,7 +773,7 @@ def test_preservation_witness_is_a_positivity_witness():
     carried = 0
     for _ in range(60):
         b = rand_tensor(rng, rng.uniform(0.1, 0.8))
-        pres = state_preservation_check(b, 2000, 0)
+        pres = state_preservation_check(b)
         z = dual_pair_apply(b, pres.witness_f, pres.witness_p)
         norm = np.linalg.norm(z)
         if norm <= 1.0:
@@ -864,10 +873,15 @@ def _defect_stack(form, w):
     return _hermitian_part((pairs @ table).reshape(-1, 4, 4))
 
 
-def _stacks_built_whole(b, seed):
-    """The members of the KS, positivity and preservation scans, built whole as the stack kernel took them."""
-    w = _bloch_vector(sphere_points(DEFAULT_SAMPLES, seed, 2, True))
-    mats = np.einsum("ijk,ni->nkj", b, sphere_points(DEFAULT_SAMPLES, seed, 3, False))
+def _stacks_built_whole(b, seed, points):
+    """The members of the KS scan and of the positivity and preservation searches, built whole.
+
+    KS's are its scan's, as the stack kernel took them; the mesh certificates' are at the points
+    their searches were handed, the spinors of the positivity mesh's vertices and the preservation
+    mesh's vertices.
+    """
+    w = _bloch_vector(points[1])
+    mats = np.einsum("ijk,ni->nkj", b, points[2])
     return (
         _defect_stack(ks_form(b), sphere_points(KS_DEFAULT_SAMPLES, seed, 3, True)),
         ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b)),
@@ -877,8 +891,8 @@ def _stacks_built_whole(b, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 801])
 def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
-    # each scan's family, as handed to the kernel, against its stack built whole
-    solved, handed = [], []
+    # each search's family, as handed to the kernel, against its stack built whole
+    solved, handed, points = [], [], []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(ms, *args, **kwargs):
@@ -892,25 +906,36 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
         handed.append((starts, vals.copy(), sum(solved)))
         return starts, vals
 
+    def recording_search(tables, x, coords):
+        points.append(x)
+        return product_form_minimum(tables, x, coords)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording)
+    monkeypatch.setattr(core, "product_form_minimum", recording_search)
     rng = np.random.default_rng(29)
     tensors = [build_coeff_tensor(e) for e in (0.1, 0.2254, 1.0 / 3.0, -0.4, 0.5, 0.6)]
     tensors += [rand_tensor(rng, scale) for scale in (0.05, 0.25, 1.0, 10.0)]
     for b in tensors:
         handed.clear()
+        points.clear()
         ks_scan(b, seed=seed)
-        sampled_positivity_check(b, seed=seed)
-        state_preservation_check(b, seed=seed)
+        sampled_positivity_check(b)
+        state_preservation_check(b)
         assert len(handed) == 3
-        for (starts, vals, count), stack in zip(handed, _stacks_built_whole(b, seed)):
+        for k, ((starts, vals, count), stack) in enumerate(zip(handed, _stacks_built_whole(b, seed, points))):
             solved.clear()
             ref = stack_lowest_eigvals(stack)
-            top = lowest_indices(ref)
-            assert np.array_equal(starts, top)
-            ulps = 8 * np.finfo(float).eps * np.linalg.norm(stack[top], axis=(1, 2))
-            assert np.all(np.abs(vals - ref[top]) <= ulps)
-            # no scan sends more matrices to LAPACK than the stack kernel
+            ulps = 8 * np.finfo(float).eps * np.linalg.norm(stack[starts], axis=(1, 2))
+            assert np.all(np.abs(vals - ref[starts]) <= ulps)
+            if k == 0:
+                assert np.array_equal(starts, lowest_indices(ref))
+            else:
+                # mesh vertices tie where the tensor's symmetry maps one onto another, and the two
+                # builds round ties apart, so the starts are the lowest members up to that rounding
+                rest = np.delete(ref, starts)
+                assert rest.size == 0 or np.max(ref[starts]) <= np.min(rest) + np.max(ulps)
+            # no search sends more matrices to LAPACK than the stack kernel
             assert count <= sum(solved)
 
 

@@ -2,10 +2,12 @@
 
 import importlib
 import inspect
+import ast
 import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,15 +55,17 @@ def test_both_draw_entries_refuse_fewer_than_one_coordinate_before_drawing(empty
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
 def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_cache, monkeypatch, eps):
-    # CP at 0.1, so ks_global_check would return without a scan; not CP at 0.5, so every certificate scans
+    # CP at 0.1, so ks_global_check would return without a scan; not CP at 0.5, so the KS search scans;
+    # the mesh certificates take no seed and draw nothing
     monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
     for draw in (sampling.sphere_points, core._scan):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             draw(100, -1, 3, True)
     b = build_coeff_tensor(eps)
-    for check in (ks_global_check, state_preservation_check, sampled_positivity_check):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
-            check(b, 2000, -1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ks_global_check(b, 2000, -1)
+    state_preservation_check(b)
+    sampled_positivity_check(b)
     assert core._cache == {}
 
 
@@ -84,13 +88,44 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, mo
     monkeypatch.setattr(sampling, "sphere_points", recording)
     b = 0.3 * np.random.default_rng(3).standard_normal((3, 3, 3))
     for run, expected in (
-        (state_preservation_check, (20_000, 3, False)),
-        (sampled_positivity_check, (20_000, 2, True)),
-        (ks_global_check, (50_000, 3, True)),
+        (state_preservation_check, []),
+        (sampled_positivity_check, []),
+        (ks_global_check, [(50_000, 3, True)]),
     ):
         drawn.clear()
         run(b)
-        assert drawn == [expected], run.__name__
+        assert drawn == expected, run.__name__
+
+
+def test_every_scan_left_is_the_ks_draw(empty_cache, monkeypatch, capsys, tmp_path):
+    # preservation and positivity decide on the mesh, so the one scan left draws complex points in C^3:
+    # no call of core._scan in the package names another draw, and none is made at run time
+    calls = [
+        node
+        for path in Path(core.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_scan"
+    ]
+    assert calls and all([ast.literal_eval(a) for a in call.args[2:]] == [3, True] for call in calls)
+    drawn, scan = [], core._scan
+
+    def recording(samples, seed, n, complex_):
+        drawn.append((n, complex_))
+        return scan(samples, seed, n, complex_)
+
+    monkeypatch.setattr(core, "_scan", recording)
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"b": (0.4 * np.random.default_rng(8).standard_normal((3, 3, 3))).tolist()}))
+    for argv in (
+        ["--tensor", str(tensor), "--samples", "500", "certify"],
+        ["--tensor", str(tensor), "--samples", "500", "ks"],
+        ["--epsilon", "0.5", "--samples", "500", "certify"],
+        ["--epsilon", "0.4", "--count", "3", "--samples", "500", "sweep"],
+        ["--epsilon", "0.4", "choi"],
+    ):
+        assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert drawn and set(drawn) == {(3, True)}
 
 
 # ---------------------------------------------------------------- the draw cache
