@@ -135,7 +135,8 @@ def _report(args, code: int, body: dict) -> int:
 def _cmd_certify(args) -> int:
     b, eps, source = _resolve_tensor(args)
     # first, so that a bad --tol is refused before any scan runs
-    witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
+    witness = (epsilon.ks_check(eps, args.ks_samples, args.seed, args.tol) if eps is not None
+               else ks.ks_global_check(b, args.ks_samples, args.seed, args.tol))
     pres = core.state_preservation_check(b)
     pos = epsilon.positivity_check(eps) if eps is not None else core.sampled_positivity_check(b)
     cp = core.cp_check(b)
@@ -154,8 +155,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ks(args) -> int:
-    b, _, source = _resolve_tensor(args)
-    witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
+    b, eps, source = _resolve_tensor(args)
+    witness = (epsilon.ks_check(eps, args.samples, args.seed, args.tol) if eps is not None
+               else ks.ks_global_check(b, args.samples, args.seed, args.tol))
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
     return _report(args, 1 if witness is not None else 0, {
@@ -201,10 +203,10 @@ def _cmd_sweep(args) -> int:
     epsilon.build_coeff_tensor(half)  # the tensor gate refuses a half-width above core.MAX_COEFF before linspace
     rows = []
     for e in np.linspace(-half, half, args.count).tolist():
+        witness = epsilon.ks_check(e, args.samples, args.seed, args.tol)
         b = epsilon.build_coeff_tensor(e)
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
-        witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
         rows.append({
             "epsilon": e,
             # from the row's own results, so that the row never contradicts itself at a threshold

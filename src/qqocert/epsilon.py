@@ -4,19 +4,23 @@ The family has a single real coupling and closed-form spectra, which
 makes every certification threshold explicit: the induced map is
 completely positive iff |eps| <= 1/(3*sqrt(3)), positive iff
 |eps| <= 1/3, and keeps the Bloch ball invariant under its quadratic
-dynamics iff |eps| <= 1/sqrt(3).  Only the last constant lives here,
-for the dynamics' domain; the CP and positivity thresholds and the band
-classifier built on them are exact references in tests/oracles.py, as
-is the family's image written out term by term, and `sweep` reads each
-row's band off the row's own checks.
+dynamics iff |eps| <= 1/sqrt(3); past eps_KS = (sqrt(51) - sqrt(3))/24
+one closed-form witness (ks_check) shows it is not Kadison-Schwarz.
+Only the preservation constant lives here, for the dynamics' domain;
+the others and the band classifier are references in tests/oracles.py,
+as is the family's image term by term; `sweep` reads each row's band off
+the row's own checks.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from . import ks
 from .core import MAX_COEFF, PositivityReport, as_coeff_tensor
-from .pauli import POSITIVITY_EIG_TOL
+from .pauli import POSITIVITY_EIG_TOL, hermitian_eigvalsh
 
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
@@ -68,3 +72,16 @@ def positivity_check(eps: float) -> PositivityReport:
         worst_w=_witness_from_t(1.0 if 1.0 + 3.0 * e < 1.0 + e else -1.0),
         margin=margin,
     )
+
+
+def ks_check(eps: float, samples: int, seed: int, tol: float) -> Optional[ks.KSWitness]:
+    """ks.ks_global_check on the family tensor, unless the closed-form witness w* gives a value below -tol.
+
+    w* = (1, z, z^2)/sqrt(3), z = exp(2*pi*i/3), for eps > 0, its conjugate for eps < 0; lambda_min of ks_defect
+    there, 1 - sqrt(3)|eps| - 12 eps^2, is the search's minimum for |eps| > eps_KS.  ks._check_budget runs first.
+    """
+    ks._check_budget(samples, seed, tol)
+    b = build_coeff_tensor(eps)
+    w = np.exp(2j * np.pi / 3.0 * np.sign(eps) * np.arange(3)) / np.sqrt(3.0)
+    value = float(hermitian_eigvalsh(ks.ks_defect(b, w))[0])
+    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks.ks_global_check(b, samples, seed, tol)

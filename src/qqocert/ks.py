@@ -32,7 +32,8 @@ defect has a negative eigenvalue.  M_jk = Delta(sigma_j sigma_k) -
 Delta(sigma_j) Delta(sigma_k), so M is PSD for every CP map (Schwarz's
 inequality in a Stinespring dilation), and a PSD M proves the property,
 <psi, defect(w) psi> >= lambda_min(M) at unit w and psi: ks_global_check
-then runs no scan.  The search itself certifies violations only.
+then runs no scan.  The search itself certifies violations only; past
+eps_KS, epsilon.ks_check reads the family's closed-form witness instead.
 
 ks_necessary_check reads the two scalar necessary conditions off the
 same defect: with c the Pauli coordinates of E(w) = ||w||^2 I4 - defect(w)
@@ -111,6 +112,13 @@ def ks_defect(b, w) -> np.ndarray:
     return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3, 4, True)[0])[0]
 
 
+def _check_budget(samples: int, seed: int, tol: float) -> None:
+    """Refuse a tol that is not positive and finite, and a samples or seed the sampler would refuse, before any work."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    sampling._draw_key(samples, seed, 3, True)
+
+
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
@@ -119,8 +127,8 @@ def ks_global_check(
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
 
-    samples and seed pass the sampler's checks first; then the kernel's eigenvalues-only entry
-    (hermitian_eigvalsh) gives lambda_min(M).
+    tol, samples and seed pass _check_budget first, as in epsilon.ks_check; then the kernel's
+    eigenvalues-only entry (hermitian_eigvalsh) gives lambda_min(M).
     For unit w, lambda_min(defect(w)) >= ||w||^2 lambda_min(M) for the float M the defects are built
     from, and that eigensolve, a defect's build (pauli._members) and eigvalsh, and ||w||^2 - 1 err by
     a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) - 1e-12*(||M||_F + 1) >= -tol
@@ -134,10 +142,8 @@ def ks_global_check(
     defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or None;
     after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_budget(samples, seed, tol)
     form = ks_form(b)
-    sampling._draw_key(samples, seed, 3, True)
     if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
     tables = core._side_tables(form, 3, 4, True)

@@ -30,6 +30,14 @@ from qqocert.pauli import (
 # the family's exact CP and positivity thresholds: references for the bands sweep reads off its checks
 CP_THRESHOLD = 1.0 / (3.0 * np.sqrt(3.0))
 POSITIVITY_THRESHOLD = 1.0 / 3.0
+# the family's Kadison-Schwarz threshold: past it the defect at w* = (1, z, z^2)/sqrt(3), z = exp(2*pi*i/3)
+# (its conjugate for eps < 0), has a negative eigenvalue; EPS_KS is the positive root of ks_min_eig_closed_form
+EPS_KS = (np.sqrt(51.0) - np.sqrt(3.0)) / 24.0
+
+
+def ks_min_eig_closed_form(eps: float) -> float:
+    """lambda_min of the family's defect at w*, the KS search's minimum for |eps| > EPS_KS."""
+    return 1.0 - np.sqrt(3.0) * abs(eps) - 12.0 * eps * eps
 
 
 def classify_epsilon(eps: float) -> str:

@@ -401,10 +401,16 @@ def test_an_unaffordable_budget_exits_2_without_output(monkeypatch, capsys):
 
     monkeypatch.setattr(qqocert.sampling, "sphere_points", unaffordable)
     assert qqocert.sampling._draw_key(123457, 99991, 3, True) not in core._cache
-    code, out, err = run(["--epsilon", "0.5", "--samples", "123457", "--seed", "99991", "ks"], capsys)
+    # KS but not CP at 0.2, inside the band where the family still scans
+    code, out, err = run(["--epsilon", "0.2", "--samples", "123457", "--seed", "99991", "ks"], capsys)
     assert code == 2
     assert out == ""
     assert err == "error: Unable to allocate 43.7 TiB for an array\n"
+    # past eps_KS the closed-form witness decides, and the same budget is never drawn
+    code, out, err = run(["--epsilon", "0.5", "--samples", "123457", "--seed", "99991", "ks"], capsys)
+    assert code == 1
+    assert json.loads(out)["witness"]["found"]
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", ["fixed-points", "simulate"])

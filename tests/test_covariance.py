@@ -1,16 +1,20 @@
-"""Covariance of the mesh certificates: rotated, swapped or negated tensors get the same verdicts and values.
+"""Covariance of the certificates: rotated, swapped or negated tensors get the same verdicts and values.
 
 An SO(3) rotation of a qubit factor is a unitary conjugation, so (R1, R2, R3) acting on a tensor by
 b'[a, c, e] = sum R1[a, m] R2[c, l] R3[e, k] b[m, l, k] changes no verdict; nor does swapping the two
 output factors, b[m, l, k] -> b[l, m, k], nor b -> -b, which maps w.Dsigma to (-w).Dsigma and N(f) to
 -N(f).  The mesh is not rotation-invariant, so a rotated tensor meets its minimum between other
-vertices: a refine start that misses the minimum shows here as a changed value.
+vertices: a refine start that misses the minimum shows here as a changed value.  Complete positivity reads
+the whole Choi spectrum, and a rotated family tensor is no longer the family's: the KS search meets it on
+the tensor route and must still reach the family's closed-form minimum.
 """
 
 import numpy as np
 import pytest
 
-from qqocert import sampled_positivity_check, state_preservation_check
+from qqocert import build_coeff_tensor, cp_check, ks_global_check, sampled_positivity_check, state_preservation_check
+
+from oracles import ks_min_eig_closed_form
 
 
 def rotation(rng):
@@ -36,10 +40,22 @@ def test_mesh_certificates_are_covariant(seed):
     b = rng.uniform(0.02, 3.0) * rng.standard_normal((3, 3, 3)) / 3.0
     if seed % 2:
         b = b + b.transpose(1, 0, 2)
-    pos, pres = sampled_positivity_check(b), state_preservation_check(b)
+    pos, pres, cp = sampled_positivity_check(b), state_preservation_check(b), cp_check(b)
     for name, image in images(rng, b).items():
-        pos2, pres2 = sampled_positivity_check(image), state_preservation_check(image)
-        assert pos2.is_positive == pos.is_positive and pres2.passes == pres.passes, name
+        pos2, pres2, cp2 = sampled_positivity_check(image), state_preservation_check(image), cp_check(image)
+        assert pos2.is_positive == pos.is_positive and pres2.passes == pres.passes and cp2.is_cp == cp.is_cp, name
+        # the rotations and the swap conjugate the Choi matrix by a unitary; b -> -b negates its traceless part,
+        # whose spectrum is symmetric about 0
+        assert abs(cp2.min_choi_eig - cp.min_choi_eig) <= 1e-12 * np.abs(cp.eigenvalues).max(), name
         # the margin is 1 + min g, g homogeneous in the tensor, so its scale is |margin - 1|
         assert abs(pos2.margin - pos.margin) <= 1e-12 * abs(pos.margin - 1.0), name
         assert abs(pres2.max_norm - pres.max_norm) <= 1e-12 * pres.max_norm, name
+
+
+@pytest.mark.parametrize("eps", [1.0 / 3.0, -0.5])
+def test_the_ks_search_on_a_rotated_family_tensor_reaches_the_closed_form(eps):
+    rotated = images(np.random.default_rng(5), build_coeff_tensor(eps))["rotated"]
+    witness = ks_global_check(rotated)
+    expected = ks_min_eig_closed_form(eps)
+    assert witness is not None
+    assert abs(witness.min_eig - expected) <= 1e-12 * (1.0 + abs(expected))

@@ -1,21 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
 from qqocert import (
+    KS_DEFAULT_SAMPLES,
+    KS_DEFAULT_TOL,
     PRESERVATION_THRESHOLD,
     build_coeff_tensor,
     choi_matrix_from_tensor,
     cp_check,
     hermitian_eigh,
+    ks_defect,
+    ks_global_check,
     positivity_check,
     state_preservation_check,
 )
+from qqocert import cli, core, sampling
 from qqocert.core import MAX_COEFF
+from qqocert.epsilon import ks_check
 from qqocert.pauli import SIGMA
 
 from oracles import (
     CHOI_BLOCK_UNIT,
     CP_THRESHOLD,
+    EPS_KS,
     POSITIVITY_THRESHOLD,
     NonRealInput,
     PauliCoeffs,
@@ -25,6 +34,7 @@ from oracles import (
     delta_apply,
     delta_eps_apply,
     family_positivity_at_candidates,
+    ks_min_eig_closed_form,
     sigma_images_apply,
     spectrum_closed_form,
 )
@@ -315,3 +325,96 @@ def test_cp_implies_positive_implies_preserving():
             assert pos
         if pos:
             assert pres
+
+
+# ---------------------------------------------------------------- Kadison-Schwarz
+
+
+def test_ks_threshold_is_pinned_between_cp_and_positivity():
+    assert abs(EPS_KS - 0.2253907342) < 1e-10
+    assert abs(ks_min_eig_closed_form(EPS_KS)) < 1e-15
+    assert CP_THRESHOLD < EPS_KS < POSITIVITY_THRESHOLD
+    assert ks_min_eig_closed_form(-1.0 / 3.0) == ks_min_eig_closed_form(1.0 / 3.0)
+
+
+# both sides of the band 1/(3*sqrt(3)) < |eps| <= EPS_KS, where the search still runs
+_KS_COUPLINGS = [0.17, 0.2, 0.22, EPS_KS - 1e-6, EPS_KS + 1e-6, 0.2254, 0.3, 1.0 / 3.0, 0.5, 1.0, 3.0, 100.0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ks_check_agrees_with_the_search_and_the_closed_form(sign, seed):
+    for eps in (sign * a for a in _KS_COUPLINGS):
+        fast = ks_check(eps, KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
+        slow = ks_global_check(build_coeff_tensor(eps), KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
+        assert (fast is None) == (slow is None) == (abs(eps) <= EPS_KS), eps
+        if slow is None:
+            continue
+        scale = 1e-13 * (1.0 + abs(slow.min_eig))
+        assert abs(fast.min_eig - slow.min_eig) <= scale, eps
+        assert abs(fast.min_eig - ks_min_eig_closed_form(eps)) <= scale, eps
+        # a unit witness, its first component real and positive as the search's, that re-evaluates to min_eig
+        assert abs(np.linalg.norm(fast.w) - 1.0) < 1e-15 and fast.w[0].real > 0 and fast.w[0].imag == 0
+        assert hermitian_eigh(ks_defect(build_coeff_tensor(eps), fast.w))[0][0] == pytest.approx(fast.min_eig, rel=1e-14)
+
+
+def _draw(*args):
+    raise AssertionError("a KS scan drew its points")
+
+
+@pytest.mark.parametrize("command, code", [("certify", 1), ("ks", 1), ("sweep", 0)])
+def test_family_ks_past_the_band_draws_nothing(command, code, monkeypatch, capsys):
+    monkeypatch.setattr(core, "_scan", _draw)
+    monkeypatch.setattr(sampling, "sphere_points", _draw)
+    assert cli.main(["--epsilon", "0.5", "--count", "5", command]) == code
+    doc = json.loads(capsys.readouterr().out)
+    if command == "sweep":
+        # rows -0.5, -0.25, 0, 0.25 and 0.5: four past EPS_KS, and 0, which the PSD skip proves
+        found = {row["epsilon"]: row["ks_min_eig"] for row in doc["rows"]}
+        assert found.pop(0.0) is None
+    else:
+        found = {0.5: doc["ks_violation" if command == "certify" else "witness"]["min_eig"]}
+    for eps, value in found.items():
+        expected = ks_min_eig_closed_form(eps)
+        assert abs(value - expected) <= 1e-13 * (1.0 + abs(expected)), eps
+
+
+@pytest.mark.parametrize("argv", [["--epsilon", "0.2", "ks"], ["--tensor", "{doc}", "ks"], ["--tensor", "{doc}", "certify"]])
+def test_the_band_and_tensor_input_still_search(argv, monkeypatch, tmp_path, capsys):
+    # 0.2 lies in the band; a tensor file takes the tensor route even when it names a coupling past EPS_KS
+    doc = tmp_path / "t.json"
+    doc.write_text('{"epsilon": 0.5}')
+    monkeypatch.setattr(core, "_scan", _draw)
+    monkeypatch.setattr(sampling, "sphere_points", _draw)
+    with pytest.raises(AssertionError, match="drew its points"):
+        cli.main([word.format(doc=doc) for word in argv])
+
+
+@pytest.mark.parametrize("command", ["certify", "ks", "sweep"])
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--samples", "0"), ("--seed", "-1")])
+def test_family_ks_refuses_a_bad_budget_before_any_work(command, flag, value, monkeypatch, capsys):
+    monkeypatch.setattr(core, "cp_check", _draw)
+    try:
+        code = cli.main(["--epsilon", "0.5", flag, value, command])
+    except SystemExit as exc:  # the parser refuses --samples and --seed below their floors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err
+
+
+def test_ks_check_shares_the_search_s_argument_checks():
+    for samples, seed, tol, error, message in [
+        (0, 0, 1e-8, ValueError, "need at least one sample"),
+        (10, -1, 1e-8, ValueError, "seed must be non-negative"),
+        (10, None, 1e-8, TypeError, None),
+        (10, 0, 0.0, ValueError, "tol must be positive"),
+        (10, 0, np.inf, ValueError, "tol must be positive"),
+    ]:
+        # past EPS_KS the closed form alone would decide, and a CP coupling would skip the search
+        for eps in (0.5, 0.1):
+            with pytest.raises(error, match=message):
+                ks_check(eps, samples, seed, tol)
+            with pytest.raises(error, match=message):
+                ks_global_check(build_coeff_tensor(eps), samples, seed, tol)
