@@ -404,7 +404,9 @@ def test_family_ks_refuses_a_bad_budget_before_any_work(command, flag, value, mo
     assert err
 
 
-def test_ks_check_shares_the_search_s_argument_checks():
+def test_ks_check_refuses_what_the_search_refuses():
+    # with ks_global_check's messages, though past EPS_KS the closed form alone would decide and a CP coupling
+    # would skip the search
     for samples, seed, tol, error, message in [
         (0, 0, 1e-8, ValueError, "need at least one sample"),
         (10, -1, 1e-8, ValueError, "seed must be non-negative"),
@@ -412,9 +414,6 @@ def test_ks_check_shares_the_search_s_argument_checks():
         (10, 0, 0.0, ValueError, "tol must be positive"),
         (10, 0, np.inf, ValueError, "tol must be positive"),
     ]:
-        # past EPS_KS the closed form alone would decide, and a CP coupling would skip the search
         for eps in (0.5, 0.1):
             with pytest.raises(error, match=message):
                 ks_check(eps, samples, seed, tol)
-            with pytest.raises(error, match=message):
-                ks_global_check(build_coeff_tensor(eps), samples, seed, tol)
