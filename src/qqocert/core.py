@@ -8,24 +8,23 @@ real numbers b[m][l][k]:
 
 This module evaluates that map on the Pauli matrices (delta_sigma_images)
 and on the matrix units (the Choi matrix), and builds every certificate
-on shared pieces: one search, product_form_minimum, that every
+on shared pieces: one refine, product_form_minimum, that every
 certificate but complete positivity runs on its own hermitian form (KS
 on ks_form, the tensor norm of the dual action on -G, positivity on the
 Choi matrix) from the form's side tables, built once per certificate,
-and its points; its loop, the one refine (the kernel hands over the
-eight best points, then alternating eigen-descent from them, all eight
-advanced together, every matrix built by pauli._members); one adaptive
-icosahedral mesh of S^2, _mesh, on which positivity and preservation,
-concave and homogeneous of degree 1 there, are decided from vertex
-values and a per-face bound (_face_bounds) before the search refines
-from the mesh's vertices; one scan, _scan, for the KS search alone: the
-points of the one sampler, sampling.sphere_points, and their pair
-coordinates, made together once per process and held read-only under the
-draw's key; and one complete-positivity check on the Choi matrix, built
-for all four matrix units at once.  Every tensor enters through
-as_coeff_tensor, which refuses entries above MAX_COEFF in size.  The
-term-by-term definitions of the map, its dual action and beta(f) are test
-oracles (tests/oracles.py), not package code.
+and the eight best points its caller found, all eight advanced together
+by alternating eigen-descent, every matrix built by pauli._members; one
+adaptive icosahedral mesh of S^2, _mesh, on which positivity and
+preservation, concave and homogeneous of degree 1 there, are decided
+from vertex values and a per-face bound (_face_bounds), its eight lowest
+vertex solves the refine's starts; one scan, _scan, for the KS search
+alone: the points of the one sampler, sampling.sphere_points, and their
+pair coordinates, made together once per process and held read-only
+under the draw's key; and one complete-positivity check on the Choi
+matrix, built for all four matrix units at once.  Every tensor enters
+through as_coeff_tensor, which refuses entries above MAX_COEFF in size.
+The term-by-term definitions of the map, its dual action and beta(f)
+are test oracles (tests/oracles.py), not package code.
 """
 
 from __future__ import annotations
@@ -44,12 +43,12 @@ from .pauli import (
     _members,
     hermitian_eigh,
     hermitian_eigvalsh,
-    hermitian_lowest_eigvals,
+    lowest_indices,
 )
 
 DEFAULT_SAMPLES = 20_000
 DEFAULT_SEED = 0
-# product_form_minimum's refine: relative stop, round cap (it refines the kernel's REFINE_STARTS starts)
+# product_form_minimum's refine: relative stop, round cap (it refines REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
 # _mesh: most vertices solved, relative lowering of each face's plane distance
@@ -99,13 +98,13 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
     return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
 
 
-def _scan(samples: int, seed: int, n: int, complex_: bool) -> tuple:
-    """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed, n, complex_), read-only.
+def _scan(samples: int, seed: int) -> tuple:
+    """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed), read-only.
 
     Drawn once per process under the lock, so concurrent misses of one key draw it once, and held under
     sampling._draw_key as the newest entry; past CACHE_BYTES the least recently used go, redrawn bitwise alike.
     """
-    key = sampling._draw_key(samples, seed, n, complex_)
+    key = sampling._draw_key(samples, seed)
     with _lock:
         if (entry := _cache.pop(key, None)) is None:
             points = sampling.sphere_points(*key)
@@ -124,7 +123,7 @@ def _side_tables(form: np.ndarray, nx: int, ny: int, complex_: bool) -> tuple:
     With blocks[i, j] = M[(i, .), (j, .)], M(x) = sum_ij conj(x_i) x_j blocks[i, j] on y is the member
     _pair_coordinates(x) weigh on x_table: blocks[j, j], blocks[j, l] + blocks[l, j] and (complex_ only)
     i*(blocks[j, l] - blocks[l, j]).  y_table is built alike from M[(., a), (., b)], so
-    <y, M(x) y> = <x, M(y) x>.  The kernel reads x_table, _lowest both.
+    <y, M(x) y> = <x, M(y) x>.  The kernel and the mesh read x_table, _lowest both.
     """
     f = form.reshape(nx, ny, nx, ny)
     tables = []
@@ -144,23 +143,22 @@ def _lowest(v: np.ndarray, table: np.ndarray) -> tuple:
     return vals[:, 0], vecs[:, :, 0]
 
 
-def product_form_minimum(tables: tuple, points: np.ndarray, coords: np.ndarray) -> tuple:
+def product_form_minimum(tables: tuple, x: np.ndarray, val: np.ndarray) -> tuple:
     """The least value of a hermitian form M on unit product vectors x (x) y, x in C^nx (or R^nx), y in C^ny.
 
-    The one search every certificate but complete positivity runs (preservation maximizes by searching
-    -G), and the package's one refine loop, on M's side tables (x_table, y_table) from _side_tables,
-    which the caller builds once.  The kernel scans lambda_min(M(x)) at the given points x from their
-    _pair_coordinates, coords, on x_table and hands over its starts, lowest first, ties in point
-    order, with their exact values.  Alternating eigen-descent then polishes all the starts together:
-    y is the lowest eigenvector of M(x), and a round sets x to that of M(y), then y to that of M(x), so
-    lambda_min(M(x)) never rises; each half-step is one stacked eigensolve over the starts still
-    running.  A round that lowers a start's value is kept; one that lowers it by at most REFINE_RTOL
-    relative, or would raise it (and is discarded), ends that start; REFINE_CAP rounds end all.
-    Returns (value, x) of the best start, ties going to the earlier one.  No points raise ValueError.
+    The package's one refine loop, which every certificate but complete positivity runs (preservation
+    maximizes by searching -G), on M's side tables (x_table, y_table) from _side_tables, built once by
+    the caller, from the starts x, lowest first, and val, their lambda_min(M(x)) as pauli._members and
+    eigvalsh give it: the kernel's on the KS scan, the mesh's at its vertices.  Alternating
+    eigen-descent polishes all the starts together: y is the lowest eigenvector of M(x), and a round
+    sets x to that of M(y), then y to that of M(x), so lambda_min(M(x)) never rises; each half-step is
+    one stacked eigensolve over the starts still running.  A round that lowers a start's value is
+    kept; one that lowers it by at most REFINE_RTOL relative, or would raise it (and is discarded),
+    ends that start; REFINE_CAP rounds end all.  Returns (value, x) of the best start, ties going to
+    the earlier one; the arrays handed in are not written.  No starts raise ValueError.
     """
     x_table, y_table = tables
-    starts, val = hermitian_lowest_eigvals(coords, x_table)
-    x = points[starts]
+    x, val = np.array(x), np.array(val, dtype=float)
     live, y = np.arange(len(val)), _lowest(x, x_table)[1]
     for _ in range(REFINE_CAP):
         new_x = _lowest(y, y_table)[1]
@@ -211,36 +209,35 @@ def _face_bounds(points: np.ndarray, faces: np.ndarray, lows: np.ndarray) -> np.
 def _mesh(value, floor: float) -> tuple:
     """Decide whether a concave, degree-1 homogeneous g on R^3 stays at or above floor on the unit sphere S^2.
 
-    value(w) gives, for a stack of unit w, the computed g(w) and lower bounds of the exact g(w).  The
-    mesh starts from the icosahedron and splits every face whose _face_bounds lies below floor into
-    four, at normalized edge midpoints that neighbouring faces share.  A midpoint lies on its edge's
-    great circle, so the spherical faces tile S^2 even where a neighbour stays whole (to rounding,
-    which a vertex's lows cover).  It stops at "violated" when a vertex's computed value lies below
-    floor, at "certified" when every face's bound clears it, and at "undecided" when the next split
-    would take more than MESH_CAP vertices.  Returns (outcome, points), every vertex solved, the
-    icosahedron's first.
+    value(w) gives, for a stack of unit w, the computed g(w), lower bounds of the exact g(w) and the raw
+    lambda_min g was read off.  The mesh starts from the icosahedron and splits every face whose
+    _face_bounds lies below floor into four, at normalized edge midpoints that neighbouring faces
+    share.  A midpoint lies on its edge's great circle, so the spherical faces tile S^2 even where a
+    neighbour stays whole (to rounding, which a vertex's lows cover).  It stops at "violated" when a
+    vertex's computed value lies below floor, at "certified" when every face's bound clears it, and
+    at "undecided" when the next split would take more than MESH_CAP vertices.  Returns (outcome,
+    points, raw), every vertex solved, the icosahedron's first, and their raw lambda_min.
     """
     points, faces = _ICOSAHEDRON
-    vals, lows = value(points)
+    vals, lows, raw = value(points)
     midpoints = {}
     while np.min(vals) >= floor:
         faces = faces[_face_bounds(points, faces, lows) < floor]
         if len(faces) == 0:
-            return "certified", points
+            return "certified", points, raw
         # each face's edges ij, jk, ki, as sorted vertex pairs
         sides = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]], axis=2).tolist()
         edges = sorted({tuple(e) for face in sides for e in face} - midpoints.keys())
         if len(points) + len(edges) > MESH_CAP:
-            return "undecided", points
+            return "undecided", points, raw
         midpoints.update((e, len(points) + k) for k, e in enumerate(edges))
         new = points[edges].sum(axis=1)
         new /= np.linalg.norm(new, axis=1, keepdims=True)
-        new_vals, new_lows = value(new)
+        vals, lows, raw = (np.concatenate(pair) for pair in zip((vals, lows, raw), value(new)))
         points = np.concatenate([points, new])
-        vals, lows = np.concatenate([vals, new_vals]), np.concatenate([lows, new_lows])
         (i, j, k), (ij, jk, ki) = faces.T, np.array([[midpoints[tuple(e)] for e in face] for face in sides]).T
         faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
-    return "violated", points
+    return "violated", points, raw
 
 
 def _vertex_slack(table: np.ndarray) -> float:
@@ -282,8 +279,8 @@ def state_preservation_check(b) -> PreservationReport:
     of a linear map of f, so -sqrt(-lambda_min(-G(f))) is concave and
     homogeneous of degree 1, and _mesh decides it against -(1 + NORM_TOL)
     on S^2, each vertex read off the member of -G's f-side table at f;
-    product_form_minimum then refines from the mesh's vertices on -G
-    (p := top eigenvector of G(f), f := that of G(p)), and max_norm and
+    product_form_minimum then refines from the mesh's eight lowest vertex
+    solves on -G (p := top eigenvector of G(f), f := that of G(p)), and max_norm and
     witness_p are read off G at the final f.  The certificate passes iff
     max_norm stays within 1 + NORM_TOL.
     """
@@ -293,11 +290,13 @@ def state_preservation_check(b) -> PreservationReport:
 
     def value(f):
         # sqrt is increasing, so sqrt of the squared norm plus its slack bounds the norm from above
-        squared = np.maximum(0.0, -_vertex_eigvals(f, tables[0]))
-        return -np.sqrt(squared), -np.sqrt(squared + slack)
+        raw = _vertex_eigvals(f, tables[0])
+        squared = np.maximum(0.0, -raw)
+        return -np.sqrt(squared), -np.sqrt(squared + slack), raw
 
-    _, points = _mesh(value, -(1.0 + NORM_TOL))
-    _, f = product_form_minimum(tables, points, _pair_coordinates(points))
+    _, points, raw = _mesh(value, -(1.0 + NORM_TOL))
+    starts = lowest_indices(raw)
+    _, f = product_form_minimum(tables, points[starts], raw[starts])
     lowest, p = _lowest(f[None], tables[0])
     max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
@@ -338,19 +337,19 @@ def sampled_positivity_check(b) -> PositivityReport:
     C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
     and psi, never below lambda_min(C).  It is 1 + min g over S^2, g(w) = lambda_min(w.Dsigma) concave
     and homogeneous of degree 1, so _mesh decides g against -1 - POSITIVITY_EIG_TOL, each vertex w read
-    off C's member at v = _spinors(w), less 1; product_form_minimum then refines from the mesh's
-    vertices, as the KS search does from its scan on ks_form, and worst_w is read off the final v.
+    off C's member at v = _spinors(w), less 1; product_form_minimum then refines from the mesh's eight
+    lowest vertex solves, as the KS search does from its scan on ks_form, and worst_w is read off the final v.
     """
     tables = _side_tables(choi_matrix_from_tensor(b), 2, 4, True)
     slack = _vertex_slack(tables[0])
 
     def value(w):
-        g = _vertex_eigvals(_spinors(w), tables[0]) - 1.0
-        return g, g - slack
+        raw = _vertex_eigvals(_spinors(w), tables[0])
+        return raw - 1.0, raw - 1.0 - slack, raw
 
-    _, points = _mesh(value, -1.0 - POSITIVITY_EIG_TOL)
-    v = _spinors(points)
-    margin, v = product_form_minimum(tables, v, _pair_coordinates(v))
+    _, points, raw = _mesh(value, -1.0 - POSITIVITY_EIG_TOL)
+    starts = lowest_indices(raw)
+    margin, v = product_form_minimum(tables, _spinors(points[starts]), raw[starts])
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=_bloch_vector(v),

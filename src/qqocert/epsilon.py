@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import ks
-from .core import MAX_COEFF, PositivityReport, as_coeff_tensor
-from .pauli import POSITIVITY_EIG_TOL, hermitian_eigvalsh
+from .core import MAX_COEFF, PositivityReport, _side_tables, _vertex_eigvals, as_coeff_tensor
+from .pauli import POSITIVITY_EIG_TOL
 
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
 
@@ -81,7 +81,7 @@ def ks_check(eps: float, samples: int, seed: int, tol: float) -> Optional[ks.KSW
     there, 1 - sqrt(3)|eps| - 12 eps^2, is the search's minimum for |eps| > eps_KS.  ks._check_budget runs first.
     """
     ks._check_budget(samples, seed, tol)
-    b = build_coeff_tensor(eps)
+    form = ks.ks_form(build_coeff_tensor(eps))
     w = np.exp(2j * np.pi / 3.0 * np.sign(eps) * np.arange(3)) / np.sqrt(3.0)
-    value = float(hermitian_eigvalsh(ks.ks_defect(b, w))[0])
-    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks.ks_global_check(b, samples, seed, tol)
+    value = float(_vertex_eigvals(w[None], _side_tables(form, 3, 4, True)[0])[0])
+    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks._search(form, samples, seed, tol)

@@ -18,11 +18,11 @@ matrix M (ks_form) with 4x4 blocks
 Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
-spheres with core.product_form_minimum, the one search every certificate
-but complete positivity runs, and the only one that scans: its scan hands the guarded lowest-eigenvalue kernel the
-real coordinates of conj(w) w^T and nine hermitian combinations of the
-M_jk, the kernel builds and solves only the defects that can rank among
-the best, and its own loop, the package's only refine, polishes the best
+spheres, the only search that scans: ks_global_check hands the guarded
+lowest-eigenvalue kernel the real coordinates of conj(w) w^T at its scan
+directions and nine hermitian combinations of the M_jk, the kernel
+builds and solves only the defects that can rank among the best, and
+core.product_form_minimum, the package's only refine, polishes the best
 candidates (psi := lowest eigenvector of defect(w), then w := lowest
 eigenvector of T(psi); neither half-step can raise it).
 Every defect and T(psi) is built by pauli._members, as the kernel builds
@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, sampling
-from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvalsh
+from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvalsh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
@@ -116,7 +116,7 @@ def _check_budget(samples: int, seed: int, tol: float) -> None:
     """Refuse a tol that is not positive and finite, and a samples or seed the sampler would refuse, before any work."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    sampling._draw_key(samples, seed, 3, True)
+    sampling._draw_key(samples, seed)
 
 
 def ks_global_check(
@@ -127,27 +127,31 @@ def ks_global_check(
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
 
-    tol, samples and seed pass _check_budget first, as in epsilon.ks_check; then the kernel's
-    eigenvalues-only entry (hermitian_eigvalsh) gives lambda_min(M).
+    tol, samples and seed pass _check_budget first, as in epsilon.ks_check; both then run _search on M.
     For unit w, lambda_min(defect(w)) >= ||w||^2 lambda_min(M) for the float M the defects are built
-    from, and that eigensolve, a defect's build (pauli._members) and eigvalsh, and ||w||^2 - 1 err by
-    a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) - 1e-12*(||M||_F + 1) >= -tol
-    (about 4500u of slack), no value the search could reach is below -tol, and None returns without a
-    scan.
-    Otherwise runs core.product_form_minimum on M's side tables, built once, at `samples` unit directions
-    in C^3 from sampling.sphere_points (normalized complex Gaussians): the guarded lowest-eigenvalue kernel builds
-    and solves exactly only the defects that can rank among the eight lowest, and the eight most
-    negative are polished by exact alternating eigen-descent on the form (see the module docstring).
+    from, and that eigensolve (hermitian_eigvalsh), a defect's build (pauli._members) and eigvalsh, and
+    ||w||^2 - 1 err by a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) -
+    1e-12*(||M||_F + 1) >= -tol (about 4500u of slack), no value the search could reach is below -tol,
+    and None returns without a scan.  Otherwise the kernel scans `samples` unit directions in C^3 from
+    sampling.sphere_points (normalized complex Gaussians) on M's side tables, built once, building and
+    solving only the defects that can rank among the eight lowest, and core.product_form_minimum
+    polishes those eight by exact alternating eigen-descent on the form (see the module docstring).
     The witness has its largest-modulus component real and positive, and min_eig is lambda_min of the
     defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or None;
     after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
     """
     _check_budget(samples, seed, tol)
-    form = ks_form(b)
+    return _search(ks_form(b), samples, seed, tol)
+
+
+def _search(form: np.ndarray, samples: int, seed: int, tol: float) -> Optional[KSWitness]:
+    """ks_global_check past _check_budget, on the form M = ks_form(b), built once by the caller."""
     if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
     tables = core._side_tables(form, 3, 4, True)
-    _, best_w = core.product_form_minimum(tables, *core._scan(samples, seed, 3, True))
+    points, coords = core._scan(samples, seed)
+    starts, values = hermitian_lowest_eigvals(coords, tables[0])
+    _, best_w = core.product_form_minimum(tables, points[starts], values)
     top = np.argmax(np.abs(best_w))
     best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
     best_val = float(core._lowest(best_w[None], tables[0])[0][0])

@@ -4,14 +4,14 @@ With the identity they are the basis {1, sigma_1, sigma_2, sigma_3} of
 the 2x2 complex matrix algebra in which a tensor's coefficients are read.
 The certifiers build on one kernel: LAPACK (``np.linalg.eigh`` for one
 matrix or a stack; ``eigvalsh`` where only eigenvalues are read, for one
-matrix or for a search's family, real coefficients on a table of
+matrix or for the KS scan's family, real coefficients on a table of
 matrices, whose few members with the lowest eigenvalues, the refine's
 starts, it returns, building only the members whose trace bound lets
 them rank among those few) behind a guard that rejects non-finite,
 non-square or non-hermitian input on every path.  ``lowest_indices``
 picks the few lowest entries of an array in stable order without
-sorting all of it; the family kernel selects with it, both the members
-it solves and the starts it returns.
+sorting all of it: the family kernel's members to solve and starts, and
+the mesh certificates' starts among their vertex solves.
 
 Index convention: ``SIGMA[k]`` is sigma_{k+1}; storage is 0-indexed
 throughout while the algebra's customary labels run 1..3.

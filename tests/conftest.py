@@ -9,11 +9,11 @@ from qqocert.pauli import lowest_indices
 def scripted_search(monkeypatch):
     """core.product_form_minimum's loop on scripted pieces: run(points, values, value) -> (val, x, calls).
 
-    Each point is a row (start, round).  The kernel hands over the starts of lowest_indices(values)
-    with their values, the search gets the tables "x" and "y", and _lowest is scripted: on "x" it
-    gives value(rows) and the rows themselves as y, on "y" it moves each row one round on.  So each
-    call on "y" is one round, and its rows are the carries of the starts still running.  calls holds
-    (table, rows) of every _lowest call in order.
+    Each point is a row (start, round).  The refine is handed the points of lowest_indices(values),
+    as its callers hand theirs, with their values, and the tables "x" and "y", and _lowest is
+    scripted: on "x" it gives value(rows) and the rows themselves as y, on "y" it moves each row one
+    round on.  So each call on "y" is one round, and its rows are the carries of the starts still
+    running.  calls holds (table, rows) of every _lowest call in order.
     """
 
     def run(points, values, value):
@@ -23,13 +23,9 @@ def scripted_search(monkeypatch):
             calls.append((table, v.copy()))
             return (value(v), v.copy()) if table == "x" else (None, v + [0.0, 1.0])
 
-        def kernel(coords, table):
-            starts = lowest_indices(values)
-            return starts, values[starts]
-
-        monkeypatch.setattr(core, "hermitian_lowest_eigvals", kernel)
         monkeypatch.setattr(core, "_lowest", lowest)
-        val, x = core.product_form_minimum(("x", "y"), points, None)
+        starts = lowest_indices(values)
+        val, x = core.product_form_minimum(("x", "y"), points[starts], values[starts])
         return val, x, calls
 
     return run

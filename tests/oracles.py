@@ -261,6 +261,13 @@ def necessary_conditions_paper(b, f, w) -> dict:
     }
 
 
+def complex_sphere(samples: int, seed: int, n: int) -> np.ndarray:
+    """samples unit vectors in C^n, normalized complex Gaussians from default_rng(seed): the KS draw's formula, any n."""
+    g = np.random.default_rng(seed).standard_normal((samples, n, 2))
+    z = g[..., 0] + 1j * g[..., 1]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 # ------------------------------------------------- serial refine and per-unit Choi
 # The one-start-at-a-time loop and single-matrix steps that the stacked loop of
 # core.product_form_minimum replaced; the stacked route must reproduce them bitwise.

@@ -14,7 +14,6 @@ from qqocert import (
     ks_form,
     ks_global_check,
     sampled_positivity_check,
-    sphere_points,
     state_preservation_check,
 )
 from qqocert import core, pauli
@@ -34,6 +33,7 @@ from oracles import (
     beta_matrix,
     choi_matrix_blocks,
     choi_matrix_family,
+    complex_sphere,
     delta_apply,
     dual_pair_apply,
     sigma_images_apply,
@@ -276,13 +276,13 @@ def test_certificates_reject_a_budget_below_one(check, samples):
 
 
 def test_product_form_minimum_refuses_zero_points():
-    points, coords = core._scan(1, 0, 3, True)
+    tables = _side_tables(ks_form(build_coeff_tensor(0.3)), 3, 4, True)
     with pytest.raises(ValueError):
-        product_form_minimum(_side_tables(ks_form(build_coeff_tensor(0.3)), 3, 4, True), points[:0], coords[:0])
+        product_form_minimum(tables, np.zeros((0, 3), dtype=complex), np.zeros(0))
 
 
 def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
-    # points (start, round); the kernel hands over the eight lowest, lowest first, ties in scan order
+    # points (start, round); the refine is handed the eight lowest, lowest first, ties in point order
     vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
     pts = np.stack([np.arange(12.0), np.zeros(12)], axis=1)
     starts = np.argsort(vals, kind="stable")[:8]
@@ -425,7 +425,7 @@ def test_sampled_positivity_margin_reevaluates_below_scan():
             rep = sampled_positivity_check(b)
             re_eval = hermitian_eigh(ID4 + np.einsum("k,kab->ab", rep.worst_w, ds))[0][0]
             assert abs(re_eval - rep.margin) <= 1e-12
-            pts = _bloch_vector(sphere_points(2000, 0, 2, True))
+            pts = _bloch_vector(complex_sphere(2000, 0, 2))
             scan = np.linalg.eigvalsh(ID4 + np.einsum("nk,kab->nab", pts, ds))[:, 0]
             assert rep.margin <= np.min(scan)
             assert abs(np.linalg.norm(rep.worst_w) - 1.0) <= 1e-12
@@ -448,7 +448,7 @@ def test_choi_product_form_at_conj_u_is_positivity_member():
 
 def test_spinors_round_trip_through_bloch_vectors():
     # the positivity scan's points v and the poles: _bloch_vector(v) is the Bloch vector of u = conj(v)
-    v = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], sphere_points(500, 13, 2, True)])
+    v = np.concatenate([[[1.0, 0.0], [0.0, 1.0]], complex_sphere(500, 13, 2)])
     w = _bloch_vector(v)
     assert np.array_equal(w[:2], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-15

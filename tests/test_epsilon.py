@@ -16,7 +16,7 @@ from qqocert import (
     positivity_check,
     state_preservation_check,
 )
-from qqocert import cli, core, sampling
+from qqocert import cli, core, ks, sampling
 from qqocert.core import MAX_COEFF
 from qqocert.epsilon import ks_check
 from qqocert.pauli import SIGMA
@@ -417,3 +417,19 @@ def test_ks_check_refuses_what_the_search_refuses():
         for eps in (0.5, 0.1):
             with pytest.raises(error, match=message):
                 ks_check(eps, samples, seed, tol)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
+def test_ks_check_builds_the_schwarz_form_once(eps, monkeypatch):
+    # CP at 0.1 (the PSD skip), in the band at 0.2 (the search) and past EPS_KS at 0.5 (the witness):
+    # the witness, the skip and the search all read one ks_form
+    built, form = [], ks.ks_form
+
+    def counting(b):
+        built.append(b)
+        return form(b)
+
+    monkeypatch.setattr(ks, "ks_form", counting)
+    found = ks_check(eps, 2000, 0, KS_DEFAULT_TOL)
+    assert (found is None) == (eps < EPS_KS)
+    assert len(built) == 1

@@ -18,7 +18,7 @@ from qqocert import (
     sphere_points,
     state_preservation_check,
 )
-from qqocert import core, pauli, sampling
+from qqocert import core, ks, pauli, sampling
 from qqocert.core import (
     REFINE_CAP,
     _bloch_vector,
@@ -37,6 +37,7 @@ from oracles import (
     PauliCoeffs,
     _auxiliaries,
     beta_matrix,
+    complex_sphere,
     delta_apply,
     dual_pair_apply,
     necessary_conditions_paper,
@@ -75,36 +76,49 @@ def choi_tables(b):
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
-    return core.product_form_minimum(ks_tables(b), *core._scan(samples, seed, 3, True))
+    tables = ks_tables(b)
+    points, coords = core._scan(samples, seed)
+    starts, values = ks.hermitian_lowest_eigvals(coords, tables[0])
+    return core.product_form_minimum(tables, points[starts], values)
 
 
 def record_searches(monkeypatch):
-    """A list that each core.product_form_minimum call appends a dict to, its readouts included.
+    """A list that each core.product_form_minimum call appends a dict to, with what led up to it.
 
-    points: the points handed; tables: the side tables handed; kernel: (starts, values, table) of
-    each kernel call; lowest: (table, v) of each _lowest call, so the calls on the y-side table
-    count the refine's rounds; result: the search's (value, x).
+    x, val: copies of the starts and values handed; tables: the side tables handed; kernel:
+    (starts, values, table) of each kernel call since the last search, the KS scan's; mesh:
+    (outcome, points, raw) of each _mesh call since then, a mesh certificate's; lowest: (table, v) of
+    each _lowest call, so the calls on the y-side table count the refine's rounds; result: the
+    search's (value, x).
     """
-    searches = []
-    search, kernel, lowest = core.product_form_minimum, core.hermitian_lowest_eigvals, core._lowest
+    searches, kernels, meshes = [], [], []
+    search, kernel, lowest, mesh = core.product_form_minimum, ks.hermitian_lowest_eigvals, core._lowest, core._mesh
 
-    def recording_search(tables, points, coords):
-        searches.append({"points": points, "tables": tables, "kernel": [], "lowest": []})
-        result = search(tables, points, coords)
+    def recording_search(tables, x, val):
+        searches.append({"x": x.copy(), "val": val.copy(), "tables": tables, "kernel": kernels[:], "mesh": meshes[:],
+                         "lowest": []})
+        kernels.clear()
+        meshes.clear()
+        result = search(tables, x, val)
         searches[-1]["result"] = result
         return result
 
     def recording_kernel(coeffs, table):
         starts, values = kernel(coeffs, table)
-        searches[-1]["kernel"].append((starts, values.copy(), table))
+        kernels.append((starts, values.copy(), table))
         return starts, values
+
+    def recording_mesh(value, floor):
+        meshes.append(mesh(value, floor))
+        return meshes[-1]
 
     def recording_lowest(v, table):
         searches[-1]["lowest"].append((table, v.copy()))
         return lowest(v, table)
 
     monkeypatch.setattr(core, "product_form_minimum", recording_search)
-    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording_kernel)
+    monkeypatch.setattr(ks, "hermitian_lowest_eigvals", recording_kernel)
+    monkeypatch.setattr(core, "_mesh", recording_mesh)
     monkeypatch.setattr(core, "_lowest", recording_lowest)
     return searches
 
@@ -381,13 +395,13 @@ def test_scan_directions_unit_and_seeded():
     # the KS scan's directions are bitwise the normalized complex Gaussians it has always drawn
     g = np.random.default_rng(3).standard_normal((2000, 3, 2))
     z = g[..., 0] + 1j * g[..., 1]
-    assert np.array_equal(sphere_points(2000, 3, 3, True), z / np.linalg.norm(z, axis=1, keepdims=True))
+    assert np.array_equal(sphere_points(2000, 3), z / np.linalg.norm(z, axis=1, keepdims=True))
 
 
 def test_global_check_refines_below_scan():
     b = rand_tensor(np.random.default_rng(14), scale=0.7)
     samples = 2000
-    ws = sphere_points(samples, 0, 3, True)
+    ws = sphere_points(samples, 0)
     scan = min(hermitian_eigh(ks_defect(b, w))[0][0] for w in ws)
     wit = ks_global_check(b, samples, 0, 1e-8)
     assert wit is not None
@@ -407,8 +421,8 @@ def test_global_check_witness_normalized_and_reevaluates():
 
 
 def test_descent_never_rises_and_stops_before_cap(monkeypatch):
-    # every certificate's search, each run alone from one point; its start value is the kernel's,
-    # its rounds the refine's calls of _lowest on the y-side table
+    # every certificate's refine, each run alone from one point; its start value is the one the kernel
+    # and the mesh give a point, its rounds the refine's calls of _lowest on the y-side table
     rng = np.random.default_rng(16)
     b = rand_tensor(rng, scale=0.7)
     ds = delta_sigma_images(b)
@@ -424,12 +438,12 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
         ),
         (
             choi_matrix_from_tensor(b), 2, 4,
-            sphere_points(20, 2, 2, True),
+            complex_sphere(20, 2, 2),
             lambda v: hermitian_eigh(ID4 + np.einsum("k,kab->ab", _bloch_vector(v), ds))[0][0],
         ),
         (
             ks_form(b), 3, 4,
-            sphere_points(20, 1, 3, True),
+            sphere_points(20, 1),
             lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
     ]
@@ -437,9 +451,9 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
         for x0 in starts:
             searches.clear()
             tables = _side_tables(form, nx, ny, np.iscomplexobj(x0))
-            val, x = core.product_form_minimum(tables, x0[None], _pair_coordinates(x0[None]))
+            val, x = core.product_form_minimum(tables, x0[None], core._vertex_eigvals(x0[None], tables[0]))
             search, = searches
-            (_, (start,), _), = search["kernel"]
+            start, = search["val"]
             assert abs(value(x0) - start) <= 1e-12
             assert val <= start
             assert refine_rounds(search) < REFINE_CAP
@@ -477,9 +491,8 @@ def test_stacked_refine_matches_serial_oracle(monkeypatch, index, seed):
         searches.clear()
         run()
         search, = searches
-        (starts, values, _), = search["kernel"]
         val, x = search["result"]
-        s_val, s_x, s_rounds = serial_scan_then_refine(search["points"][starts], values, serial_steps[name])
+        s_val, s_x, s_rounds = serial_scan_then_refine(search["x"], search["val"], serial_steps[name])
         assert _bits(val) == _bits(s_val) and _bits(x) == _bits(s_x) and refine_rounds(search) == s_rounds, name
 
 
@@ -492,49 +505,40 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
     searches = record_searches(monkeypatch)
     ks_scan(b)
     search, = searches
-    (starts, vals, _), = search["kernel"]
-    ws = search["points"][starts]
+    ws, vals = search["x"], search["val"]
     assert len(ws) == len(vals) == pauli.REFINE_STARTS
     for w, val in zip(ws, vals):
         assert _bits(np.linalg.eigvalsh(ks_defect(b, w))[0]) == _bits(val)
 
 
 def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
-    # on its form's side tables (their shapes), complex points or not, and their count: KS's are its
-    # 50,000 scan directions at the default budget, the mesh certificates' every vertex their mesh solved
-    handed, meshes = [], []
-    mesh = core._mesh
-
-    def recording(tables, points, coords):
-        handed.append(([t.shape for t in tables], np.iscomplexobj(points), len(points)))
-        assert coords.tobytes() == _pair_coordinates(points).tobytes()
-        return product_form_minimum(tables, points, coords)
-
-    def recording_mesh(value, floor):
-        meshes.append(mesh(value, floor))
-        return meshes[-1]
-
-    monkeypatch.setattr(core, "product_form_minimum", recording)
-    monkeypatch.setattr(core, "_mesh", recording_mesh)
+    # on its form's side tables (their shapes), from REFINE_STARTS starts, complex or not: KS's the
+    # kernel's on its 50,000 scan directions at the default budget, the mesh certificates' from the
+    # vertices their one mesh solved, with no kernel call
+    searches = record_searches(monkeypatch)
     b = rand_tensor(np.random.default_rng(62))
     for run, shapes, complex_ in (
         (state_preservation_check, [(6, 3, 3), (6, 3, 3)], False),
         (sampled_positivity_check, [(4, 4, 4), (16, 2, 2)], True),
         (ks_global_check, [(9, 4, 4), (16, 3, 3)], True),
     ):
-        handed.clear()
-        meshes.clear()
+        searches.clear()
         run(b)
-        count = len(meshes[0][1]) if meshes else 50_000
-        assert handed == [(shapes, complex_, count)], run.__name__
-        assert len(meshes) == (run is not ks_global_check)
+        search, = searches
+        handed = ([t.shape for t in search["tables"]], np.iscomplexobj(search["x"]), len(search["x"]))
+        assert handed == (shapes, complex_, pauli.REFINE_STARTS), run.__name__
+        assert len(search["kernel"]) == (run is ks_global_check)
+        assert len(search["mesh"]) == (run is not ks_global_check)
+    (starts, _, _), = search["kernel"]
+    assert _bits(search["x"]) == _bits(core._scan(KS_DEFAULT_SAMPLES, 0)[0][starts])
 
 
 def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
     # one _side_tables call per certificate serves its mesh or scan, the kernel, every refine step and
-    # the readout, and the refine starts from exactly the kernel's starts, their points in its order,
-    # and never rises above their values (test_core scripts the loop to show it starts from those
-    # values); a start's kernel value is bitwise the one a mesh vertex gets from _vertex_eigvals
+    # the readout, and the refine starts from exactly the best points its caller found, in its order:
+    # the kernel's starts on the KS scan, the REFINE_STARTS lowest of the mesh's vertex solves (at the
+    # spinors of its vertices for positivity), with their values, bitwise the ones _vertex_eigvals
+    # gives those points; it never rises above them (test_core scripts the loop to show it starts there)
     searches = record_searches(monkeypatch)
     built, side_tables = [], core._side_tables
 
@@ -544,23 +548,32 @@ def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(m
 
     monkeypatch.setattr(core, "_side_tables", recording_tables)
     b = rand_tensor(np.random.default_rng(63))
-    for run in (state_preservation_check, sampled_positivity_check, lambda b: ks_global_check(b, 2000, 0)):
+    for name, run in (
+        ("preservation", state_preservation_check),
+        ("positivity", sampled_positivity_check),
+        ("ks", lambda b: ks_global_check(b, 2000, 0)),
+    ):
         searches.clear()
         built.clear()
         run(b)
         search, = searches
         (x_table, y_table), = built
-        (starts, values, kernel_table), = search["kernel"]
         (first_table, first), *_ = search["lowest"]
         assert search["tables"][0] is x_table and search["tables"][1] is y_table
-        assert kernel_table is x_table and first_table is x_table
+        assert first_table is x_table and _bits(first) == _bits(search["x"])
         assert all(table is x_table or table is y_table for table, _ in search["lowest"])
-        assert len(starts) == pauli.REFINE_STARTS
-        assert _bits(first) == _bits(search["points"][starts])
-        assert _bits(core._vertex_eigvals(first, x_table)) == _bits(values)
-        assert search["result"][0] <= values[0]
-    # the KS search's points are its scan's
-    assert _bits(search["points"]) == _bits(core._scan(2000, 0, 3, True)[0])
+        assert len(first) == pauli.REFINE_STARTS
+        assert _bits(core._vertex_eigvals(first, x_table)) == _bits(search["val"])
+        assert search["result"][0] <= search["val"][0]
+        if name == "ks":
+            (starts, values, kernel_table), = search["kernel"]
+            assert kernel_table is x_table
+            points = core._scan(2000, 0)[0]
+        else:
+            (_, points, raw), = search["mesh"]
+            starts = lowest_indices(raw)
+            points, values = core._spinors(points) if name == "positivity" else points, raw[starts]
+        assert _bits(search["x"]) == _bits(points[starts]) and _bits(search["val"]) == _bits(values)
 
 
 def test_product_step_views_are_one_form(monkeypatch):
@@ -873,57 +886,60 @@ def _defect_stack(form, w):
     return _hermitian_part((pairs @ table).reshape(-1, 4, 4))
 
 
-def _stacks_built_whole(b, seed, points):
-    """The members of the KS scan and of the positivity and preservation searches, built whole.
+def _stacks_built_whole(b, seed, v, f):
+    """The members of the KS scan and of the positivity and preservation families, built whole.
 
-    KS's are its scan's, as the stack kernel took them; the mesh certificates' are at the points
-    their searches were handed, the spinors of the positivity mesh's vertices and the preservation
-    mesh's vertices.
+    KS's are its scan's, as the stack kernel took them; the mesh certificates' are at their meshes'
+    vertices, the spinors v of the positivity mesh's and the preservation mesh's own f.
     """
-    w = _bloch_vector(points[1])
-    mats = np.einsum("ijk,ni->nkj", b, points[2])
+    mats = np.einsum("ijk,ni->nkj", b, f)
     return (
-        _defect_stack(ks_form(b), sphere_points(KS_DEFAULT_SAMPLES, seed, 3, True)),
-        ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b)),
+        _defect_stack(ks_form(b), sphere_points(KS_DEFAULT_SAMPLES, seed)),
+        ID4 + np.einsum("nk,kab->nab", _bloch_vector(v), delta_sigma_images(b)),
         -np.einsum("nkj,nkl->njl", mats, mats),
     )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 801])
 def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
-    # each search's family, as handed to the kernel, against its stack built whole
-    solved, handed, points = [], [], []
-    eigvalsh = np.linalg.eigvalsh
+    # the kernel on each search's family against its stack built whole: the KS scan as ks_scan hands
+    # it over, and the mesh certificates' vertices, which the test hands over itself
+    solved, handed, meshes = [], [], []
+    eigvalsh, mesh = np.linalg.eigvalsh, core._mesh
 
     def counting(ms, *args, **kwargs):
         solved.append(len(ms))
         return eigvalsh(ms, *args, **kwargs)
 
-    def recording(coeffs, table):
+    def kernel(coeffs, table):
         solved.clear()
         starts, vals = hermitian_lowest_eigvals(coeffs, table)
-        # a copy: the search's refine lowers the values it is handed in place
+        # a copy: the search's refine lowers the values it is handed
         handed.append((starts, vals.copy(), sum(solved)))
         return starts, vals
 
-    def recording_search(tables, x, coords):
-        points.append(x)
-        return product_form_minimum(tables, x, coords)
+    def recording_mesh(value, floor):
+        meshes.append(mesh(value, floor))
+        return meshes[-1]
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    monkeypatch.setattr(core, "hermitian_lowest_eigvals", recording)
-    monkeypatch.setattr(core, "product_form_minimum", recording_search)
+    monkeypatch.setattr(ks, "hermitian_lowest_eigvals", kernel)
+    monkeypatch.setattr(core, "_mesh", recording_mesh)
     rng = np.random.default_rng(29)
     tensors = [build_coeff_tensor(e) for e in (0.1, 0.2254, 1.0 / 3.0, -0.4, 0.5, 0.6)]
     tensors += [rand_tensor(rng, scale) for scale in (0.05, 0.25, 1.0, 10.0)]
     for b in tensors:
         handed.clear()
-        points.clear()
+        meshes.clear()
         ks_scan(b, seed=seed)
         sampled_positivity_check(b)
         state_preservation_check(b)
+        (_, positivity_w, _), (_, f, _) = meshes
+        v = core._spinors(positivity_w)
+        kernel(_pair_coordinates(v), choi_tables(b)[0])
+        kernel(_pair_coordinates(f), gram_tables(b)[0])
         assert len(handed) == 3
-        for k, ((starts, vals, count), stack) in enumerate(zip(handed, _stacks_built_whole(b, seed, points))):
+        for k, ((starts, vals, count), stack) in enumerate(zip(handed, _stacks_built_whole(b, seed, v, f))):
             solved.clear()
             ref = stack_lowest_eigvals(stack)
             ulps = 8 * np.finfo(float).eps * np.linalg.norm(stack[starts], axis=(1, 2))
@@ -935,7 +951,7 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
                 # builds round ties apart, so the starts are the lowest members up to that rounding
                 rest = np.delete(ref, starts)
                 assert rest.size == 0 or np.max(ref[starts]) <= np.min(rest) + np.max(ulps)
-            # no search sends more matrices to LAPACK than the stack kernel
+            # the kernel sends no more matrices to LAPACK than the stack kernel
             assert count <= sum(solved)
 
 

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqocert import core, delta_sigma_images
+from qqocert import core, delta_sigma_images, ks, pauli
 from qqocert.core import (
     MESH_CAP,
     NORM_TOL,
     _ICOSAHEDRON,
     _bloch_vector,
     _face_bounds,
+    _pair_coordinates,
     _spinors,
     sampled_positivity_check,
     state_preservation_check,
 )
-from qqocert.pauli import POSITIVITY_EIG_TOL
+from qqocert.pauli import POSITIVITY_EIG_TOL, hermitian_lowest_eigvals
 
 CERTIFICATES = {
     # the certificate, its mesh's g at a stack of unit w computed independently, and its report's value as g
@@ -35,7 +36,7 @@ DENSE = 200_000
 
 
 def run_recording_mesh(check, b):
-    """check(b) and its one mesh call, as (report, value, floor, outcome, points)."""
+    """check(b) and its one mesh call, as (report, value, floor, outcome, points, raw)."""
     meshes, mesh = [], core._mesh
 
     def recording(value, floor):
@@ -87,8 +88,8 @@ def test_face_bound_lies_below_a_dense_search(seed, certificate, linear, log_sca
     tri = np.cos(radius) * normal + np.sin(radius) * ring
     scale = 10.0**log_scale
     b = linear_tensor(certificate, normal, scale) if linear else scale * rng.standard_normal((3, 3, 3))
-    _, value, _, _, _ = run_recording_mesh(check, b)
-    vals, lows = value(tri)
+    _, value, _, _, _, _ = run_recording_mesh(check, b)
+    vals, lows, _ = value(tri)
     assert np.all(lows <= vals)
     (bound,) = _face_bounds(tri, np.array([[0, 1, 2]]), lows)
     # uniform barycentric weights, then onto the sphere; the vertices themselves too
@@ -116,7 +117,7 @@ def test_mesh_decides_rays_near_the_floor(seed, certificate, symmetric, exponent
         b = b + b.transpose(1, 0, 2)
     floor = -1.0 - POSITIVITY_EIG_TOL if certificate == "positivity" else -1.0 - NORM_TOL
     t = (floor + (1 if above else -1) * 10.0**-exponent) / reported(check(b))
-    rep, _, mesh_floor, outcome, points = run_recording_mesh(check, t * b)
+    rep, _, mesh_floor, outcome, points, _ = run_recording_mesh(check, t * b)
     assert mesh_floor == floor
     assert outcome == ("certified" if above else "violated")
     assert len(points) <= MESH_CAP
@@ -142,10 +143,12 @@ def test_a_split_mesh_shares_its_midpoints_and_keeps_every_vertex_on_the_sphere(
 
     def value(w):
         calls.append(len(w))
-        return np.zeros(len(w)), np.full(len(w), -2.0)
+        return np.zeros(len(w)), np.full(len(w), -2.0), w[:, 0]
 
-    outcome, points = core._mesh(value, -1.0)
+    outcome, points, raw = core._mesh(value, -1.0)
     assert outcome == "undecided"
+    # the raw values come back in vertex order, the midpoints' after the icosahedron's
+    assert raw.tobytes() == points[:, 0].tobytes()
     # 12 + 30 + 120 + 480 = 642 vertices after three rounds of splits; the fourth would take 1920 more
     assert calls == [12, 30, 120, 480] and len(points) == 642 <= MESH_CAP < 642 + 1920
     assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
@@ -156,11 +159,11 @@ def test_mesh_stops_at_the_icosahedron_when_it_decides():
     # g(w) = w_3 reaches -0.85 at the icosahedron's lowest vertices, below a floor of -0.5; a
     # constant g = 0 clears a floor of -1 on every face at once
     for value, floor, outcome in (
-        (lambda w: (w[:, 2], w[:, 2]), -0.5, "violated"),
-        (lambda w: (np.zeros(len(w)), np.zeros(len(w))), -1.0, "certified"),
+        (lambda w: (w[:, 2], w[:, 2], w[:, 2]), -0.5, "violated"),
+        (lambda w: (np.zeros(len(w)), np.zeros(len(w)), np.zeros(len(w))), -1.0, "certified"),
     ):
-        got, points = core._mesh(value, floor)
-        assert got == outcome and points is _ICOSAHEDRON[0]
+        got, points, raw = core._mesh(value, floor)
+        assert got == outcome and points is _ICOSAHEDRON[0] and len(raw) == 12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -171,3 +174,54 @@ def test_spinors_carry_each_bloch_vector(seed):
     assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-15
     # within the 10u that core._vertex_slack allows the spinor
     assert np.max(np.abs(_bloch_vector(v) - w)) <= 10 * 2.0**-53
+
+
+def mesh_tensors(count):
+    """count seeded general tensors, from well inside the unit ball to entries of size 3."""
+    rng = np.random.default_rng(2024)
+    return [rng.uniform(0.02, 3.0) * rng.standard_normal((3, 3, 3)) for _ in range(count)]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the pruning kernel ran")
+
+
+def test_each_mesh_vertex_is_solved_once(monkeypatch):
+    # the mesh certificates run no kernel, and LAPACK's eigvalsh reads each vertex's member once: the
+    # mesh's own solve, whose values also start the refine
+    for mod in (pauli, core, ks):
+        monkeypatch.setattr(mod, "hermitian_lowest_eigvals", refuse, raising=False)
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(ms, *args, **kwargs):
+        solved.append(len(ms) if np.ndim(ms) == 3 else 1)
+        return eigvalsh(ms, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for b in mesh_tensors(20):
+        for check in (sampled_positivity_check, state_preservation_check):
+            solved.clear()
+            _, _, _, _, points, _ = run_recording_mesh(check, b)
+            assert sum(solved) == len(points), check.__name__
+
+
+@pytest.mark.parametrize("certificate", sorted(CERTIFICATES))
+def test_mesh_starts_are_the_kernels_bitwise(certificate, monkeypatch):
+    # the kernel as the oracle: on the mesh's vertices (their spinors for positivity), its starts and
+    # values are bitwise the ones the certificate hands its refine
+    check = CERTIFICATES[certificate][0]
+    handed, refine = [], core.product_form_minimum
+
+    def recording(tables, x, val):
+        handed.append((tables[0], x.copy(), val.copy()))
+        return refine(tables, x, val)
+
+    monkeypatch.setattr(core, "product_form_minimum", recording)
+    for b in mesh_tensors(60):
+        handed.clear()
+        _, _, _, _, points, _ = run_recording_mesh(check, b)
+        (table, x, val), = handed
+        vertices = _spinors(points) if certificate == "positivity" else points
+        starts, values = hermitian_lowest_eigvals(_pair_coordinates(vertices), table)
+        assert x.tobytes() == vertices[starts].tobytes()
+        assert val.tobytes() == values.tobytes()

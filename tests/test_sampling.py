@@ -1,14 +1,11 @@
-"""The one sampler behind every sampled certificate's scan points."""
+"""The one sampler behind the KS search's scan points, and the draw cache that holds them."""
 
 import importlib
 import inspect
-import ast
 import json
 import sys
 import threading
 import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,36 +18,28 @@ from qqocert import (
     sampling,
     state_preservation_check,
 )
-from qqocert.core import _bloch_vector, _pair_coordinates
+from qqocert.core import _pair_coordinates
+
+from oracles import complex_sphere
 
 
-@pytest.mark.parametrize("n, complex_", [(1, False), (3, False), (2, True), (3, True)])
-def test_sphere_points_unit_shaped_and_seeded(n, complex_):
-    a = sampling.sphere_points(2000, 5, n, complex_)
-    assert a.shape == (2000, n)
-    assert a.dtype == (complex if complex_ else float)
+def test_sphere_points_unit_shaped_and_seeded():
+    a = sampling.sphere_points(2000, 5)
+    assert a.shape == (2000, 3)
+    assert a.dtype == complex
     assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) <= 1e-14
-    assert np.array_equal(a, sampling.sphere_points(2000, 5, n, complex_))
-    assert not np.allclose(a, sampling.sphere_points(2000, 6, n, complex_))
+    assert np.array_equal(a, sampling.sphere_points(2000, 5))
+    assert not np.allclose(a, sampling.sphere_points(2000, 6))
 
 
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sphere_points_refuse_a_budget_below_one(samples):
     with pytest.raises(ValueError, match="need at least one sample"):
-        sampling.sphere_points(samples, 0, 3, False)
+        sampling.sphere_points(samples, 0)
 
 
 def refuse_to_draw(*args):
     raise AssertionError("drew")
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_both_draw_entries_refuse_fewer_than_one_coordinate_before_drawing(empty_cache, monkeypatch, n):
-    monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
-    for draw in (sampling.sphere_points, core._scan):
-        with pytest.raises(ValueError, match="need at least one coordinate"):
-            draw(4, 0, n, False)
-    assert core._cache == {}
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
@@ -60,7 +49,7 @@ def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_cache, mo
     monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
     for draw in (sampling.sphere_points, core._scan):
         with pytest.raises(ValueError, match="seed must be non-negative"):
-            draw(100, -1, 3, True)
+            draw(100, -1)
     b = build_coeff_tensor(eps)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         ks_global_check(b, 2000, -1)
@@ -69,28 +58,20 @@ def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_cache, mo
     assert core._cache == {}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 801])
-def test_positivity_scan_points_are_uniform_on_the_bloch_sphere(seed):
-    # uniform w on S^2 has mean 0 and second moments I/3
-    w = _bloch_vector(sampling.sphere_points(20_000, seed, 2, True))
-    assert np.linalg.norm(w.mean(axis=0)) < 0.02
-    assert np.max(np.abs(w.T @ w / len(w) - np.eye(3) / 3.0)) < 0.01
-
-
 def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, monkeypatch):
     drawn = []
     sphere_points = sampling.sphere_points
 
-    def recording(samples, seed, n, complex_):
-        drawn.append((samples, n, complex_))
-        return sphere_points(samples, seed, n, complex_)
+    def recording(samples, seed):
+        drawn.append(samples)
+        return sphere_points(samples, seed)
 
     monkeypatch.setattr(sampling, "sphere_points", recording)
     b = 0.3 * np.random.default_rng(3).standard_normal((3, 3, 3))
     for run, expected in (
         (state_preservation_check, []),
         (sampled_positivity_check, []),
-        (ks_global_check, [(50_000, 3, True)]),
+        (ks_global_check, [50_000]),
     ):
         drawn.clear()
         run(b)
@@ -98,20 +79,12 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, mo
 
 
 def test_every_scan_left_is_the_ks_draw(empty_cache, monkeypatch, capsys, tmp_path):
-    # preservation and positivity decide on the mesh, so the one scan left draws complex points in C^3:
-    # no call of core._scan in the package names another draw, and none is made at run time
-    calls = [
-        node
-        for path in Path(core.__file__).parent.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_scan"
-    ]
-    assert calls and all([ast.literal_eval(a) for a in call.args[2:]] == [3, True] for call in calls)
+    # preservation and positivity decide on the mesh, so every draw made at run time is the KS search's
     drawn, scan = [], core._scan
 
-    def recording(samples, seed, n, complex_):
-        drawn.append((n, complex_))
-        return scan(samples, seed, n, complex_)
+    def recording(samples, seed):
+        drawn.append(sys._getframe(1).f_code.co_name)
+        return scan(samples, seed)
 
     monkeypatch.setattr(core, "_scan", recording)
     tensor = tmp_path / "t.json"
@@ -125,7 +98,7 @@ def test_every_scan_left_is_the_ks_draw(empty_cache, monkeypatch, capsys, tmp_pa
     ):
         assert cli.main(argv) in (0, 1)
     capsys.readouterr()
-    assert drawn and set(drawn) == {(3, True)}
+    assert drawn and set(drawn) == {"_search"}
 
 
 # ---------------------------------------------------------------- the draw cache
@@ -137,11 +110,9 @@ def empty_cache(monkeypatch):
     monkeypatch.setattr(core, "_cache", {})
 
 
-def fresh_draw(samples, seed, n, complex_):
-    """The sampler's formula, drawn afresh: normalized standard Gaussians from default_rng(seed)."""
-    g = np.random.default_rng(seed).standard_normal((samples, n, 2) if complex_ else (samples, n))
-    z = g[..., 0] + 1j * g[..., 1] if complex_ else g
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def fresh_draw(samples, seed):
+    """The sampler's formula, drawn afresh: normalized complex Gaussians in C^3 from default_rng(seed)."""
+    return complex_sphere(samples, seed, 3)
 
 
 def held_bytes():
@@ -157,8 +128,8 @@ def assert_whole_scans():
 
 
 def test_the_sampler_holds_nothing(empty_cache):
-    a = sampling.sphere_points(100, 3, 3, True)
-    b = sampling.sphere_points(100, 3, 3, True)
+    a = sampling.sphere_points(100, 3)
+    b = sampling.sphere_points(100, 3)
     assert a is not b and a.flags.writeable and a.tobytes() == b.tobytes()
     assert core._cache == {}
     own = {name for name in vars(sampling) if not name.startswith("__")}
@@ -166,31 +137,30 @@ def test_the_sampler_holds_nothing(empty_cache):
 
 
 def test_cached_points_and_pair_coordinates_are_read_only(empty_cache):
-    points, coords = core._scan(100, 3, 3, True)
+    points, coords = core._scan(100, 3)
     for a in (points, coords):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0
 
 
-@pytest.mark.parametrize("n, complex_", [(3, False), (2, True), (3, True)])
-def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkeypatch, n, complex_):
-    want = fresh_draw(700, 11, n, complex_).tobytes()
-    first = core._scan(700, 11, n, complex_)
-    assert core._scan(700, 11, n, complex_) is first
+def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkeypatch):
+    want = fresh_draw(700, 11).tobytes()
+    first = core._scan(700, 11)
+    assert core._scan(700, 11) is first
     assert first[0].tobytes() == want
     monkeypatch.setattr(core, "CACHE_BYTES", 0)
-    core._scan(5, 1, 2, False)
+    core._scan(5, 1)
     assert core._cache == {}
-    again = core._scan(700, 11, n, complex_)
+    again = core._scan(700, 11)
     assert again[0] is not first[0] and not again[0].flags.writeable
     assert again[0].tobytes() == want and again[1].tobytes() == first[1].tobytes()
 
 
 def test_a_hit_makes_its_scan_the_most_recently_used(empty_cache, monkeypatch):
     # room for two scans of 100 points: a hit on A moves it past B, so drawing C evicts B, not A
-    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes for a in core._scan(100, 0, 3, True)))
+    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes for a in core._scan(100, 0)))
     core._cache.clear()
-    a_key, b_key, c_key = ((100, seed, 3, True) for seed in (1, 2, 3))
+    a_key, b_key, c_key = ((100, seed) for seed in (1, 2, 3))
     a = core._scan(*a_key)
     core._scan(*b_key)
     assert core._scan(*a_key) is a
@@ -216,22 +186,22 @@ def test_repeated_certificates_draw_nothing(empty_cache, monkeypatch):
 
 
 def test_numpy_integers_share_the_entry_of_python_integers(empty_cache):
-    a = core._scan(np.int64(50_000), np.int64(0), np.int64(3), np.bool_(True))
-    assert core._scan(50_000, 0, 3, True) is a
-    assert list(core._cache) == [(50_000, 0, 3, True)]
+    a = core._scan(np.int64(50_000), np.int64(0))
+    assert core._scan(50_000, 0) is a
+    assert list(core._cache) == [(50_000, 0)]
 
 
 @pytest.mark.parametrize("samples, seed", [(10.5, 0), (np.float64(10.0), 0), (10, 1.5), (10, None), ("10", 0)])
 def test_a_non_integer_budget_or_seed_raises_before_anything_is_held(empty_cache, samples, seed):
     for draw in (sampling.sphere_points, core._scan):
         with pytest.raises(TypeError):
-            draw(samples, seed, 3, True)
+            draw(samples, seed)
     assert core._cache == {}
 
 
 def test_the_cache_never_holds_more_than_its_bound(empty_cache):
     for seed in range(12):
-        core._scan(50_000, seed, 3, True)
+        core._scan(50_000, seed)
         assert held_bytes() <= core.CACHE_BYTES
     assert 1 < len(core._cache) < 12
     assert_whole_scans()
@@ -239,18 +209,18 @@ def test_the_cache_never_holds_more_than_its_bound(empty_cache):
 
 def test_a_draw_larger_than_the_bound_is_handed_out_but_not_held(empty_cache, monkeypatch):
     monkeypatch.setattr(core, "CACHE_BYTES", 100_000)
-    small = core._scan(100, 1, 3, True)
-    big_points, big_coords = big = core._scan(20_000, 1, 3, True)
-    assert not big_points.flags.writeable and big_points.tobytes() == fresh_draw(20_000, 1, 3, True).tobytes()
+    small = core._scan(100, 1)
+    big_points, big_coords = big = core._scan(20_000, 1)
+    assert not big_points.flags.writeable and big_points.tobytes() == fresh_draw(20_000, 1).tobytes()
     assert not big_coords.flags.writeable and big_coords.tobytes() == _pair_coordinates(big_points).tobytes()
-    assert core._scan(20_000, 1, 3, True) is not big
+    assert core._scan(20_000, 1) is not big
     assert core._cache == {}
-    assert core._scan(100, 1, 3, True) is not small
+    assert core._scan(100, 1) is not small
 
 
 def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
-    points, held = core._scan(500, 2, 3, True)
-    assert core._scan(500, 2, 3, True)[1] is held
+    points, held = core._scan(500, 2)
+    assert core._scan(500, 2)[1] is held
     frozen = points.copy()
     frozen.flags.writeable = False
     for other in (points, points.copy(), frozen):
@@ -264,7 +234,7 @@ def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
 def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
     # a bound of about one entry, so that every few calls evict what another thread is reading
     monkeypatch.setattr(core, "CACHE_BYTES", 20_000)
-    keys = [(60 + 10 * k, k, 3, True) for k in range(6)]
+    keys = [(60 + 10 * k, k) for k in range(6)]
     want = {key: fresh_draw(*key) for key in keys}
     want = {key: (p.tobytes(), _pair_coordinates(p).tobytes()) for key, p in want.items()}
     errors = []
@@ -297,7 +267,7 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
 
 def test_threads_missing_one_key_draw_it_once(empty_cache, monkeypatch):
     # the draw is slow enough that every thread reaches the cache while the first is still drawing
-    key = (10, 0, 3, True)
+    key = (10, 0)
     sphere_points, drawn = sampling.sphere_points, []
 
     def slow(*args):
