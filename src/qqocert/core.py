@@ -17,11 +17,9 @@ by alternating eigen-descent, every matrix built by pauli._members; one
 adaptive icosahedral mesh of S^2, _mesh, on which positivity and
 preservation, concave and homogeneous of degree 1 there, are decided
 from vertex values and a per-face bound (_face_bounds), its eight lowest
-vertex solves the refine's starts; one scan, _scan, for the KS search
-alone: the points of the one sampler, sampling.sphere_points, and their
-pair coordinates, made together once per process and held read-only
-under the draw's key; and one complete-positivity check on the Choi
-matrix, built for all four matrix units at once.  Every tensor enters
+vertex solves the refine's starts; and one complete-positivity check
+on the Choi matrix, built for all four matrix units at once.  Only the
+KS search samples; ks._scan holds its draw.  Every tensor enters
 through as_coeff_tensor, which refuses entries above MAX_COEFF in size.
 The term-by-term definitions of the map, its dual action and beta(f)
 are test oracles (tests/oracles.py), not package code.
@@ -30,12 +28,10 @@ are test oracles (tests/oracles.py), not package code.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
 from .pauli import (
     ID4,
     SIGMA,
@@ -58,9 +54,6 @@ MESH_RTOL = 1e-12
 NORM_TOL = 1e-9
 # bound on the tensor entries: every quantity formed is at most quartic in them, MAX_COEFF**4 = 1e256
 MAX_COEFF = 1e64
-CACHE_BYTES = 32 << 20
-# draw key -> (points, pair coordinates), least recently used first
-_cache, _lock = {}, threading.Lock()
 
 # sigma_m x sigma_l for all nine index pairs, shape (3, 3, 4, 4)
 _SIGMA_PAIRS = np.array(
@@ -96,25 +89,6 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
     _, j, l = _PAIRS[v.shape[1]]
     z = np.conj(v[:, j]) * v[:, l]
     return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
-
-
-def _scan(samples: int, seed: int) -> tuple:
-    """(points, _pair_coordinates(points)) of sampling.sphere_points(samples, seed), read-only.
-
-    Drawn once per process under the lock, so concurrent misses of one key draw it once, and held under
-    sampling._draw_key as the newest entry; past CACHE_BYTES the least recently used go, redrawn bitwise alike.
-    """
-    key = sampling._draw_key(samples, seed)
-    with _lock:
-        if (entry := _cache.pop(key, None)) is None:
-            points = sampling.sphere_points(*key)
-            entry = (points, _pair_coordinates(points))
-            for a in entry:
-                a.flags.writeable = False
-        _cache[key] = entry
-        while sum(a.nbytes for held in _cache.values() for a in held) > CACHE_BYTES:
-            del _cache[next(iter(_cache))]
-    return entry
 
 
 def _side_tables(form: np.ndarray, nx: int, ny: int, complex_: bool) -> tuple:

@@ -78,10 +78,12 @@ def ks_check(eps: float, samples: int, seed: int, tol: float) -> Optional[ks.KSW
     """ks.ks_global_check on the family tensor, unless the closed-form witness w* gives a value below -tol.
 
     w* = (1, z, z^2)/sqrt(3), z = exp(2*pi*i/3), for eps > 0, its conjugate for eps < 0; lambda_min of ks_defect
-    there, 1 - sqrt(3)|eps| - 12 eps^2, is the search's minimum for |eps| > eps_KS.  ks._check_budget runs first.
+    there, 1 - sqrt(3)|eps| - 12 eps^2, is the search's minimum for |eps| > eps_KS.  ks._check_budget runs first,
+    and the search reads the side tables built for w*.
     """
-    ks._check_budget(samples, seed, tol)
+    key = ks._check_budget(samples, seed, tol)
     form = ks.ks_form(build_coeff_tensor(eps))
+    tables = _side_tables(form, 3, 4, True)
     w = np.exp(2j * np.pi / 3.0 * np.sign(eps) * np.arange(3)) / np.sqrt(3.0)
-    value = float(_vertex_eigvals(w[None], _side_tables(form, 3, 4, True)[0])[0])
-    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks._search(form, samples, seed, tol)
+    value = float(_vertex_eigvals(w[None], tables[0])[0])
+    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks._search(form, tables, key, tol)

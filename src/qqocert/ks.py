@@ -18,7 +18,7 @@ matrix M (ks_form) with 4x4 blocks
 Contracting M against psi instead gives the 3x3 hermitian matrix
 T(psi)_jk = <psi, M_jk psi>, with <psi, defect(w) psi> = w* T(psi) w.
 The search seeks the minimum of this biquadratic form over the two unit
-spheres, the only search that scans: ks_global_check hands the guarded
+spheres, the package's only scan: ks_global_check hands the guarded
 lowest-eigenvalue kernel the real coordinates of conj(w) w^T at its scan
 directions and nine hermitian combinations of the M_jk, the kernel
 builds and solves only the defects that can rank among the best, and
@@ -35,6 +35,11 @@ inequality in a Stinespring dilation), and a PSD M proves the property,
 then runs no scan.  The search itself certifies violations only; past
 eps_KS, epsilon.ks_check reads the family's closed-form witness instead.
 
+_scan holds the last (samples, seed) drawn, points and pair coordinates
+read-only, until a search asks for another: a repeated budget draws
+once, two alternating budgets redraw on each switch, and a draw of any
+size stays held.  A miss drops the hold, then draws under the lock.
+
 ks_necessary_check reads the two scalar necessary conditions off the
 same defect: with c the Pauli coordinates of E(w) = ||w||^2 I4 - defect(w)
 in the basis P_a x P_c, P = (1, sigma_1, sigma_2, sigma_3), condition 1
@@ -45,6 +50,7 @@ each, with the component split abcd.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +62,8 @@ from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvals
 KS_DEFAULT_SAMPLES = 50_000
 KS_DEFAULT_TOL = 1e-8
 KS_COND_TOL = 1e-12
+# draw key -> (points, pair coordinates), one entry at most
+_held, _lock = {}, threading.Lock()
 
 # P_a x P_c for P = (1, sigma_1, sigma_2, sigma_3), shape (4, 4, 4, 4)
 _PAULI = np.concatenate([ID2[None], SIGMA])
@@ -112,11 +120,11 @@ def ks_defect(b, w) -> np.ndarray:
     return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3, 4, True)[0])[0]
 
 
-def _check_budget(samples: int, seed: int, tol: float) -> None:
-    """Refuse a tol that is not positive and finite, and a samples or seed the sampler would refuse, before any work."""
+def _check_budget(samples: int, seed: int, tol: float) -> tuple:
+    """The draw key of samples and seed; a tol that is not positive and finite, or a key the sampler refuses, raises first."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    sampling._draw_key(samples, seed)
+    return sampling._draw_key(samples, seed)
 
 
 def ks_global_check(
@@ -140,16 +148,29 @@ def ks_global_check(
     defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or None;
     after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
     """
-    _check_budget(samples, seed, tol)
-    return _search(ks_form(b), samples, seed, tol)
+    key = _check_budget(samples, seed, tol)
+    form = ks_form(b)
+    return _search(form, core._side_tables(form, 3, 4, True), key, tol)
 
 
-def _search(form: np.ndarray, samples: int, seed: int, tol: float) -> Optional[KSWitness]:
-    """ks_global_check past _check_budget, on the form M = ks_form(b), built once by the caller."""
+def _scan(key: tuple) -> tuple:
+    """(points, core._pair_coordinates(points)) of sampling.sphere_points(*key) for a sampling._draw_key key, read-only."""
+    with _lock:
+        if (entry := _held.get(key)) is None:
+            _held.clear()
+            points = sampling.sphere_points(*key)
+            entry = (points, core._pair_coordinates(points))
+            for a in entry:
+                a.flags.writeable = False
+            _held[key] = entry
+    return entry
+
+
+def _search(form: np.ndarray, tables: tuple, key: tuple, tol: float) -> Optional[KSWitness]:
+    """ks_global_check past _check_budget, on M = ks_form(b), its side tables and the draw key, built once by the caller."""
     if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
         return None
-    tables = core._side_tables(form, 3, 4, True)
-    points, coords = core._scan(samples, seed)
+    points, coords = _scan(key)
     starts, values = hermitian_lowest_eigvals(coords, tables[0])
     _, best_w = core.product_form_minimum(tables, points[starts], values)
     top = np.argmax(np.abs(best_w))

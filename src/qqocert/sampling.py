@@ -6,8 +6,7 @@ imaginary parts is uniform on the unit sphere of C^n (Muller, Comm. ACM
 are decided on a deterministic mesh (core._mesh) and draw nothing.
 
 The sampler holds nothing: each call draws afresh, bitwise alike for one
-(samples, seed).  core._scan keeps each draw once per process, with its
-pair coordinates, under that key.
+(samples, seed).  The KS search holds its last draw (ks._scan).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ def sphere_points(samples: int, seed: int) -> np.ndarray:
 
 
 def _draw_key(samples: int, seed: int) -> tuple:
-    """The cache key of a draw; samples below 1 or seed below 0 raises ValueError, a non-integer one TypeError."""
+    """The key of a draw; samples below 1 or seed below 0 raises ValueError, a non-integer one TypeError."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if seed < 0:

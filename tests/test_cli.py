@@ -400,7 +400,7 @@ def test_an_unaffordable_budget_exits_2_without_output(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 43.7 TiB for an array")
 
     monkeypatch.setattr(qqocert.sampling, "sphere_points", unaffordable)
-    assert qqocert.sampling._draw_key(123457, 99991) not in core._cache
+    assert (123457, 99991) not in qqocert.ks._held
     # KS but not CP at 0.2, inside the band where the family still scans
     code, out, err = run(["--epsilon", "0.2", "--samples", "123457", "--seed", "99991", "ks"], capsys)
     assert code == 2

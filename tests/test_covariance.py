@@ -6,13 +6,23 @@ output factors, b[m, l, k] -> b[l, m, k], nor b -> -b, which maps w.Dsigma to (-
 -N(f).  The mesh is not rotation-invariant, so a rotated tensor meets its minimum between other
 vertices: a refine start that misses the minimum shows here as a changed value.  Complete positivity reads
 the whole Choi spectrum, and a rotated family tensor is no longer the family's: the KS search meets it on
-the tensor route and must still reach the family's closed-form minimum.
+the tensor route and must still reach the family's closed-form minimum.  The witnesses move with the
+tensor: under (R1, R2, R3) the image of w.sigma is (R3 w).sigma' conjugated by a local unitary, and the swap
+exchanges f and p, so each witness re-evaluates at its image to the value reported for the original.
 """
 
 import numpy as np
 import pytest
 
-from qqocert import build_coeff_tensor, cp_check, ks_global_check, sampled_positivity_check, state_preservation_check
+from qqocert import (
+    build_coeff_tensor,
+    cp_check,
+    delta_sigma_images,
+    ks_defect,
+    ks_global_check,
+    sampled_positivity_check,
+    state_preservation_check,
+)
 
 from oracles import ks_min_eig_closed_form
 
@@ -24,22 +34,30 @@ def rotation(rng):
     return q * np.linalg.det(q)
 
 
-def images(rng, b):
-    """b under a random SO(3)^3 element, under the output swap and under b -> -b."""
+def moves(rng, b):
+    """b under a random SO(3)^3 element and under the output swap, each with where it takes (f, p) and w."""
     r1, r2, r3 = (rotation(rng) for _ in range(3))
     return {
-        "rotated": np.einsum("am,cl,ek,mlk->ace", r1, r2, r3, b),
-        "swapped": b.transpose(1, 0, 2),
-        "negated": -b,
+        "rotated": (np.einsum("am,cl,ek,mlk->ace", r1, r2, r3, b), lambda f, p: (r1 @ f, r2 @ p), r3),
+        "swapped": (b.transpose(1, 0, 2), lambda f, p: (p, f), np.eye(3)),
     }
+
+
+def images(rng, b):
+    """b under a random SO(3)^3 element, under the output swap and under b -> -b."""
+    return {name: image for name, (image, _, _) in moves(rng, b).items()} | {"negated": -b}
+
+
+def tensor(seed):
+    """A random tensor of random scale, symmetric in its first two indices for odd seeds, and its generator."""
+    rng = np.random.default_rng(900 + seed)
+    b = rng.uniform(0.02, 3.0) * rng.standard_normal((3, 3, 3)) / 3.0
+    return (b + b.transpose(1, 0, 2) if seed % 2 else b), rng
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_mesh_certificates_are_covariant(seed):
-    rng = np.random.default_rng(900 + seed)
-    b = rng.uniform(0.02, 3.0) * rng.standard_normal((3, 3, 3)) / 3.0
-    if seed % 2:
-        b = b + b.transpose(1, 0, 2)
+    b, rng = tensor(seed)
     pos, pres, cp = sampled_positivity_check(b), state_preservation_check(b), cp_check(b)
     for name, image in images(rng, b).items():
         pos2, pres2, cp2 = sampled_positivity_check(image), state_preservation_check(image), cp_check(image)
@@ -59,3 +77,21 @@ def test_the_ks_search_on_a_rotated_family_tensor_reaches_the_closed_form(eps):
     expected = ks_min_eig_closed_form(eps)
     assert witness is not None
     assert abs(witness.min_eig - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_witnesses_reevaluate_at_their_images(seed):
+    b, rng = tensor(seed)
+    pos, pres, witness = sampled_positivity_check(b), state_preservation_check(b), ks_global_check(b, 5000, 0)
+    for name, (image, move_fp, r3) in moves(rng, b).items():
+        # lambda_min(1 + w.Dsigma) at the positivity witness, |b(f, p, .)| at the preservation witness
+        ds = delta_sigma_images(image)
+        margin = np.linalg.eigvalsh(np.eye(4) + np.einsum("k,kab->ab", r3 @ pos.worst_w, ds))[0]
+        assert abs(margin - pos.margin) <= 1e-12 * abs(pos.margin - 1.0), name
+        f, p = move_fp(pres.witness_f, pres.witness_p)
+        norm = np.linalg.norm(np.einsum("ace,a,c->e", image, f, p))
+        assert abs(norm - pres.max_norm) <= 1e-12 * pres.max_norm, name
+        if witness is not None:
+            want = np.linalg.eigvalsh(ks_defect(b, witness.w))
+            got = np.linalg.eigvalsh(ks_defect(image, r3 @ witness.w))
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max()), name

@@ -17,6 +17,7 @@ from qqocert import (
     state_preservation_check,
 )
 from qqocert import cli, core, ks, sampling
+from qqocert import epsilon as family
 from qqocert.core import MAX_COEFF
 from qqocert.epsilon import ks_check
 from qqocert.pauli import SIGMA
@@ -364,7 +365,7 @@ def _draw(*args):
 
 @pytest.mark.parametrize("command, code", [("certify", 1), ("ks", 1), ("sweep", 0)])
 def test_family_ks_past_the_band_draws_nothing(command, code, monkeypatch, capsys):
-    monkeypatch.setattr(core, "_scan", _draw)
+    monkeypatch.setattr(ks, "_scan", _draw)
     monkeypatch.setattr(sampling, "sphere_points", _draw)
     assert cli.main(["--epsilon", "0.5", "--count", "5", command]) == code
     doc = json.loads(capsys.readouterr().out)
@@ -384,7 +385,7 @@ def test_the_band_and_tensor_input_still_search(argv, monkeypatch, tmp_path, cap
     # 0.2 lies in the band; a tensor file takes the tensor route even when it names a coupling past EPS_KS
     doc = tmp_path / "t.json"
     doc.write_text('{"epsilon": 0.5}')
-    monkeypatch.setattr(core, "_scan", _draw)
+    monkeypatch.setattr(ks, "_scan", _draw)
     monkeypatch.setattr(sampling, "sphere_points", _draw)
     with pytest.raises(AssertionError, match="drew its points"):
         cli.main([word.format(doc=doc) for word in argv])
@@ -422,14 +423,22 @@ def test_ks_check_refuses_what_the_search_refuses():
 @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
 def test_ks_check_builds_the_schwarz_form_once(eps, monkeypatch):
     # CP at 0.1 (the PSD skip), in the band at 0.2 (the search) and past EPS_KS at 0.5 (the witness):
-    # the witness, the skip and the search all read one ks_form
-    built, form = [], ks.ks_form
+    # the witness, the skip and the search all read one ks_form and one pair of its side tables
+    built, tabled, form, side_tables = [], [], ks.ks_form, core._side_tables
 
     def counting(b):
         built.append(b)
         return form(b)
 
+    def counting_tables(*args):
+        tabled.append(args)
+        return side_tables(*args)
+
     monkeypatch.setattr(ks, "ks_form", counting)
+    # epsilon binds core's _side_tables under its own name, so both are counted
+    for module in (core, family):
+        monkeypatch.setattr(module, "_side_tables", counting_tables)
     found = ks_check(eps, 2000, 0, KS_DEFAULT_TOL)
     assert (found is None) == (eps < EPS_KS)
     assert len(built) == 1
+    assert len(tabled) == 1

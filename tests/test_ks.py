@@ -77,7 +77,7 @@ def choi_tables(b):
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
     tables = ks_tables(b)
-    points, coords = core._scan(samples, seed)
+    points, coords = ks._scan((samples, seed))
     starts, values = ks.hermitian_lowest_eigvals(coords, tables[0])
     return core.product_form_minimum(tables, points[starts], values)
 
@@ -530,7 +530,7 @@ def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
         assert len(search["kernel"]) == (run is ks_global_check)
         assert len(search["mesh"]) == (run is not ks_global_check)
     (starts, _, _), = search["kernel"]
-    assert _bits(search["x"]) == _bits(core._scan(KS_DEFAULT_SAMPLES, 0)[0][starts])
+    assert _bits(search["x"]) == _bits(ks._scan((KS_DEFAULT_SAMPLES, 0))[0][starts])
 
 
 def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
@@ -568,7 +568,7 @@ def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(m
         if name == "ks":
             (starts, values, kernel_table), = search["kernel"]
             assert kernel_table is x_table
-            points = core._scan(2000, 0)[0]
+            points = ks._scan((2000, 0))[0]
         else:
             (_, points, raw), = search["mesh"]
             starts = lowest_indices(raw)

@@ -1,4 +1,4 @@
-"""The one sampler behind the KS search's scan points, and the draw cache that holds them."""
+"""The one sampler behind the KS search's scan points, and the one-draw hold beside the search."""
 
 import importlib
 import inspect
@@ -12,7 +12,8 @@ import pytest
 from qqocert import (
     build_coeff_tensor,
     cli,
-    core,
+    cp_check,
+    ks,
     ks_global_check,
     sampled_positivity_check,
     sampling,
@@ -43,22 +44,20 @@ def refuse_to_draw(*args):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
-def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_cache, monkeypatch, eps):
+def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_hold, monkeypatch, eps):
     # CP at 0.1, so ks_global_check would return without a scan; not CP at 0.5, so the KS search scans;
     # the mesh certificates take no seed and draw nothing
     monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
-    for draw in (sampling.sphere_points, core._scan):
+    b = build_coeff_tensor(eps)
+    for draw in (sampling.sphere_points, lambda samples, seed: ks_global_check(b, samples, seed)):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             draw(100, -1)
-    b = build_coeff_tensor(eps)
-    with pytest.raises(ValueError, match="seed must be non-negative"):
-        ks_global_check(b, 2000, -1)
     state_preservation_check(b)
     sampled_positivity_check(b)
-    assert core._cache == {}
+    assert ks._held == {}
 
 
-def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, monkeypatch):
+def test_every_sampled_certificate_draws_through_the_one_sampler(empty_hold, monkeypatch):
     drawn = []
     sphere_points = sampling.sphere_points
 
@@ -78,15 +77,15 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(empty_cache, mo
         assert drawn == expected, run.__name__
 
 
-def test_every_scan_left_is_the_ks_draw(empty_cache, monkeypatch, capsys, tmp_path):
+def test_every_scan_left_is_the_ks_draw(empty_hold, monkeypatch, capsys, tmp_path):
     # preservation and positivity decide on the mesh, so every draw made at run time is the KS search's
-    drawn, scan = [], core._scan
+    drawn, scan = [], ks._scan
 
-    def recording(samples, seed):
+    def recording(key):
         drawn.append(sys._getframe(1).f_code.co_name)
-        return scan(samples, seed)
+        return scan(key)
 
-    monkeypatch.setattr(core, "_scan", recording)
+    monkeypatch.setattr(ks, "_scan", recording)
     tensor = tmp_path / "t.json"
     tensor.write_text(json.dumps({"b": (0.4 * np.random.default_rng(8).standard_normal((3, 3, 3))).tolist()}))
     for argv in (
@@ -101,13 +100,13 @@ def test_every_scan_left_is_the_ks_draw(empty_cache, monkeypatch, capsys, tmp_pa
     assert drawn and set(drawn) == {"_search"}
 
 
-# ---------------------------------------------------------------- the draw cache
+# ---------------------------------------------------------------- the draw hold
 
 
 @pytest.fixture
-def empty_cache(monkeypatch):
-    """An empty draw cache for one test; the process's own comes back afterwards."""
-    monkeypatch.setattr(core, "_cache", {})
+def empty_hold(monkeypatch):
+    """An empty draw hold for one test; the process's own comes back afterwards."""
+    monkeypatch.setattr(ks, "_held", {})
 
 
 def fresh_draw(samples, seed):
@@ -115,61 +114,84 @@ def fresh_draw(samples, seed):
     return complex_sphere(samples, seed, 3)
 
 
-def held_bytes():
-    return sum(a.nbytes for entry in core._cache.values() for a in entry)
-
-
-def assert_whole_scans():
-    """Every entry is one scan, (points, their pair coordinates), both read-only."""
-    for key, (points, coords) in core._cache.items():
+def assert_one_whole_scan():
+    """The hold is empty or one scan, (points, their pair coordinates), both read-only."""
+    assert len(ks._held) <= 1
+    for key, (points, coords) in ks._held.items():
         assert points.tobytes() == fresh_draw(*key).tobytes(), key
         assert coords.tobytes() == _pair_coordinates(points).tobytes(), key
         assert not (points.flags.writeable or coords.flags.writeable), key
 
 
-def test_the_sampler_holds_nothing(empty_cache):
+def recording_draws(monkeypatch):
+    """A list that each sampling.sphere_points call appends its key to."""
+    drawn, sphere_points = [], sampling.sphere_points
+
+    def recording(*key):
+        drawn.append(key)
+        return sphere_points(*key)
+
+    monkeypatch.setattr(sampling, "sphere_points", recording)
+    return drawn
+
+
+def test_the_sampler_holds_nothing(empty_hold):
     a = sampling.sphere_points(100, 3)
     b = sampling.sphere_points(100, 3)
     assert a is not b and a.flags.writeable and a.tobytes() == b.tobytes()
-    assert core._cache == {}
+    assert ks._held == {}
     own = {name for name in vars(sampling) if not name.startswith("__")}
     assert own == {"annotations", "operator", "np", "sphere_points", "_draw_key"}
 
 
-def test_cached_points_and_pair_coordinates_are_read_only(empty_cache):
-    points, coords = core._scan(100, 3)
+def test_cached_points_and_pair_coordinates_are_read_only(empty_hold):
+    points, coords = ks._scan((100, 3))
     for a in (points, coords):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0
 
 
-def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_cache, monkeypatch):
+def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_hold):
     want = fresh_draw(700, 11).tobytes()
-    first = core._scan(700, 11)
-    assert core._scan(700, 11) is first
+    first = ks._scan((700, 11))
+    assert ks._scan((700, 11)) is first
     assert first[0].tobytes() == want
-    monkeypatch.setattr(core, "CACHE_BYTES", 0)
-    core._scan(5, 1)
-    assert core._cache == {}
-    again = core._scan(700, 11)
+    ks._scan((5, 1))
+    assert list(ks._held) == [(5, 1)]
+    again = ks._scan((700, 11))
     assert again[0] is not first[0] and not again[0].flags.writeable
     assert again[0].tobytes() == want and again[1].tobytes() == first[1].tobytes()
 
 
-def test_a_hit_makes_its_scan_the_most_recently_used(empty_cache, monkeypatch):
-    # room for two scans of 100 points: a hit on A moves it past B, so drawing C evicts B, not A
-    monkeypatch.setattr(core, "CACHE_BYTES", 2 * sum(a.nbytes for a in core._scan(100, 0)))
-    core._cache.clear()
-    a_key, b_key, c_key = ((100, seed) for seed in (1, 2, 3))
-    a = core._scan(*a_key)
-    core._scan(*b_key)
-    assert core._scan(*a_key) is a
-    core._scan(*c_key)
-    assert list(core._cache) == [a_key, c_key]
-    assert core._scan(*a_key) is a
+def test_a_second_key_replaces_the_first(empty_hold, monkeypatch):
+    # the hold keeps the last budget searched: a repeat draws nothing, a switch redraws
+    drawn = recording_draws(monkeypatch)
+    b = build_coeff_tensor(0.5)
+    for samples in (500, 500, 600, 500, 600):
+        witness = ks_global_check(b, samples, 1)
+        assert witness is not None
+        assert list(ks._held) == [(samples, 1)]
+    assert drawn == [(500, 1), (600, 1), (500, 1), (600, 1)]
+    assert_one_whole_scan()
 
 
-def test_repeated_certificates_draw_nothing(empty_cache, monkeypatch):
+def test_the_hold_never_holds_two_draws(empty_hold, monkeypatch):
+    # a miss drops the held draw before it draws, so not even during a draw are two held
+    held_while_drawing, sphere_points = [], sampling.sphere_points
+
+    def watching(*key):
+        held_while_drawing.append(dict(ks._held))
+        return sphere_points(*key)
+
+    monkeypatch.setattr(sampling, "sphere_points", watching)
+    for key in [(100, 0), (200, 0), (100, 1), (100, 1), (50_000, 0), (100, 0)]:
+        ks._scan(key)
+        assert list(ks._held) == [key]
+        assert_one_whole_scan()
+    assert held_while_drawing == [{}] * 5
+
+
+def test_repeated_certificates_draw_nothing(empty_hold, monkeypatch):
     b = 0.3 * np.random.default_rng(4).standard_normal((3, 3, 3))
     runs = (ks_global_check, state_preservation_check, sampled_positivity_check)
     warm = [run(b) for run in runs]
@@ -185,42 +207,27 @@ def test_repeated_certificates_draw_nothing(empty_cache, monkeypatch):
             assert np.asarray(getattr(again, name)).tobytes() == np.asarray(value).tobytes(), (run.__name__, name)
 
 
-def test_numpy_integers_share_the_entry_of_python_integers(empty_cache):
-    a = core._scan(np.int64(50_000), np.int64(0))
-    assert core._scan(50_000, 0) is a
-    assert list(core._cache) == [(50_000, 0)]
+def test_numpy_integers_share_the_entry_of_python_integers(empty_hold, monkeypatch):
+    drawn = recording_draws(monkeypatch)
+    b = build_coeff_tensor(0.5)
+    ks_global_check(b, np.int64(2000), np.int64(0))
+    ks_global_check(b, 2000, 0)
+    (key,) = ks._held
+    assert drawn == [key] == [(2000, 0)] and {type(k) for k in key} == {int}
 
 
 @pytest.mark.parametrize("samples, seed", [(10.5, 0), (np.float64(10.0), 0), (10, 1.5), (10, None), ("10", 0)])
-def test_a_non_integer_budget_or_seed_raises_before_anything_is_held(empty_cache, samples, seed):
-    for draw in (sampling.sphere_points, core._scan):
+def test_a_non_integer_budget_or_seed_raises_before_anything_is_held(empty_hold, samples, seed):
+    b = build_coeff_tensor(0.5)
+    for draw in (sampling.sphere_points, lambda samples, seed: ks_global_check(b, samples, seed)):
         with pytest.raises(TypeError):
             draw(samples, seed)
-    assert core._cache == {}
+    assert ks._held == {}
 
 
-def test_the_cache_never_holds_more_than_its_bound(empty_cache):
-    for seed in range(12):
-        core._scan(50_000, seed)
-        assert held_bytes() <= core.CACHE_BYTES
-    assert 1 < len(core._cache) < 12
-    assert_whole_scans()
-
-
-def test_a_draw_larger_than_the_bound_is_handed_out_but_not_held(empty_cache, monkeypatch):
-    monkeypatch.setattr(core, "CACHE_BYTES", 100_000)
-    small = core._scan(100, 1)
-    big_points, big_coords = big = core._scan(20_000, 1)
-    assert not big_points.flags.writeable and big_points.tobytes() == fresh_draw(20_000, 1).tobytes()
-    assert not big_coords.flags.writeable and big_coords.tobytes() == _pair_coordinates(big_points).tobytes()
-    assert core._scan(20_000, 1) is not big
-    assert core._cache == {}
-    assert core._scan(100, 1) is not small
-
-
-def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
-    points, held = core._scan(500, 2)
-    assert core._scan(500, 2)[1] is held
+def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_hold):
+    points, held = ks._scan((500, 2))
+    assert ks._scan((500, 2))[1] is held
     frozen = points.copy()
     frozen.flags.writeable = False
     for other in (points, points.copy(), frozen):
@@ -228,12 +235,11 @@ def test_pair_coordinates_are_held_only_for_a_cached_draw(empty_cache):
         assert coeffs is not held and coeffs.flags.writeable
         assert coeffs.tobytes() == held.tobytes()
         assert _pair_coordinates(other) is not coeffs
-    assert len(core._cache) == 1
+    assert len(ks._held) == 1
 
 
-def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
-    # a bound of about one entry, so that every few calls evict what another thread is reading
-    monkeypatch.setattr(core, "CACHE_BYTES", 20_000)
+def test_threads_sharing_the_cache_keep_it_consistent(empty_hold):
+    # six keys over eight threads, so that nearly every call replaces the draw another thread is reading
     keys = [(60 + 10 * k, k) for k in range(6)]
     want = {key: fresh_draw(*key) for key in keys}
     want = {key: (p.tobytes(), _pair_coordinates(p).tobytes()) for key, p in want.items()}
@@ -243,7 +249,7 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
         try:
             for i in range(1000):
                 key = keys[(i + offset) % len(keys)]
-                points, coords = core._scan(*key)
+                points, coords = ks._scan(key)
                 if (points.tobytes(), coords.tobytes()) != want[key]:
                     errors.append(key)
         except Exception as exc:  # collected, so that the assertion below names it
@@ -261,12 +267,11 @@ def test_threads_sharing_the_cache_keep_it_consistent(empty_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert held_bytes() <= core.CACHE_BYTES
-    assert_whole_scans()
+    assert_one_whole_scan()
 
 
-def test_threads_missing_one_key_draw_it_once(empty_cache, monkeypatch):
-    # the draw is slow enough that every thread reaches the cache while the first is still drawing
+def test_threads_missing_one_key_draw_it_once(empty_hold, monkeypatch):
+    # the draw is slow enough that every thread reaches the hold while the first is still drawing
     key = (10, 0)
     sphere_points, drawn = sampling.sphere_points, []
 
@@ -280,7 +285,7 @@ def test_threads_missing_one_key_draw_it_once(empty_cache, monkeypatch):
 
     def work():
         start.wait()
-        got.append(core._scan(*key))
+        got.append(ks._scan(key))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
@@ -290,8 +295,8 @@ def test_threads_missing_one_key_draw_it_once(empty_cache, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert drawn == [key]
     assert len(got) == 8 and all(entry is got[0] for entry in got)
-    assert core._cache == {key: got[0]}
-    assert_whole_scans()
+    assert ks._held == {key: got[0]}
+    assert_one_whole_scan()
 
 
 def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, tmp_path):
@@ -308,7 +313,7 @@ def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, 
 
     def reports(order, cold):
         if cold:
-            monkeypatch.setattr(core, "_cache", {})
+            monkeypatch.setattr(ks, "_held", {})
         got = {}
         for argv in order:
             code = cli.main(argv)
@@ -319,6 +324,23 @@ def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, 
     assert reports(calls, False) == cold
     assert reports(calls[::-1], True) == cold
     assert {code for code, _ in cold.values()} == {0, 1}
+
+
+def test_one_process_draws_once_per_budget_it_switches_to(empty_hold, monkeypatch, capsys, tmp_path):
+    # certify then ks on one positive non-CP tensor share the default KS draw; a band sweep at its own
+    # budget replaces it, so the same pair draws it once more
+    drawn = recording_draws(monkeypatch)
+    b = 0.2 * np.random.default_rng(0).standard_normal((3, 3, 3))
+    assert sampled_positivity_check(b).is_positive and not cp_check(b).is_cp
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"b": b.tolist()}))
+    pair = (["--tensor", str(tensor), "certify"], ["--tensor", str(tensor), "ks"])
+    for calls in (pair, (["--epsilon", "0.2", "--count", "3", "sweep"],), pair):
+        drawn.clear()
+        for argv in calls:
+            assert cli.main(argv) in (0, 1), argv
+        capsys.readouterr()
+        assert len(drawn) == 1, calls
 
 
 # ---------------------------------------------------------------- the layers stay traceable
