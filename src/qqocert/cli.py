@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tensor", metavar="PATH", help="coefficient tensor file")
     parser.add_argument("--samples", type=_int_at_least(1), help="KS scan budget (module defaults if omitted)")
     parser.add_argument(
-        "--seed", type=_int_at_least(0), default=core.DEFAULT_SEED, help="seed for the KS scan"
+        "--seed", type=_int_at_least(0), default=ks.KS_DEFAULT_SEED, help="seed for the KS scan"
     )
     parser.add_argument("--tol", type=_finite_float, help="tolerance (module defaults if omitted)")
     parser.add_argument("--steps", type=_int_at_least(0), help="iteration budget for simulate")

@@ -12,12 +12,12 @@ on shared pieces: one refine, product_form_minimum, that every
 certificate but complete positivity runs on its own hermitian form (KS
 on ks_form, the tensor norm of the dual action on -G, positivity on the
 Choi matrix) from the form's side tables, built once per certificate,
-and the eight best points its caller found, all eight advanced together
+and the eight lowest of its caller's points, all eight advanced together
 by alternating eigen-descent, every matrix built by pauli._members; one
 adaptive icosahedral mesh of S^2, _mesh, on which positivity and
 preservation, concave and homogeneous of degree 1 there, are decided
-from vertex values and a per-face bound (_face_bounds), its eight lowest
-vertex solves the refine's starts; and one complete-positivity check
+from vertex values and a per-face bound (_face_bounds), every vertex
+solve handed to the refine; and one complete-positivity check
 on the Choi matrix, built for all four matrix units at once.  Only the
 KS search samples; ks._scan holds its draw.  Every tensor enters
 through as_coeff_tensor, which refuses entries above MAX_COEFF in size.
@@ -43,7 +43,6 @@ from .pauli import (
 )
 
 DEFAULT_SAMPLES = 20_000
-DEFAULT_SEED = 0
 # product_form_minimum's refine: relative stop, round cap (it refines REFINE_STARTS starts)
 REFINE_RTOL = 1e-15
 REFINE_CAP = 1000
@@ -91,20 +90,20 @@ def _pair_coordinates(v: np.ndarray) -> np.ndarray:
     return np.column_stack((np.real(np.conj(v) * v), z.real, z.imag)[: 3 if np.iscomplexobj(v) else 2])
 
 
-def _side_tables(form: np.ndarray, nx: int, ny: int, complex_: bool) -> tuple:
-    """(x_table, y_table) of a hermitian form M on x (x) y, indexed (i, a) -> ny*i + a; x, y complex iff complex_.
+def _side_tables(form: np.ndarray, nx: int) -> tuple:
+    """(x_table, y_table) of a hermitian form M on x (x) y, indexed (i, a) -> ny*i + a, ny = len(M) // nx.
 
     With blocks[i, j] = M[(i, .), (j, .)], M(x) = sum_ij conj(x_i) x_j blocks[i, j] on y is the member
-    _pair_coordinates(x) weigh on x_table: blocks[j, j], blocks[j, l] + blocks[l, j] and (complex_ only)
-    i*(blocks[j, l] - blocks[l, j]).  y_table is built alike from M[(., a), (., b)], so
-    <y, M(x) y> = <x, M(y) x>.  The kernel and the mesh read x_table, _lowest both.
+    _pair_coordinates(x) weigh on x_table: blocks[j, j], blocks[j, l] + blocks[l, j] and, where M is
+    complex (x and y are then too), i*(blocks[j, l] - blocks[l, j]).  y_table is built alike from
+    M[(., a), (., b)], so <y, M(x) y> = <x, M(y) x>.  The kernel and the mesh read x_table, _lowest both.
     """
-    f = form.reshape(nx, ny, nx, ny)
+    f = form.reshape(nx, len(form) // nx, nx, len(form) // nx)
     tables = []
     for blocks in (f.transpose(0, 2, 1, 3), f.transpose(1, 3, 0, 2)):
         d, j, l = _PAIRS[len(blocks)]
         parts = (blocks[d, d], blocks[j, l] + blocks[l, j], 1j * (blocks[j, l] - blocks[l, j]))
-        tables.append(np.concatenate(parts[: 3 if complex_ else 2]))
+        tables.append(np.concatenate(parts[: 3 if np.iscomplexobj(form) else 2]))
     return tuple(tables)
 
 
@@ -122,17 +121,18 @@ def product_form_minimum(tables: tuple, x: np.ndarray, val: np.ndarray) -> tuple
 
     The package's one refine loop, which every certificate but complete positivity runs (preservation
     maximizes by searching -G), on M's side tables (x_table, y_table) from _side_tables, built once by
-    the caller, from the starts x, lowest first, and val, their lambda_min(M(x)) as pauli._members and
-    eigvalsh give it: the kernel's on the KS scan, the mesh's at its vertices.  Alternating
+    the caller, from the lowest_indices(val) of candidates x, val their lambda_min(M(x)) as pauli._members
+    and eigvalsh give it (the KS kernel's starts, every mesh vertex), ties in the order handed.  Alternating
     eigen-descent polishes all the starts together: y is the lowest eigenvector of M(x), and a round
     sets x to that of M(y), then y to that of M(x), so lambda_min(M(x)) never rises; each half-step is
     one stacked eigensolve over the starts still running.  A round that lowers a start's value is
     kept; one that lowers it by at most REFINE_RTOL relative, or would raise it (and is discarded),
     ends that start; REFINE_CAP rounds end all.  Returns (value, x) of the best start, ties going to
-    the earlier one; the arrays handed in are not written.  No starts raise ValueError.
+    the earlier one; the arrays handed in are not written.  No candidates raise ValueError.
     """
     x_table, y_table = tables
-    x, val = np.array(x), np.array(val, dtype=float)
+    starts = lowest_indices(val)
+    x, val = np.asarray(x)[starts], np.asarray(val, dtype=float)[starts]
     live, y = np.arange(len(val)), _lowest(x, x_table)[1]
     for _ in range(REFINE_CAP):
         new_x = _lowest(y, y_table)[1]
@@ -214,17 +214,19 @@ def _mesh(value, floor: float) -> tuple:
     return "violated", points, raw
 
 
-def _vertex_slack(table: np.ndarray) -> float:
-    """How far below the exact lambda_min a vertex's computed one may lie: 1e-12*(||table||_F + 1).
+def _vertex_slack(m: np.ndarray) -> float:
+    """How far below the exact lambda_min a computed one may lie: 1e-12*(||m||_F + 1), m a side table or a form.
 
     A unit point's pair coordinates have norm at most 1, so its member built by pauli._members is
     off by at most (q + 2)u*||table||_F (q <= 4 or 6 table terms, then the hermitian part), and
     LAPACK's eigvalsh by p(n)u times the member's norm, p(n) a modest function of n (LAPACK Users'
     Guide, section 4.7), allowed 10n^2 = 160 for the 3x3 and 4x4 members; the spinor of a positivity
     vertex moves its Bloch vector by under 10u.  That is under 190u*(||table||_F + 1) in all, u = 2^-53,
-    and 1e-12 is about 4,500u.
+    and 1e-12 is about 4,500u.  ks._search's PSD skip takes it on M = ks_form(b), lambda_min(defect(w))
+    >= ||w||^2 lambda_min(M) at unit w: eigvalsh of the 12x12 M (1,440u), a defect's build (q = 9) and
+    eigvalsh on M's side table, ||table||_F <= sqrt(2)*||M||_F, and ||w||^2 - 1 stay under 1,800u*(||M||_F + 1).
     """
-    return 1e-12 * (np.linalg.norm(table) + 1.0)
+    return 1e-12 * (np.linalg.norm(m) + 1.0)
 
 
 def _vertex_eigvals(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -253,13 +255,13 @@ def state_preservation_check(b) -> PreservationReport:
     of a linear map of f, so -sqrt(-lambda_min(-G(f))) is concave and
     homogeneous of degree 1, and _mesh decides it against -(1 + NORM_TOL)
     on S^2, each vertex read off the member of -G's f-side table at f;
-    product_form_minimum then refines from the mesh's eight lowest vertex
-    solves on -G (p := top eigenvector of G(f), f := that of G(p)), and max_norm and
+    product_form_minimum, handed every vertex solve, refines from the eight
+    lowest on -G (p := top eigenvector of G(f), f := that of G(p)), and max_norm and
     witness_p are read off G at the final f.  The certificate passes iff
     max_norm stays within 1 + NORM_TOL.
     """
     arr = as_coeff_tensor(b)
-    tables = _side_tables(-np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9), 3, 3, False)
+    tables = _side_tables(-np.einsum("ijk,lmk->ijlm", arr, arr).reshape(9, 9), 3)
     slack = _vertex_slack(tables[0])
 
     def value(f):
@@ -269,8 +271,7 @@ def state_preservation_check(b) -> PreservationReport:
         return -np.sqrt(squared), -np.sqrt(squared + slack), raw
 
     _, points, raw = _mesh(value, -(1.0 + NORM_TOL))
-    starts = lowest_indices(raw)
-    _, f = product_form_minimum(tables, points[starts], raw[starts])
+    _, f = product_form_minimum(tables, points, raw)
     lowest, p = _lowest(f[None], tables[0])
     max_norm = np.sqrt(max(0.0, -lowest[0]))  # 0.0 first: max keeps it against -0.0
     return PreservationReport(
@@ -311,10 +312,10 @@ def sampled_positivity_check(b) -> PositivityReport:
     C the Choi matrix (Jamiolkowski), so the margin is the minimum of <v (x) psi, C v (x) psi> over unit v
     and psi, never below lambda_min(C).  It is 1 + min g over S^2, g(w) = lambda_min(w.Dsigma) concave
     and homogeneous of degree 1, so _mesh decides g against -1 - POSITIVITY_EIG_TOL, each vertex w read
-    off C's member at v = _spinors(w), less 1; product_form_minimum then refines from the mesh's eight
-    lowest vertex solves, as the KS search does from its scan on ks_form, and worst_w is read off the final v.
+    off C's member at v = _spinors(w), less 1; product_form_minimum, handed every vertex solve, refines
+    from the eight lowest, as the KS search does from its scan on ks_form; worst_w is read off the final v.
     """
-    tables = _side_tables(choi_matrix_from_tensor(b), 2, 4, True)
+    tables = _side_tables(choi_matrix_from_tensor(b), 2)
     slack = _vertex_slack(tables[0])
 
     def value(w):
@@ -322,8 +323,7 @@ def sampled_positivity_check(b) -> PositivityReport:
         return raw - 1.0, raw - 1.0 - slack, raw
 
     _, points, raw = _mesh(value, -1.0 - POSITIVITY_EIG_TOL)
-    starts = lowest_indices(raw)
-    margin, v = product_form_minimum(tables, _spinors(points[starts]), raw[starts])
+    margin, v = product_form_minimum(tables, _spinors(points), raw)
     return PositivityReport(
         is_positive=bool(margin >= -POSITIVITY_EIG_TOL),
         worst_w=_bloch_vector(v),

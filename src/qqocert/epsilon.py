@@ -83,7 +83,7 @@ def ks_check(eps: float, samples: int, seed: int, tol: float) -> Optional[ks.KSW
     """
     key = ks._check_budget(samples, seed, tol)
     form = ks.ks_form(build_coeff_tensor(eps))
-    tables = _side_tables(form, 3, 4, True)
+    tables = _side_tables(form, 3)
     w = np.exp(2j * np.pi / 3.0 * np.sign(eps) * np.arange(3)) / np.sqrt(3.0)
     value = float(_vertex_eigvals(w[None], tables[0])[0])
     return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks._search(form, tables, key, tol)

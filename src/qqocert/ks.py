@@ -60,6 +60,7 @@ from . import core, sampling
 from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvalsh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
+KS_DEFAULT_SEED = 0
 KS_DEFAULT_TOL = 1e-8
 KS_COND_TOL = 1e-12
 # draw key -> (points, pair coordinates), one entry at most
@@ -117,7 +118,7 @@ def ks_form(b) -> np.ndarray:
 def ks_defect(b, w) -> np.ndarray:
     """Defect operator at direction w; hermitian, PSD for all unit w iff the map is KS."""
     w = np.asarray(w, dtype=complex).reshape(1, 3)
-    return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3, 4, True)[0])[0]
+    return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3)[0])[0]
 
 
 def _check_budget(samples: int, seed: int, tol: float) -> tuple:
@@ -130,27 +131,25 @@ def _check_budget(samples: int, seed: int, tol: float) -> tuple:
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
-    seed: int = core.DEFAULT_SEED,
+    seed: int = KS_DEFAULT_SEED,
     tol: float = KS_DEFAULT_TOL,
 ) -> Optional[KSWitness]:
     """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
 
     tol, samples and seed pass _check_budget first, as in epsilon.ks_check; both then run _search on M.
-    For unit w, lambda_min(defect(w)) >= ||w||^2 lambda_min(M) for the float M the defects are built
-    from, and that eigensolve (hermitian_eigvalsh), a defect's build (pauli._members) and eigvalsh, and
-    ||w||^2 - 1 err by a few hundred u*(||M||_F + 1) in all, u = 2^-53.  So if lambda_min(M) -
-    1e-12*(||M||_F + 1) >= -tol (about 4500u of slack), no value the search could reach is below -tol,
-    and None returns without a scan.  Otherwise the kernel scans `samples` unit directions in C^3 from
-    sampling.sphere_points (normalized complex Gaussians) on M's side tables, built once, building and
-    solving only the defects that can rank among the eight lowest, and core.product_form_minimum
-    polishes those eight by exact alternating eigen-descent on the form (see the module docstring).
-    The witness has its largest-modulus component real and positive, and min_eig is lambda_min of the
-    defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or None;
-    after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
+    If lambda_min(M) - core._vertex_slack(M) >= -tol, no value the search could reach is below -tol
+    (_vertex_slack derives that slack), and None returns without a scan.  Otherwise the kernel scans
+    `samples` unit directions in C^3 from sampling.sphere_points (normalized complex Gaussians) on M's
+    side tables, built once, building and solving only the defects that can rank among the eight
+    lowest, and core.product_form_minimum polishes those eight by exact alternating eigen-descent on
+    the form (see the module docstring).  The witness has its largest-modulus component real and
+    positive, and min_eig is lambda_min of the defect re-evaluated there.  Returns the worst witness
+    found (min eigenvalue below -tol) or None; after a scan, absence of a witness at finite budget is
+    not a proof.  Deterministic for a fixed seed.
     """
     key = _check_budget(samples, seed, tol)
     form = ks_form(b)
-    return _search(form, core._side_tables(form, 3, 4, True), key, tol)
+    return _search(form, core._side_tables(form, 3), key, tol)
 
 
 def _scan(key: tuple) -> tuple:
@@ -168,7 +167,7 @@ def _scan(key: tuple) -> tuple:
 
 def _search(form: np.ndarray, tables: tuple, key: tuple, tol: float) -> Optional[KSWitness]:
     """ks_global_check past _check_budget, on M = ks_form(b), its side tables and the draw key, built once by the caller."""
-    if hermitian_eigvalsh(form)[0] - 1e-12 * (np.linalg.norm(form) + 1.0) >= -tol:
+    if hermitian_eigvalsh(form)[0] - core._vertex_slack(form) >= -tol:
         return None
     points, coords = _scan(key)
     starts, values = hermitian_lowest_eigvals(coords, tables[0])

@@ -1,4 +1,4 @@
-"""Literal expected values and reference routes used as independent test oracles."""
+"""Literal expected values and reference routes used as independent test oracles, and the random draws tests share."""
 
 from dataclasses import dataclass
 
@@ -259,6 +259,17 @@ def necessary_conditions_paper(b, f, w) -> dict:
         "holds11": nw2 >= rhs11 - KS_COND_TOL,
         "holds2": lhs2 <= rhs2 + KS_COND_TOL,
     }
+
+
+def rand_tensor(rng, scale=1.0):
+    """A (3, 3, 3) tensor of standard normals from rng, times scale."""
+    return scale * rng.standard_normal((3, 3, 3))
+
+
+def rand_ball(rng):
+    """A point of the closed unit ball in R^3 from rng, uniform in volume."""
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
 
 
 def complex_sphere(samples: int, seed: int, n: int) -> np.ndarray:

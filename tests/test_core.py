@@ -18,8 +18,8 @@ from qqocert import (
 )
 from qqocert import core, pauli
 from qqocert.core import (
-    DEFAULT_SAMPLES,
     MAX_COEFF,
+    MESH_CAP,
     REFINE_CAP,
     _bloch_vector,
     _pair_coordinates,
@@ -36,18 +36,11 @@ from oracles import (
     complex_sphere,
     delta_apply,
     dual_pair_apply,
+    rand_ball,
+    rand_tensor,
     sigma_images_apply,
     state_eval,
 )
-
-
-def rand_tensor(rng, scale=1.0):
-    return scale * rng.standard_normal((3, 3, 3))
-
-
-def rand_ball(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------- tensor type
@@ -276,13 +269,13 @@ def test_certificates_reject_a_budget_below_one(check, samples):
 
 
 def test_product_form_minimum_refuses_zero_points():
-    tables = _side_tables(ks_form(build_coeff_tensor(0.3)), 3, 4, True)
+    tables = _side_tables(ks_form(build_coeff_tensor(0.3)), 3)
     with pytest.raises(ValueError):
         product_form_minimum(tables, np.zeros((0, 3), dtype=complex), np.zeros(0))
 
 
 def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
-    # points (start, round); the refine is handed the eight lowest, lowest first, ties in point order
+    # points (start, round); the refine takes the eight lowest of the twelve handed, lowest first, ties in point order
     vals = np.array([5.0, 3.0, 9.0, 3.0, 1.0, 7.0, 2.0, 8.0, 6.0, 4.0, 0.5, 10.0])
     pts = np.stack([np.arange(12.0), np.zeros(12)], axis=1)
     starts = np.argsort(vals, kind="stable")[:8]
@@ -301,6 +294,27 @@ def test_refine_keeps_best_and_stops_on_a_flat_or_rising_round(scripted_search):
     assert calls[0][0] == "x" and np.array_equal(calls[0][1], pts[starts])
     assert all(np.array_equal(rows[:, 0], starts) for rows in rounds)
     assert val == 0.5**REFINE_CAP and list(x) == [10.0, REFINE_CAP]
+
+
+def test_refine_starts_from_the_lowest_of_its_candidates(monkeypatch):
+    # handed 20 candidates, the refine's first x-side solve sees exactly lowest_indices(val) of them,
+    # in that order; each point is handed twice, so ties keep the order handed
+    tables = _side_tables(ks_form(build_coeff_tensor(0.3)), 3)
+    points = complex_sphere(10, 7, 3)
+    x = np.concatenate([points, points])[np.random.default_rng(8).permutation(20)]
+    val = core._vertex_eigvals(x, tables[0])
+    calls, lowest = [], core._lowest
+
+    def recording(v, table):
+        calls.append((table, v.copy()))
+        return lowest(v, table)
+
+    monkeypatch.setattr(core, "_lowest", recording)
+    product_form_minimum(tables, x, val)
+    (table, first), *_ = calls
+    picked = pauli.lowest_indices(val)
+    assert len(picked) == pauli.REFINE_STARTS and np.unique(val[picked]).size < len(picked)
+    assert table is tables[0] and first.tobytes() == x[picked].tobytes()
 
 
 # ---------------------------------------------------------------- preservation
@@ -329,8 +343,8 @@ def test_state_preservation_fails_above_threshold():
 
 
 def test_state_preservation_builds_few_grams(monkeypatch):
-    # every matrix LAPACK reads passes the guard, and the pruned grams are never
-    # built; the count includes the table and the refine
+    # every matrix LAPACK reads passes the guard, and few are built: the mesh's vertex solves
+    # (certified at 12 vertices here, never more than MESH_CAP), the refine's and the readout's
     built = []
     guard = pauli.require_hermitian
 
@@ -342,7 +356,7 @@ def test_state_preservation_builds_few_grams(monkeypatch):
     monkeypatch.setattr(pauli, "require_hermitian", counting)
     rep = state_preservation_check(rand_tensor(np.random.default_rng(5), 0.25))
     assert rep.max_norm > 0
-    assert 0 < sum(built) < 0.1 * DEFAULT_SAMPLES
+    assert 0 < sum(built) < MESH_CAP
 
 
 def test_preservation_cross_validates_b_norm_sup():
@@ -441,7 +455,7 @@ def test_choi_product_form_at_conj_u_is_positivity_member():
             u = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             w = np.real(np.einsum("na,kab,nb->nk", np.conj(u), SIGMA, u))
-            member = _members(_pair_coordinates(np.conj(u)), _side_tables(choi, 2, 4, True)[0])
+            member = _members(_pair_coordinates(np.conj(u)), _side_tables(choi, 2)[0])
             image = ID4 + np.einsum("nk,kab->nab", w, delta_sigma_images(b))
             assert np.max(np.abs(member - image)) <= 1e-12 * np.linalg.norm(choi)
 

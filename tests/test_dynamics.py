@@ -12,14 +12,9 @@ from qqocert import (
 )
 from qqocert.dynamics import _v_eps_raw
 
-from oracles import dual_pair_apply, v_eps_apply
+from oracles import dual_pair_apply, rand_ball, v_eps_apply
 
 CRIT = 1.0 / np.sqrt(3.0)
-
-
-def rand_ball(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------- the map

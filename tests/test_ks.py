@@ -42,6 +42,8 @@ from oracles import (
     dual_pair_apply,
     necessary_conditions_paper,
     pauli_decompose,
+    rand_ball,
+    rand_tensor,
     serial_product_step,
     serial_scan_then_refine,
     stack_lowest_eigvals,
@@ -50,13 +52,9 @@ from oracles import (
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
-def rand_tensor(rng, scale=1.0):
-    return scale * rng.standard_normal((3, 3, 3))
-
-
 def ks_tables(b):
     """ks_form(b)'s side tables in w and in psi, the views the KS search refines on."""
-    return core._side_tables(ks_form(b), 3, 4, True)
+    return core._side_tables(ks_form(b), 3)
 
 
 def neg_gram(b):
@@ -66,12 +64,12 @@ def neg_gram(b):
 
 def gram_tables(b):
     """-G's side tables in f and in p."""
-    return core._side_tables(neg_gram(b), 3, 3, False)
+    return core._side_tables(neg_gram(b), 3)
 
 
 def choi_tables(b):
     """The Choi matrix's side tables in v and in psi, the views the positivity search refines on."""
-    return core._side_tables(choi_matrix_from_tensor(b), 2, 4, True)
+    return core._side_tables(choi_matrix_from_tensor(b), 2)
 
 
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
@@ -85,7 +83,7 @@ def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
 def record_searches(monkeypatch):
     """A list that each core.product_form_minimum call appends a dict to, with what led up to it.
 
-    x, val: copies of the starts and values handed; tables: the side tables handed; kernel:
+    x, val: copies of the candidates and values handed; tables: the side tables handed; kernel:
     (starts, values, table) of each kernel call since the last search, the KS scan's; mesh:
     (outcome, points, raw) of each _mesh call since then, a mesh certificate's; lowest: (table, v) of
     each _lowest call, so the calls on the y-side table count the refine's rounds; result: the
@@ -123,6 +121,13 @@ def record_searches(monkeypatch):
     return searches
 
 
+def first_rows(search):
+    """The rows of a recorded search's first _lowest call, on its x-side table: the starts the refine took."""
+    (table, rows), *_ = search["lowest"]
+    assert table is search["tables"][0]
+    return rows
+
+
 def refine_rounds(search):
     """The rounds a recorded search's refine ran: its _lowest calls on its y-side table."""
     return sum(table is search["tables"][1] for table, _ in search["lowest"])
@@ -131,11 +136,6 @@ def refine_rounds(search):
 def rand_unit_w(rng):
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return w / np.linalg.norm(w)
-
-
-def rand_ball(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
 
 
 def defect_direct(b, w):
@@ -430,27 +430,27 @@ def test_descent_never_rises_and_stops_before_cap(monkeypatch):
     real_starts /= np.linalg.norm(real_starts, axis=1, keepdims=True)
     searches = record_searches(monkeypatch)
     cases = [
-        # (form, nx, ny, starts, value at a point), the tensor norm squared negated
+        # (form, nx, starts, value at a point), the tensor norm squared negated
         (
-            neg_gram(b), 3, 3,
+            neg_gram(b), 3,
             real_starts,
             lambda f: -np.linalg.norm(np.einsum("ijk,i->kj", b, f), 2) ** 2,
         ),
         (
-            choi_matrix_from_tensor(b), 2, 4,
+            choi_matrix_from_tensor(b), 2,
             complex_sphere(20, 2, 2),
             lambda v: hermitian_eigh(ID4 + np.einsum("k,kab->ab", _bloch_vector(v), ds))[0][0],
         ),
         (
-            ks_form(b), 3, 4,
+            ks_form(b), 3,
             sphere_points(20, 1),
             lambda w: hermitian_eigh(ks_defect(b, w))[0][0],
         ),
     ]
-    for form, nx, ny, starts, value in cases:
+    for form, nx, starts, value in cases:
         for x0 in starts:
             searches.clear()
-            tables = _side_tables(form, nx, ny, np.iscomplexobj(x0))
+            tables = _side_tables(form, nx)
             val, x = core.product_form_minimum(tables, x0[None], core._vertex_eigvals(x0[None], tables[0]))
             search, = searches
             start, = search["val"]
@@ -512,9 +512,9 @@ def test_defect_at_scan_start_gives_its_scan_value(monkeypatch, b):
 
 
 def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
-    # on its form's side tables (their shapes), from REFINE_STARTS starts, complex or not: KS's the
-    # kernel's on its 50,000 scan directions at the default budget, the mesh certificates' from the
-    # vertices their one mesh solved, with no kernel call
+    # on its form's side tables (their shapes), from the REFINE_STARTS starts it takes, complex or not:
+    # KS's the kernel's on its 50,000 scan directions at the default budget, the mesh certificates' from
+    # the vertices their one mesh solved, with no kernel call
     searches = record_searches(monkeypatch)
     b = rand_tensor(np.random.default_rng(62))
     for run, shapes, complex_ in (
@@ -525,20 +525,21 @@ def test_each_sampled_certificate_runs_one_product_form_search(monkeypatch):
         searches.clear()
         run(b)
         search, = searches
-        handed = ([t.shape for t in search["tables"]], np.iscomplexobj(search["x"]), len(search["x"]))
+        first = first_rows(search)
+        handed = ([t.shape for t in search["tables"]], np.iscomplexobj(first), len(first))
         assert handed == (shapes, complex_, pauli.REFINE_STARTS), run.__name__
         assert len(search["kernel"]) == (run is ks_global_check)
         assert len(search["mesh"]) == (run is not ks_global_check)
     (starts, _, _), = search["kernel"]
-    assert _bits(search["x"]) == _bits(ks._scan((KS_DEFAULT_SAMPLES, 0))[0][starts])
+    assert _bits(first) == _bits(ks._scan((KS_DEFAULT_SAMPLES, 0))[0][starts])
 
 
 def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(monkeypatch):
     # one _side_tables call per certificate serves its mesh or scan, the kernel, every refine step and
-    # the readout, and the refine starts from exactly the best points its caller found, in its order:
-    # the kernel's starts on the KS scan, the REFINE_STARTS lowest of the mesh's vertex solves (at the
-    # spinors of its vertices for positivity), with their values, bitwise the ones _vertex_eigvals
-    # gives those points; it never rises above them (test_core scripts the loop to show it starts there)
+    # the readout; the refine is handed the kernel's starts on the KS scan and every vertex the mesh
+    # solved (their spinors for positivity), and starts from the REFINE_STARTS lowest of them in stable
+    # order, with their values, bitwise the ones _vertex_eigvals gives those points; it never rises
+    # above them (test_core scripts the loop to show it starts there)
     searches = record_searches(monkeypatch)
     built, side_tables = [], core._side_tables
 
@@ -558,22 +559,25 @@ def test_each_search_builds_its_side_tables_once_and_refines_the_kernel_starts(m
         run(b)
         search, = searches
         (x_table, y_table), = built
-        (first_table, first), *_ = search["lowest"]
+        first, picked = first_rows(search), lowest_indices(search["val"])
         assert search["tables"][0] is x_table and search["tables"][1] is y_table
-        assert first_table is x_table and _bits(first) == _bits(search["x"])
+        assert _bits(first) == _bits(search["x"][picked])
         assert all(table is x_table or table is y_table for table, _ in search["lowest"])
         assert len(first) == pauli.REFINE_STARTS
-        assert _bits(core._vertex_eigvals(first, x_table)) == _bits(search["val"])
-        assert search["result"][0] <= search["val"][0]
+        assert _bits(core._vertex_eigvals(first, x_table)) == _bits(search["val"][picked])
+        assert search["result"][0] <= search["val"][picked[0]]
         if name == "ks":
             (starts, values, kernel_table), = search["kernel"]
             assert kernel_table is x_table
             points = ks._scan((2000, 0))[0]
+            handed = points[starts], values
         else:
             (_, points, raw), = search["mesh"]
             starts = lowest_indices(raw)
             points, values = core._spinors(points) if name == "positivity" else points, raw[starts]
-        assert _bits(search["x"]) == _bits(points[starts]) and _bits(search["val"]) == _bits(values)
+            handed = points, raw
+        assert _bits(search["x"]) == _bits(handed[0]) and _bits(search["val"]) == _bits(handed[1])
+        assert _bits(first) == _bits(points[starts]) and _bits(search["val"][picked]) == _bits(values)
 
 
 def test_product_step_views_are_one_form(monkeypatch):
@@ -581,8 +585,8 @@ def test_product_step_views_are_one_form(monkeypatch):
     # transpose would only show as worse witnesses, since product_form_minimum discards a rising round
     handed = []
 
-    def recording(form, nx, ny, complex_):
-        handed.append((_side_tables(form, nx, ny, complex_), np.linalg.norm(form)))
+    def recording(form, nx):
+        handed.append((_side_tables(form, nx), np.linalg.norm(form)))
         return handed[-1][0]
 
     monkeypatch.setattr(core, "_side_tables", recording)

@@ -207,21 +207,29 @@ def test_each_mesh_vertex_is_solved_once(monkeypatch):
 
 @pytest.mark.parametrize("certificate", sorted(CERTIFICATES))
 def test_mesh_starts_are_the_kernels_bitwise(certificate, monkeypatch):
-    # the kernel as the oracle: on the mesh's vertices (their spinors for positivity), its starts and
-    # values are bitwise the ones the certificate hands its refine
+    # the kernel as the oracle: on the mesh's vertices (their spinors for positivity), all of which the
+    # certificate hands its refine, its starts are bitwise the rows of the refine's first x-side solve,
+    # and its values bitwise the ones handed at those starts
     check = CERTIFICATES[certificate][0]
-    handed, refine = [], core.product_form_minimum
+    handed, refine, lowest = [], core.product_form_minimum, core._lowest
 
     def recording(tables, x, val):
-        handed.append((tables[0], x.copy(), val.copy()))
+        handed.append((tables[0], x.copy(), val.copy(), []))
         return refine(tables, x, val)
 
+    def recording_lowest(v, table):
+        handed[-1][3].append((table, v.copy()))
+        return lowest(v, table)
+
     monkeypatch.setattr(core, "product_form_minimum", recording)
+    monkeypatch.setattr(core, "_lowest", recording_lowest)
     for b in mesh_tensors(60):
         handed.clear()
         _, _, _, _, points, _ = run_recording_mesh(check, b)
-        (table, x, val), = handed
+        (table, x, val, calls), = handed
+        (first_table, first), *_ = calls
         vertices = _spinors(points) if certificate == "positivity" else points
         starts, values = hermitian_lowest_eigvals(_pair_coordinates(vertices), table)
-        assert x.tobytes() == vertices[starts].tobytes()
-        assert val.tobytes() == values.tobytes()
+        assert x.tobytes() == vertices.tobytes() and first_table is table
+        assert first.tobytes() == vertices[starts].tobytes()
+        assert val[starts].tobytes() == values.tobytes()
