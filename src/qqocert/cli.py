@@ -95,12 +95,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tensor(args) -> tuple:
-    """Return (tensor, epsilon-or-None, the report's input block); exactly one input source must be set."""
+    """Return (tensor, the report's input block); every certificate reads the tensor alone, however it was spelled."""
     if (args.epsilon is None) == (args.tensor is None):
         raise ValueError("provide exactly one of --epsilon or --tensor")
     if args.epsilon is not None:
-        return epsilon.build_coeff_tensor(args.epsilon), args.epsilon, {"epsilon": args.epsilon}
-    return files.load_tensor_file(args.tensor), None, {"tensor": args.tensor}
+        return epsilon.build_coeff_tensor(args.epsilon), {"epsilon": args.epsilon}
+    return files.load_tensor_file(args.tensor), {"tensor": args.tensor}
 
 
 def _family_coupling(args) -> float:
@@ -133,11 +133,11 @@ def _report(args, code: int, body: dict) -> int:
 
 
 def _cmd_certify(args) -> int:
-    b, eps, source = _resolve_tensor(args)
+    b, source = _resolve_tensor(args)
     # first, so that a bad --tol is refused before any scan runs
-    witness = (epsilon.ks_check(eps, args.ks_samples, args.seed, args.tol) if eps is not None
-               else ks.ks_global_check(b, args.ks_samples, args.seed, args.tol))
+    witness = ks.ks_global_check(b, args.ks_samples, args.seed, args.tol)
     pres = core.state_preservation_check(b)
+    eps = epsilon.coupling(b)  # read off the tensor, as ks_global_check reads the family's KS witness
     pos = epsilon.positivity_check(eps) if eps is not None else core.sampled_positivity_check(b)
     cp = core.cp_check(b)
 
@@ -155,9 +155,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ks(args) -> int:
-    b, eps, source = _resolve_tensor(args)
-    witness = (epsilon.ks_check(eps, args.samples, args.seed, args.tol) if eps is not None
-               else ks.ks_global_check(b, args.samples, args.seed, args.tol))
+    b, source = _resolve_tensor(args)
+    witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
     probe_w = witness.w if witness is not None else np.array([1.0, 0.0, 0.0])
     nec = ks.ks_necessary_check(b, np.array([1.0, 0.0, 0.0]), probe_w)
     return _report(args, 1 if witness is not None else 0, {
@@ -171,7 +170,7 @@ def _cmd_ks(args) -> int:
 
 
 def _cmd_choi(args) -> int:
-    b, _, source = _resolve_tensor(args)
+    b, source = _resolve_tensor(args)
     cp = core.cp_check(b)
     return _report(args, 0 if cp.is_cp else 1, {
         "input": source,
@@ -203,8 +202,8 @@ def _cmd_sweep(args) -> int:
     epsilon.build_coeff_tensor(half)  # the tensor gate refuses a half-width above core.MAX_COEFF before linspace
     rows = []
     for e in np.linspace(-half, half, args.count).tolist():
-        witness = epsilon.ks_check(e, args.samples, args.seed, args.tol)
         b = epsilon.build_coeff_tensor(e)
+        witness = ks.ks_global_check(b, args.samples, args.seed, args.tol)
         pos = epsilon.positivity_check(e)
         cp = core.cp_check(b)
         rows.append({

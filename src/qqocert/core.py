@@ -222,7 +222,7 @@ def _vertex_slack(m: np.ndarray) -> float:
     LAPACK's eigvalsh by p(n)u times the member's norm, p(n) a modest function of n (LAPACK Users'
     Guide, section 4.7), allowed 10n^2 = 160 for the 3x3 and 4x4 members; the spinor of a positivity
     vertex moves its Bloch vector by under 10u.  That is under 190u*(||table||_F + 1) in all, u = 2^-53,
-    and 1e-12 is about 4,500u.  ks._search's PSD skip takes it on M = ks_form(b), lambda_min(defect(w))
+    and 1e-12 is about 4,500u.  ks_global_check's PSD skip takes it on M = ks_form(b), lambda_min(defect(w))
     >= ||w||^2 lambda_min(M) at unit w: eigvalsh of the 12x12 M (1,440u), a defect's build (q = 9) and
     eigvalsh on M's side table, ||table||_F <= sqrt(2)*||M||_F, and ||w||^2 - 1 stay under 1,800u*(||M||_F + 1).
     """

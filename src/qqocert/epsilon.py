@@ -5,7 +5,8 @@ makes every certification threshold explicit: the induced map is
 completely positive iff |eps| <= 1/(3*sqrt(3)), positive iff
 |eps| <= 1/3, and keeps the Bloch ball invariant under its quadratic
 dynamics iff |eps| <= 1/sqrt(3); past eps_KS = (sqrt(51) - sqrt(3))/24
-one closed-form witness (ks_check) shows it is not Kadison-Schwarz.
+one closed-form witness (ks_witness) shows it is not Kadison-Schwarz.
+coupling reads eps off an exact family tensor, however it was spelled.
 Only the preservation constant lives here, for the dynamics' domain;
 the others and the band classifier are references in tests/oracles.py,
 as is the family's image term by term; `sweep` reads each row's band off
@@ -18,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ks
-from .core import MAX_COEFF, PositivityReport, _side_tables, _vertex_eigvals, as_coeff_tensor
+from .core import MAX_COEFF, PositivityReport, as_coeff_tensor
 from .pauli import POSITIVITY_EIG_TOL
 
 PRESERVATION_THRESHOLD = 1.0 / np.sqrt(3.0)
@@ -48,6 +48,9 @@ def build_coeff_tensor(eps: float) -> np.ndarray:
     return as_coeff_tensor(b)
 
 
+_UNIT = build_coeff_tensor(1.0)
+
+
 def _witness_from_t(t: float) -> np.ndarray:
     """A unit vector with coordinate sum t (any point of that circle works)."""
     radial = np.sqrt(max(0.0, 1.0 - t * t / 3.0))
@@ -74,16 +77,14 @@ def positivity_check(eps: float) -> PositivityReport:
     )
 
 
-def ks_check(eps: float, samples: int, seed: int, tol: float) -> Optional[ks.KSWitness]:
-    """ks.ks_global_check on the family tensor, unless the closed-form witness w* gives a value below -tol.
-
-    w* = (1, z, z^2)/sqrt(3), z = exp(2*pi*i/3), for eps > 0, its conjugate for eps < 0; lambda_min of ks_defect
-    there, 1 - sqrt(3)|eps| - 12 eps^2, is the search's minimum for |eps| > eps_KS.  ks._check_budget runs first,
-    and the search reads the side tables built for w*.
-    """
-    key = ks._check_budget(samples, seed, tol)
-    form = ks.ks_form(build_coeff_tensor(eps))
-    tables = _side_tables(form, 3)
+def ks_witness(eps: float) -> tuple:
+    """w* = (1, z, z^2)/sqrt(3), z = exp(2i pi sign(eps)/3), and its defect's lambda_min 1 - sqrt(3)|eps| - 12 eps^2."""
     w = np.exp(2j * np.pi / 3.0 * np.sign(eps) * np.arange(3)) / np.sqrt(3.0)
-    value = float(_vertex_eigvals(w[None], tables[0])[0])
-    return ks.KSWitness(w=w, min_eig=value) if value < -tol else ks._search(form, tables, key, tol)
+    return w, float(1.0 - np.sqrt(3.0) * abs(eps) - 12.0 * eps * eps)
+
+
+def coupling(b) -> Optional[float]:
+    """The coupling eps when b, through the tensor gate, is exactly build_coeff_tensor(eps), else None."""
+    b = as_coeff_tensor(b)
+    e = float(b[0, 0, 0])
+    return e if np.array_equal(b, e * _UNIT) else None

@@ -32,8 +32,8 @@ defect has a negative eigenvalue.  M_jk = Delta(sigma_j sigma_k) -
 Delta(sigma_j) Delta(sigma_k), so M is PSD for every CP map (Schwarz's
 inequality in a Stinespring dilation), and a PSD M proves the property,
 <psi, defect(w) psi> >= lambda_min(M) at unit w and psi: ks_global_check
-then runs no scan.  The search itself certifies violations only; past
-eps_KS, epsilon.ks_check reads the family's closed-form witness instead.
+then runs no scan.  The search certifies violations only; on a family
+tensor past eps_KS, epsilon.ks_witness gives its closed-form witness.
 
 _scan holds the last (samples, seed) drawn, points and pair coordinates
 read-only, until a search asks for another: a repeated budget draws
@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core, sampling
+from . import core, epsilon, sampling
 from .pauli import ID2, ID4, SIGMA, _hermitian_part, _members, hermitian_eigvalsh, hermitian_lowest_eigvals
 
 KS_DEFAULT_SAMPLES = 50_000
@@ -121,35 +121,45 @@ def ks_defect(b, w) -> np.ndarray:
     return _members(core._pair_coordinates(w), core._side_tables(ks_form(b), 3)[0])[0]
 
 
-def _check_budget(samples: int, seed: int, tol: float) -> tuple:
-    """The draw key of samples and seed; a tol that is not positive and finite, or a key the sampler refuses, raises first."""
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-    return sampling._draw_key(samples, seed)
-
-
 def ks_global_check(
     b,
     samples: int = KS_DEFAULT_SAMPLES,
     seed: int = KS_DEFAULT_SEED,
     tol: float = KS_DEFAULT_TOL,
 ) -> Optional[KSWitness]:
-    """Search unit complex directions for a defect with a negative eigenvalue, unless M = ks_form(b) proves none.
+    """Search unit complex directions for a defect with a negative eigenvalue, unless a closed form decides.
 
-    tol, samples and seed pass _check_budget first, as in epsilon.ks_check; both then run _search on M.
-    If lambda_min(M) - core._vertex_slack(M) >= -tol, no value the search could reach is below -tol
-    (_vertex_slack derives that slack), and None returns without a scan.  Otherwise the kernel scans
-    `samples` unit directions in C^3 from sampling.sphere_points (normalized complex Gaussians) on M's
-    side tables, built once, building and solving only the defects that can rank among the eight
-    lowest, and core.product_form_minimum polishes those eight by exact alternating eigen-descent on
-    the form (see the module docstring).  The witness has its largest-modulus component real and
-    positive, and min_eig is lambda_min of the defect re-evaluated there.  Returns the worst witness
-    found (min eigenvalue below -tol) or None; after a scan, absence of a witness at finite budget is
-    not a proof.  Deterministic for a fixed seed.
+    tol, samples and seed are refused first, as the sampler refuses them.  A family tensor (epsilon.coupling)
+    whose closed-form witness epsilon.ks_witness lies below -tol returns it, with no form built.  Otherwise, if
+    lambda_min(M) - core._vertex_slack(M) >= -tol for M = ks_form(b), no value the search could reach is below
+    -tol (_vertex_slack derives that slack), and None returns without a scan.  Otherwise the kernel scans
+    `samples` unit directions in C^3 from sampling.sphere_points (normalized complex Gaussians) on M's side
+    tables, built once, building and solving only the defects that can rank among the eight lowest, and
+    core.product_form_minimum polishes those eight by exact alternating eigen-descent on the form (see the
+    module docstring).  The witness has its largest-modulus component real and positive, and min_eig is
+    lambda_min of the defect re-evaluated there.  Returns the worst witness found (min eigenvalue below -tol) or
+    None; after a scan, absence of a witness at finite budget is not a proof.  Deterministic for a fixed seed.
     """
-    key = _check_budget(samples, seed, tol)
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    key = sampling._draw_key(samples, seed)
+    if (eps := epsilon.coupling(b)) is not None:
+        w, value = epsilon.ks_witness(eps)
+        if value < -tol:
+            return KSWitness(w=w, min_eig=value)
     form = ks_form(b)
-    return _search(form, core._side_tables(form, 3), key, tol)
+    if hermitian_eigvalsh(form)[0] - core._vertex_slack(form) >= -tol:
+        return None
+    tables = core._side_tables(form, 3)
+    points, coords = _scan(key)
+    starts, values = hermitian_lowest_eigvals(coords, tables[0])
+    _, best_w = core.product_form_minimum(tables, points[starts], values)
+    top = np.argmax(np.abs(best_w))
+    best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
+    best_val = float(core._lowest(best_w[None], tables[0])[0][0])
+    if best_val < -tol:
+        return KSWitness(w=best_w, min_eig=best_val)
+    return None
 
 
 def _scan(key: tuple) -> tuple:
@@ -163,21 +173,6 @@ def _scan(key: tuple) -> tuple:
                 a.flags.writeable = False
             _held[key] = entry
     return entry
-
-
-def _search(form: np.ndarray, tables: tuple, key: tuple, tol: float) -> Optional[KSWitness]:
-    """ks_global_check past _check_budget, on M = ks_form(b), its side tables and the draw key, built once by the caller."""
-    if hermitian_eigvalsh(form)[0] - core._vertex_slack(form) >= -tol:
-        return None
-    points, coords = _scan(key)
-    starts, values = hermitian_lowest_eigvals(coords, tables[0])
-    _, best_w = core.product_form_minimum(tables, points[starts], values)
-    top = np.argmax(np.abs(best_w))
-    best_w = best_w * np.conj(best_w[top]) / np.abs(best_w[top])
-    best_val = float(core._lowest(best_w[None], tables[0])[0][0])
-    if best_val < -tol:
-        return KSWitness(w=best_w, min_eig=best_val)
-    return None
 
 
 def ks_necessary_check(b, f, w) -> KSNecessaryReport:

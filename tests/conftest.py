@@ -1,6 +1,6 @@
 import pytest
 
-from qqocert import core
+from qqocert import core, epsilon, ks, sampling
 
 
 @pytest.fixture
@@ -26,3 +26,28 @@ def scripted_search(monkeypatch):
         return val, x, calls
 
     return run
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The keys sampling.sphere_points is called with during one test, which starts with an empty KS draw hold."""
+    drawn, sphere_points = [], sampling.sphere_points
+
+    def recording(*key):
+        drawn.append(key)
+        return sphere_points(*key)
+
+    monkeypatch.setattr(ks, "_held", {})
+    monkeypatch.setattr(sampling, "sphere_points", recording)
+    return drawn
+
+
+@pytest.fixture
+def family_searched(monkeypatch, draws):
+    """draws, with epsilon.coupling recognising no tensor, so that a family tensor takes the KS search.
+
+    ks_global_check reads an exact family tensor's witness in closed form and draws nothing; a test that
+    runs the search on one asserts that the returned list is not empty.
+    """
+    monkeypatch.setattr(epsilon, "coupling", lambda b: None)
+    return draws

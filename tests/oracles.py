@@ -272,6 +272,13 @@ def rand_ball(rng):
     return v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
 
 
+def rotation(rng):
+    """A Haar-random element of SO(3): the Q of a Gaussian matrix with its column signs fixed, det +1."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q * np.linalg.det(q)
+
+
 def complex_sphere(samples: int, seed: int, n: int) -> np.ndarray:
     """samples unit vectors in C^n, normalized complex Gaussians from default_rng(seed): the KS draw's formula, any n."""
     g = np.random.default_rng(seed).standard_normal((samples, n, 2))

@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qqocert
-from qqocert import cli, core
+from qqocert import build_coeff_tensor, cli, core
 from qqocert.cli import build_parser, main
 
-from oracles import CP_THRESHOLD, POSITIVITY_THRESHOLD, classify_epsilon
+from oracles import CP_THRESHOLD, EPS_KS, POSITIVITY_THRESHOLD, classify_epsilon
 
 
 def run(argv, capsys):
@@ -65,6 +65,31 @@ def test_certify_tensor_file_path(tmp_path, capsys):
     assert code == 0
     assert doc["input"] == {"tensor": str(path)}
     assert doc["all_pass"]
+
+
+@pytest.mark.parametrize("budget", [[], ["--samples", "1", "--seed", "7"]], ids=["default", "one-sample"])
+@pytest.mark.parametrize("eps", [0.5, -1.0 / 3.0, 0.2, 0.1])
+def test_one_operator_gives_one_report_however_it_is_spelled(eps, budget, tmp_path, capsys):
+    # --epsilon, an {"epsilon": e} file and a {"b": ...} file of the same 27 numbers: past eps_KS (0.5 and -1/3)
+    # the closed-form witness, in the band (0.2) the search, at 0.1 the PSD skip; only the input block differs
+    spelled = tmp_path / "e.json"
+    spelled.write_text(json.dumps({"epsilon": eps}))
+    full = tmp_path / "b.json"
+    full.write_text(json.dumps({"b": build_coeff_tensor(eps).tolist()}))
+    for command in ("certify", "ks"):
+        reports = []
+        for source, block in (
+            (["--epsilon", repr(eps)], {"epsilon": eps}),
+            (["--tensor", str(spelled)], {"tensor": str(spelled)}),
+            (["--tensor", str(full)], {"tensor": str(full)}),
+        ):
+            code, out, err = run(source + budget + [command], capsys)
+            doc = json.loads(out)
+            assert doc.pop("input") == block and err == ""
+            reports.append((code, doc))
+        assert reports[0] == reports[1] == reports[2], command
+        # certify passes only where the map is CP, and ks finds a witness only past eps_KS
+        assert reports[0][0] == int(abs(eps) > (CP_THRESHOLD if command == "certify" else EPS_KS)), command
 
 
 def test_certify_input_validation(tmp_path, capsys):

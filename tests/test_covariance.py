@@ -5,10 +5,11 @@ b'[a, c, e] = sum R1[a, m] R2[c, l] R3[e, k] b[m, l, k] changes no verdict; nor 
 output factors, b[m, l, k] -> b[l, m, k], nor b -> -b, which maps w.Dsigma to (-w).Dsigma and N(f) to
 -N(f).  The mesh is not rotation-invariant, so a rotated tensor meets its minimum between other
 vertices: a refine start that misses the minimum shows here as a changed value.  Complete positivity reads
-the whole Choi spectrum, and a rotated family tensor is no longer the family's: the KS search meets it on
-the tensor route and must still reach the family's closed-form minimum.  The witnesses move with the
-tensor: under (R1, R2, R3) the image of w.sigma is (R3 w).sigma' conjugated by a local unitary, and the swap
-exchanges f and p, so each witness re-evaluates at its image to the value reported for the original.
+the whole Choi spectrum, and a rotated family tensor is no longer the family's: epsilon.coupling does not
+recognise it, so the KS search meets it and must still reach the family's closed-form minimum.  The
+witnesses move with the tensor: under (R1, R2, R3) the image of w.sigma is (R3 w).sigma' conjugated by a
+local unitary, and the swap exchanges f and p, so each witness re-evaluates at its image to the value
+reported for the original.
 """
 
 import numpy as np
@@ -24,14 +25,7 @@ from qqocert import (
     state_preservation_check,
 )
 
-from oracles import ks_min_eig_closed_form
-
-
-def rotation(rng):
-    """A Haar-random element of SO(3): the Q of a Gaussian matrix with its column signs fixed, det +1."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    return q * np.linalg.det(q)
+from oracles import ks_min_eig_closed_form, rotation
 
 
 def moves(rng, b):

@@ -19,7 +19,7 @@ from qqocert import (
 from qqocert import cli, core, ks, sampling
 from qqocert import epsilon as family
 from qqocert.core import MAX_COEFF
-from qqocert.epsilon import ks_check
+from qqocert.epsilon import coupling
 from qqocert.pauli import SIGMA
 
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     delta_eps_apply,
     family_positivity_at_candidates,
     ks_min_eig_closed_form,
+    rotation,
     sigma_images_apply,
     spectrum_closed_form,
 )
@@ -344,10 +345,15 @@ _KS_COUPLINGS = [0.17, 0.2, 0.22, EPS_KS - 1e-6, EPS_KS + 1e-6, 0.2254, 0.3, 1.0
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_ks_check_agrees_with_the_search_and_the_closed_form(sign, seed):
+def test_ks_check_agrees_with_the_search_and_the_closed_form(family_searched, sign, seed):
+    # ks_global_check on the family tensor (fast: past EPS_KS, the closed-form witness) against the search
+    # on the same tensor unrecognised (slow)
     for eps in (sign * a for a in _KS_COUPLINGS):
-        fast = ks_check(eps, KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
-        slow = ks_global_check(build_coeff_tensor(eps), KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
+        b = build_coeff_tensor(eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(family, "coupling", coupling)
+            fast = ks_global_check(b, KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
+        slow = ks_global_check(b, KS_DEFAULT_SAMPLES, seed, KS_DEFAULT_TOL)
         assert (fast is None) == (slow is None) == (abs(eps) <= EPS_KS), eps
         if slow is None:
             continue
@@ -356,7 +362,34 @@ def test_ks_check_agrees_with_the_search_and_the_closed_form(sign, seed):
         assert abs(fast.min_eig - ks_min_eig_closed_form(eps)) <= scale, eps
         # a unit witness, its first component real and positive as the search's, that re-evaluates to min_eig
         assert abs(np.linalg.norm(fast.w) - 1.0) < 1e-15 and fast.w[0].real > 0 and fast.w[0].imag == 0
-        assert hermitian_eigh(ks_defect(build_coeff_tensor(eps), fast.w))[0][0] == pytest.approx(fast.min_eig, rel=1e-14)
+        assert hermitian_eigh(ks_defect(b, fast.w))[0][0] == pytest.approx(fast.min_eig, rel=1e-14)
+    assert family_searched
+
+
+@pytest.mark.parametrize("moved", ["000", "120", "001", "rotated"])
+def test_only_an_exact_family_tensor_takes_the_closed_form(moved, draws):
+    # one entry one ulp off (the one coupling reads, a partner of it, a zero entry), or the tensor rotated:
+    # the search runs on it and still reaches the closed form at 1/3
+    b = build_coeff_tensor(1.0 / 3.0)
+    assert coupling(b) == 1.0 / 3.0
+    if moved == "rotated":
+        rng = np.random.default_rng(5)
+        b = np.einsum("am,cl,ek,mlk->ace", rotation(rng), rotation(rng), rotation(rng), b)
+    else:
+        index = tuple(int(i) for i in moved)
+        b[index] = np.nextafter(b[index], 1.0)
+    assert coupling(b) is None
+    witness = ks_global_check(b)
+    expected = ks_min_eig_closed_form(1.0 / 3.0)
+    assert draws == [(KS_DEFAULT_SAMPLES, 0)]
+    assert abs(witness.min_eig - expected) <= 1e-12 * (1.0 + abs(witness.min_eig))
+
+
+def test_the_zero_tensor_is_the_family_at_zero(draws):
+    zero = np.zeros((3, 3, 3))
+    assert coupling(zero) == 0.0 and coupling(-zero) == 0.0
+    assert ks_global_check(zero) is None
+    assert draws == []
 
 
 def _draw(*args):
@@ -381,14 +414,20 @@ def test_family_ks_past_the_band_draws_nothing(command, code, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [["--epsilon", "0.2", "ks"], ["--tensor", "{doc}", "ks"], ["--tensor", "{doc}", "certify"]])
-def test_the_band_and_tensor_input_still_search(argv, monkeypatch, tmp_path, capsys):
-    # 0.2 lies in the band; a tensor file takes the tensor route even when it names a coupling past EPS_KS
+def test_the_band_still_searches_and_a_family_file_draws_nothing(argv, monkeypatch, tmp_path, capsys):
+    # 0.2 lies in the band; a tensor file naming a coupling past EPS_KS holds the family's tensor, whose
+    # witness ks_global_check reads in closed form, as for --epsilon
     doc = tmp_path / "t.json"
     doc.write_text('{"epsilon": 0.5}')
     monkeypatch.setattr(ks, "_scan", _draw)
     monkeypatch.setattr(sampling, "sphere_points", _draw)
-    with pytest.raises(AssertionError, match="drew its points"):
-        cli.main([word.format(doc=doc) for word in argv])
+    argv = [word.format(doc=doc) for word in argv]
+    if argv[0] == "--epsilon":
+        with pytest.raises(AssertionError, match="drew its points"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["input"] == {"tensor": str(doc)}
 
 
 @pytest.mark.parametrize("command", ["certify", "ks", "sweep"])
@@ -405,9 +444,14 @@ def test_family_ks_refuses_a_bad_budget_before_any_work(command, flag, value, mo
     assert err
 
 
-def test_ks_check_refuses_what_the_search_refuses():
-    # with ks_global_check's messages, though past EPS_KS the closed form alone would decide and a CP coupling
-    # would skip the search
+def _work(*args):
+    raise AssertionError("the KS check began its work")
+
+
+def test_ks_check_refuses_what_the_search_refuses(monkeypatch):
+    # before any work, though past EPS_KS the closed form alone would decide and a CP coupling would skip the search
+    monkeypatch.setattr(family, "coupling", _work)
+    monkeypatch.setattr(ks, "ks_form", _work)
     for samples, seed, tol, error, message in [
         (0, 0, 1e-8, ValueError, "need at least one sample"),
         (10, -1, 1e-8, ValueError, "seed must be non-negative"),
@@ -417,13 +461,13 @@ def test_ks_check_refuses_what_the_search_refuses():
     ]:
         for eps in (0.5, 0.1):
             with pytest.raises(error, match=message):
-                ks_check(eps, samples, seed, tol)
+                ks_global_check(build_coeff_tensor(eps), samples, seed, tol)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
 def test_ks_check_builds_the_schwarz_form_once(eps, monkeypatch):
-    # CP at 0.1 (the PSD skip), in the band at 0.2 (the search) and past EPS_KS at 0.5 (the witness):
-    # the witness, the skip and the search all read one ks_form and one pair of its side tables
+    # CP at 0.1 (the PSD skip) and in the band at 0.2 (the search) read one ks_form, and the search one pair
+    # of its side tables; past EPS_KS at 0.5 the closed-form witness builds neither
     built, tabled, form, side_tables = [], [], ks.ks_form, core._side_tables
 
     def counting(b):
@@ -435,10 +479,8 @@ def test_ks_check_builds_the_schwarz_form_once(eps, monkeypatch):
         return side_tables(*args)
 
     monkeypatch.setattr(ks, "ks_form", counting)
-    # epsilon binds core's _side_tables under its own name, so both are counted
-    for module in (core, family):
-        monkeypatch.setattr(module, "_side_tables", counting_tables)
-    found = ks_check(eps, 2000, 0, KS_DEFAULT_TOL)
+    monkeypatch.setattr(core, "_side_tables", counting_tables)
+    found = ks_global_check(build_coeff_tensor(eps), 2000, 0, KS_DEFAULT_TOL)
     assert (found is None) == (eps < EPS_KS)
-    assert len(built) == 1
-    assert len(tabled) == 1
+    assert len(built) == (eps < EPS_KS)
+    assert len(tabled) == (CP_THRESHOLD < eps < EPS_KS)

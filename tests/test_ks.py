@@ -632,9 +632,10 @@ def test_stacked_refine_stops_starts_in_different_rounds(scripted_search):
     assert val == 7.0 - 1.5 * 7 and np.array_equal(x, [7.0, 7.0])
 
 
-def test_global_check_near_ks_boundary():
-    # just above the family's KS boundary (about 0.22539) the violation is tiny
+def test_global_check_near_ks_boundary(family_searched):
+    # just above the family's KS boundary (about 0.22539) the violation is tiny; the search finds it
     wit = ks_global_check(build_coeff_tensor(0.2254))
+    assert family_searched
     assert wit is not None
     assert wit.min_eig == pytest.approx(-6.6172026e-05, abs=1e-10)
 
@@ -701,7 +702,7 @@ def test_skip_computes_no_eigenvectors(monkeypatch):
     # skip that read the Choi matrix would hide this witness
     (0.5, 2.0, True),
 ])
-def test_indefinite_form_still_scans(monkeypatch, eps, tol, witness):
+def test_indefinite_form_still_scans(monkeypatch, family_searched, eps, tol, witness):
     b = build_coeff_tensor(eps)
     assert np.linalg.eigvalsh(ks_form(b))[0] < -tol
     scans = []
@@ -712,6 +713,7 @@ def test_indefinite_form_still_scans(monkeypatch, eps, tol, witness):
 
     monkeypatch.setattr(core, "product_form_minimum", recording)
     found = ks_global_check(b, 2000, 0, tol)
+    assert family_searched
     assert len(scans) == 1
     assert (found is not None) == witness
     assert found is None or found.min_eig < -tol
@@ -802,8 +804,9 @@ def test_preservation_witness_is_a_positivity_witness():
     assert carried >= 20
 
 
-def test_global_check_finds_witness_at_one_third():
+def test_global_check_finds_witness_at_one_third(family_searched):
     wit = ks_global_check(build_coeff_tensor(1.0 / 3.0), 3000, 0, 1e-8)
+    assert family_searched
     assert wit is not None
     assert wit.min_eig <= -1e-6
     assert np.linalg.norm(wit.w) == pytest.approx(1.0, abs=1e-12)
@@ -816,14 +819,15 @@ def test_global_check_finds_witness_at_one_third():
     "eps, expected",
     [(0.25, -0.183013), (1.0 / 3.0, -0.910684), (0.5, -2.866025)],
 )
-def test_global_check_pins_family_minima(eps, expected):
-    # default budget, as the CLI runs it
+def test_global_check_pins_family_minima(family_searched, eps, expected):
+    # the search at the default budget, as the CLI runs it on a tensor that is not the family's
     wit = ks_global_check(build_coeff_tensor(eps))
+    assert family_searched
     assert wit is not None
     assert wit.min_eig == pytest.approx(expected, abs=1e-6)
 
 
-def test_global_check_scan_prunes_most_eigensolves(monkeypatch):
+def test_global_check_scan_prunes_most_eigensolves(monkeypatch, family_searched):
     # counts matrices, not seconds: the trace bound keeps most of the scan from LAPACK
     solved = []
     eigvalsh = np.linalg.eigvalsh
@@ -834,11 +838,12 @@ def test_global_check_scan_prunes_most_eigensolves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert family_searched
     assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
     assert 0 < sum(solved) < 0.1 * 50_000
 
 
-def test_global_check_sorts_no_whole_scan(monkeypatch):
+def test_global_check_sorts_no_whole_scan(monkeypatch, family_searched):
     # only the kernel's candidates for the refine starts are sorted
     sizes = []
     argsort = np.argsort
@@ -849,11 +854,12 @@ def test_global_check_sorts_no_whole_scan(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", recording)
     wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert family_searched
     assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
     assert sizes and max(sizes) < 0.1 * 50_000
 
 
-def test_global_check_builds_few_defects(monkeypatch):
+def test_global_check_builds_few_defects(monkeypatch, family_searched):
     # counts matrices, not seconds: every matrix LAPACK reads passes the guard, and
     # the pruned defects are never built; the count includes the table and the refine
     built = []
@@ -866,14 +872,16 @@ def test_global_check_builds_few_defects(monkeypatch):
 
     monkeypatch.setattr(pauli, "require_hermitian", counting)
     wit = ks_global_check(build_coeff_tensor(1.0 / 3.0))
+    assert family_searched
     assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
     assert 0 < sum(built) < 0.1 * KS_DEFAULT_SAMPLES
 
 
-def test_global_check_peak_memory():
+def test_global_check_peak_memory(family_searched):
     # the whole stack of 50,000 defects alone takes 12.8 MB
     b = build_coeff_tensor(1.0 / 3.0)
     ks_global_check(b)
+    assert family_searched
     tracemalloc.start()
     try:
         ks_global_check(b)
@@ -959,10 +967,11 @@ def test_factored_kernel_matches_stack_oracle(seed, monkeypatch):
             assert count <= sum(solved)
 
 
-def test_global_check_deterministic():
+def test_global_check_deterministic(family_searched):
     b = build_coeff_tensor(1.0 / 3.0)
     w1 = ks_global_check(b, 1000, 5, 1e-8)
     w2 = ks_global_check(b, 1000, 5, 1e-8)
+    assert family_searched
     assert w1.min_eig == w2.min_eig
     assert np.array_equal(w1.w, w2.w)
 

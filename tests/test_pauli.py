@@ -486,7 +486,7 @@ def unreached_public_names(pkg: pathlib.Path) -> set:
 
 def test_every_public_name_is_reached_by_package_code():
     # ks_defect is how a reported witness is re-checked (README), built by the kernel's own _members;
-    # epsilon.ks_check reads the family's closed-form witness off the one ks_form it builds instead
+    # ks_global_check reads the family's closed-form witness (epsilon.ks_witness) with no defect built
     assert unreached_public_names(pathlib.Path(qqocert.__file__).parent) == {"ks_defect"}
 
 

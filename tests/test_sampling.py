@@ -45,8 +45,8 @@ def refuse_to_draw(*args):
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
 def test_a_negative_seed_raises_before_anything_is_drawn_or_held(empty_hold, monkeypatch, eps):
-    # CP at 0.1, so ks_global_check would return without a scan; not CP at 0.5, so the KS search scans;
-    # the mesh certificates take no seed and draw nothing
+    # CP at 0.1, so ks_global_check would return without a scan; past eps_KS at 0.5, so its closed-form
+    # witness would decide; the mesh certificates take no seed and draw nothing
     monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
     b = build_coeff_tensor(eps)
     for draw in (sampling.sphere_points, lambda samples, seed: ks_global_check(b, samples, seed)):
@@ -77,8 +77,9 @@ def test_every_sampled_certificate_draws_through_the_one_sampler(empty_hold, mon
         assert drawn == expected, run.__name__
 
 
-def test_every_scan_left_is_the_ks_draw(empty_hold, monkeypatch, capsys, tmp_path):
-    # preservation and positivity decide on the mesh, so every draw made at run time is the KS search's
+def test_every_scan_left_is_the_ks_draw(family_searched, monkeypatch, capsys, tmp_path):
+    # preservation and positivity decide on the mesh, so every draw made at run time is the KS search's;
+    # the family couplings, here past eps_KS, take the search too
     drawn, scan = [], ks._scan
 
     def recording(key):
@@ -97,7 +98,8 @@ def test_every_scan_left_is_the_ks_draw(empty_hold, monkeypatch, capsys, tmp_pat
     ):
         assert cli.main(argv) in (0, 1)
     capsys.readouterr()
-    assert drawn and set(drawn) == {"_search"}
+    assert family_searched
+    assert drawn and set(drawn) == {"ks_global_check"}
 
 
 # ---------------------------------------------------------------- the draw hold
@@ -121,18 +123,6 @@ def assert_one_whole_scan():
         assert points.tobytes() == fresh_draw(*key).tobytes(), key
         assert coords.tobytes() == _pair_coordinates(points).tobytes(), key
         assert not (points.flags.writeable or coords.flags.writeable), key
-
-
-def recording_draws(monkeypatch):
-    """A list that each sampling.sphere_points call appends its key to."""
-    drawn, sphere_points = [], sampling.sphere_points
-
-    def recording(*key):
-        drawn.append(key)
-        return sphere_points(*key)
-
-    monkeypatch.setattr(sampling, "sphere_points", recording)
-    return drawn
 
 
 def test_the_sampler_holds_nothing(empty_hold):
@@ -163,15 +153,14 @@ def test_points_are_a_fresh_draw_on_a_hit_and_after_eviction(empty_hold):
     assert again[0].tobytes() == want and again[1].tobytes() == first[1].tobytes()
 
 
-def test_a_second_key_replaces_the_first(empty_hold, monkeypatch):
+def test_a_second_key_replaces_the_first(family_searched):
     # the hold keeps the last budget searched: a repeat draws nothing, a switch redraws
-    drawn = recording_draws(monkeypatch)
     b = build_coeff_tensor(0.5)
     for samples in (500, 500, 600, 500, 600):
         witness = ks_global_check(b, samples, 1)
         assert witness is not None
         assert list(ks._held) == [(samples, 1)]
-    assert drawn == [(500, 1), (600, 1), (500, 1), (600, 1)]
+    assert family_searched == [(500, 1), (600, 1), (500, 1), (600, 1)]
     assert_one_whole_scan()
 
 
@@ -207,13 +196,12 @@ def test_repeated_certificates_draw_nothing(empty_hold, monkeypatch):
             assert np.asarray(getattr(again, name)).tobytes() == np.asarray(value).tobytes(), (run.__name__, name)
 
 
-def test_numpy_integers_share_the_entry_of_python_integers(empty_hold, monkeypatch):
-    drawn = recording_draws(monkeypatch)
+def test_numpy_integers_share_the_entry_of_python_integers(family_searched):
     b = build_coeff_tensor(0.5)
     ks_global_check(b, np.int64(2000), np.int64(0))
     ks_global_check(b, 2000, 0)
     (key,) = ks._held
-    assert drawn == [key] == [(2000, 0)] and {type(k) for k in key} == {int}
+    assert family_searched == [key] == [(2000, 0)] and {type(k) for k in key} == {int}
 
 
 @pytest.mark.parametrize("samples, seed", [(10.5, 0), (np.float64(10.0), 0), (10, 1.5), (10, None), ("10", 0)])
@@ -326,21 +314,20 @@ def test_cli_reports_do_not_depend_on_what_the_cache_holds(monkeypatch, capsys, 
     assert {code for code, _ in cold.values()} == {0, 1}
 
 
-def test_one_process_draws_once_per_budget_it_switches_to(empty_hold, monkeypatch, capsys, tmp_path):
+def test_one_process_draws_once_per_budget_it_switches_to(draws, capsys, tmp_path):
     # certify then ks on one positive non-CP tensor share the default KS draw; a band sweep at its own
     # budget replaces it, so the same pair draws it once more
-    drawn = recording_draws(monkeypatch)
     b = 0.2 * np.random.default_rng(0).standard_normal((3, 3, 3))
     assert sampled_positivity_check(b).is_positive and not cp_check(b).is_cp
     tensor = tmp_path / "t.json"
     tensor.write_text(json.dumps({"b": b.tolist()}))
     pair = (["--tensor", str(tensor), "certify"], ["--tensor", str(tensor), "ks"])
     for calls in (pair, (["--epsilon", "0.2", "--count", "3", "sweep"],), pair):
-        drawn.clear()
+        draws.clear()
         for argv in calls:
             assert cli.main(argv) in (0, 1), argv
         capsys.readouterr()
-        assert len(drawn) == 1, calls
+        assert len(draws) == 1, calls
 
 
 # ---------------------------------------------------------------- the layers stay traceable
