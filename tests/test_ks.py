@@ -72,6 +72,11 @@ def choi_tables(b):
     return core._side_tables(choi_matrix_from_tensor(b), 2)
 
 
+def positive_tensor():
+    """A seeded positive tensor that is not CP, the one CI writes as pos.json: its form is indefinite, so ks scans."""
+    return rand_tensor(np.random.default_rng(4), 0.15)
+
+
 def ks_scan(b, samples=KS_DEFAULT_SAMPLES, seed=0):
     """The KS search run directly on ks_form(b), as ks_global_check runs it when the form is not PSD."""
     tables = ks_tables(b)
@@ -828,7 +833,8 @@ def test_global_check_pins_family_minima(family_searched, eps, expected):
 
 
 def test_global_check_scan_prunes_most_eigensolves(monkeypatch, family_searched):
-    # counts matrices, not seconds: the trace bound keeps most of the scan from LAPACK
+    # counts matrices, not seconds: the trace bound keeps most of the scan from being built, and the LDL*
+    # test most of the built defects from LAPACK
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -841,6 +847,34 @@ def test_global_check_scan_prunes_most_eigensolves(monkeypatch, family_searched)
     assert family_searched
     assert wit.min_eig == pytest.approx(-0.910684, abs=1e-6)
     assert 0 < sum(solved) < 0.1 * 50_000
+
+
+def test_global_check_solves_few_defects_of_a_positive_tensor(monkeypatch, draws):
+    # counts matrices, not seconds: the trace bound lets about 20,000 of the 50,000 defects rank on this
+    # tensor, and the LDL* test leaves LAPACK a few tens of them; the count includes the form's PSD test
+    solved, handed = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(ms, *args, **kwargs):
+        solved.append(len(ms) if np.ndim(ms) == 3 else 1)
+        return eigvalsh(ms, *args, **kwargs)
+
+    def kernel(coeffs, table):
+        starts, vals = hermitian_lowest_eigvals(coeffs, table)
+        # a copy: the search's refine lowers the values it is handed
+        handed.append((coeffs, table, starts, vals.copy()))
+        return starts, vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(ks, "hermitian_lowest_eigvals", kernel)
+    assert ks_global_check(positive_tensor()) is None
+    assert draws
+    assert 0 < sum(solved) <= 500
+    # the kernel's starts and values against the stack kernel on every defect of the scan built whole
+    ((coeffs, table, starts, vals),) = handed
+    ref = stack_lowest_eigvals(_members(coeffs, table))
+    assert np.array_equal(starts, lowest_indices(ref))
+    assert vals.tobytes() == ref[starts].tobytes()
 
 
 def test_global_check_sorts_no_whole_scan(monkeypatch, family_searched):
@@ -860,8 +894,9 @@ def test_global_check_sorts_no_whole_scan(monkeypatch, family_searched):
 
 
 def test_global_check_builds_few_defects(monkeypatch, family_searched):
-    # counts matrices, not seconds: every matrix LAPACK reads passes the guard, and
-    # the pruned defects are never built; the count includes the table and the refine
+    # counts matrices, not seconds: every matrix LAPACK reads passes the guard; the defects the trace
+    # bound prunes are never built, and those the LDL* test rules out are built but never guarded or
+    # solved; the count includes the table and the refine
     built = []
     guard = pauli.require_hermitian
 
@@ -878,17 +913,18 @@ def test_global_check_builds_few_defects(monkeypatch, family_searched):
 
 
 def test_global_check_peak_memory(family_searched):
-    # the whole stack of 50,000 defects alone takes 12.8 MB
-    b = build_coeff_tensor(1.0 / 3.0)
-    ks_global_check(b)
-    assert family_searched
-    tracemalloc.start()
-    try:
+    # the whole stack of 50,000 defects alone takes 12.8 MB; on the positive tensor the trace bound lets
+    # about 20,000 of them rank, and the kernel builds them SCAN_BLOCK at a time
+    for b, most in ((build_coeff_tensor(1.0 / 3.0), 30 * 2**20), (positive_tensor(), 8 * 2**20)):
         ks_global_check(b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * 2**20
+        assert family_searched
+        tracemalloc.start()
+        try:
+            ks_global_check(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= most
 
 
 def _defect_stack(form, w):

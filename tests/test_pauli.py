@@ -303,6 +303,28 @@ def test_lowest_eigvals_margin_covers_cancelling_members(lift):
         assert_lowest_matches_full(coeffs, table)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_lowest_eigvals_slack_covers_near_ties(scale):
+    # forty members scale*u diag(1, 1 + g, 1 + g, 1 + 2g) u* with g rising with the index: their lambda_min
+    # lie within a few ulps of the scale, so of the REFINE_STARTS-th lowest, while their trace bounds fall
+    # with the index, so the lowest bounds are the last members and every other member meets the LDL*
+    # test at a shift within rounding of its own lambda_min
+    rng = np.random.default_rng(43)
+    count = 40
+    for real in (False, True):
+        for _ in range(10):
+            members = []
+            for g in np.linspace(1.0, 2.0, count):
+                u = _unitary(rng, 4, real)
+                m = (u * np.array([1.0, 1.0 + g, 1.0 + g, 1.0 + 2.0 * g])) @ np.conj(u.T)
+                members.append(scale * 0.5 * (m + np.conj(m.T)))
+            table, coeffs = np.stack(members), np.eye(count)
+            assert_lowest_matches_full(coeffs, table)
+            # the bound scale*(1 - (sqrt(3/2) - 1)*g) is lowest for the last members; the lowest values are others
+            starts, _ = hermitian_lowest_eigvals(coeffs, table)
+            assert not np.array_equal(np.sort(starts), np.arange(count - REFINE_STARTS, count))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     q=st.integers(1, 9),
